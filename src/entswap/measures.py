@@ -1,8 +1,9 @@
-"""Complementarity quantifiers and the triality bookkeeping for one state.
+"""Complementarity quantifiers and the triality bookkeeping.
 
 All entropic quantities are in bits. The two sums C_re + P_vn + S_vn and
 C_hs + P_l + S_l are reported exactly as computed, never coerced to their
-bounds.
+bounds. `report` computes every quantifier for a whole stack of density
+matrices at once; the one-state functions are its N = 1 view.
 """
 
 from __future__ import annotations
@@ -12,84 +13,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_CLAMP, EIG_NEG_TOL, DensityMatrix, hermitian_eigenvalues
+from .linalg import EIG_CLAMP, EIG_NEG_TOL, TRACE_TOL, DensityMatrix, hermitian_eigenvalues
 
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Every quantifier of one density matrix plus the two triality sums."""
+    """Every quantifier plus the two triality sums.
 
-    c_re: float
-    p_vn: float
-    s_vn: float
-    vn_sum: float
-    c_hs: float
-    p_l: float
-    s_l: float
-    l_sum: float
+    Floats for one density matrix; arrays of length N for a stack of N.
+    """
+
+    c_re: float | np.ndarray
+    p_vn: float | np.ndarray
+    s_vn: float | np.ndarray
+    vn_sum: float | np.ndarray
+    c_hs: float | np.ndarray
+    p_l: float | np.ndarray
+    s_l: float | np.ndarray
+    l_sum: float | np.ndarray
     dim: int
 
 
-def _entropy_bits(eigs) -> float:
-    total = 0.0
-    for lam in eigs:
-        lam = float(lam)
-        if lam < -EIG_NEG_TOL:
-            raise ValueError(f"eigenvalue {lam} is below -1e-10; not a density matrix")
-        if lam < EIG_CLAMP:  # tiny magnitudes count as exact zeros, 0*log(0) = 0
-            continue
-        total -= lam * math.log2(lam)
-    return total
+def _entropy(lam: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a stack of spectra (N, d)."""
+    lowest = lam.min(initial=0.0)
+    if lowest < -EIG_NEG_TOL:
+        raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
+    kept = np.where(lam < EIG_CLAMP, 1.0, lam)  # tiny magnitudes count as exact zeros: 1*log2(1) = 0
+    return 0.0 - (kept * np.log2(kept)).sum(axis=1)  # 0.0 - x, not -x, so a zero entropy is +0.0
 
 
-def svn(rho: DensityMatrix) -> float:
-    """von Neumann entropy -Tr(rho log2 rho)."""
-    return _entropy_bits(hermitian_eigenvalues(rho.matrix))
+def _linear_entropy(m: np.ndarray) -> np.ndarray:
+    """1 - Tr(rho^2) of each matrix in a stack (N, d, d)."""
+    return 1.0 - np.einsum("nij,nji->n", m, m).real
 
 
-def sl(rho: DensityMatrix) -> float:
-    """Linear entropy 1 - Tr(rho^2)."""
-    return float(1.0 - np.trace(rho.matrix @ rho.matrix).real)
+def _linear_predictability(populations: np.ndarray) -> np.ndarray:
+    """(d-1)/d - S_l(rho_diag) of each row of a stack of diagonals (N, d)."""
+    d = populations.shape[-1]
+    return (d - 1) / d - (1.0 - (populations * populations).sum(axis=1))
 
 
-def diagonal_part(rho: DensityMatrix) -> DensityMatrix:
-    """Same diagonal, zero off-diagonals."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.dims)
-
-
-def cre(rho: DensityMatrix) -> float:
-    """Relative entropy of coherence S(rho_diag) - S(rho)."""
-    return svn(diagonal_part(rho)) - svn(rho)
-
-
-def chs(rho: DensityMatrix) -> float:
-    """Hilbert-Schmidt coherence: summed squared magnitudes off the diagonal."""
-    sq = np.abs(rho.matrix) ** 2
-    return float(sq.sum() - np.trace(sq))
-
-
-def pvn(rho: DensityMatrix) -> float:
-    """Predictability log2(d) - S(rho_diag)."""
-    return math.log2(rho.dim) - svn(diagonal_part(rho))
-
-
-def pl(rho: DensityMatrix) -> float:
-    """Linear predictability (d-1)/d - S_l(rho_diag)."""
-    d = rho.dim
-    return (d - 1) / d - sl(diagonal_part(rho))
-
-
-def report(rho: DensityMatrix) -> MeasureReport:
-    """All quantifiers at once."""
-    diag = diagonal_part(rho)
-    s = svn(rho)
-    s_diag = svn(diag)
-    d = rho.dim
+def _report(m: np.ndarray) -> MeasureReport:
+    """Every quantifier of each matrix in a checked stack (N, d, d)."""
+    d = m.shape[-1]
+    populations = np.diagonal(m, axis1=1, axis2=2).real
+    s = _entropy(hermitian_eigenvalues(m))
+    s_diag = _entropy(np.sort(populations, axis=1))  # the diagonal part's spectrum is its diagonal
+    sq = np.abs(m) ** 2
+    c_hs = sq.reshape(len(m), -1).sum(axis=1) - np.diagonal(sq, axis1=1, axis2=2).sum(axis=1)
+    s_l = _linear_entropy(m)
+    p_l = _linear_predictability(populations)
     c_re = s_diag - s
     p_vn = math.log2(d) - s_diag
-    s_l = sl(rho)
-    c_hs = chs(rho)
-    p_l = (d - 1) / d - sl(diag)
     return MeasureReport(
         c_re=c_re,
         p_vn=p_vn,
@@ -101,3 +77,57 @@ def report(rho: DensityMatrix) -> MeasureReport:
         l_sum=c_hs + p_l + s_l,
         dim=d,
     )
+
+
+def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
+    """All quantifiers at once.
+
+    `rho` is one DensityMatrix, giving floats, or a stack of density
+    matrices shaped (N, d, d), giving arrays of length N. A stack must have
+    finite entries, unit traces and Hermitian matrices; a DensityMatrix was
+    checked when it was built.
+    """
+    if isinstance(rho, DensityMatrix):
+        one = _report(rho.matrix[None])
+        return MeasureReport(**{k: v if k == "dim" else float(v[0]) for k, v in vars(one).items()})
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    if not (np.abs(np.trace(m, axis1=1, axis2=2) - 1.0) <= TRACE_TOL).all():
+        raise ValueError("every trace must be 1 within 1e-12")
+    return _report(m)
+
+
+def svn(rho: DensityMatrix) -> float:
+    """von Neumann entropy -Tr(rho log2 rho)."""
+    return float(_entropy(hermitian_eigenvalues(rho.matrix[None]))[0])
+
+
+def sl(rho: DensityMatrix) -> float:
+    """Linear entropy 1 - Tr(rho^2)."""
+    return float(_linear_entropy(rho.matrix[None])[0])
+
+
+def diagonal_part(rho: DensityMatrix) -> DensityMatrix:
+    """Same diagonal, zero off-diagonals."""
+    return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.dims)
+
+
+def cre(rho: DensityMatrix) -> float:
+    """Relative entropy of coherence S(rho_diag) - S(rho)."""
+    return report(rho).c_re
+
+
+def chs(rho: DensityMatrix) -> float:
+    """Hilbert-Schmidt coherence: summed squared magnitudes off the diagonal."""
+    return report(rho).c_hs
+
+
+def pvn(rho: DensityMatrix) -> float:
+    """Predictability log2(d) - S(rho_diag)."""
+    return report(rho).p_vn
+
+
+def pl(rho: DensityMatrix) -> float:
+    """Linear predictability (d-1)/d - S_l(rho_diag)."""
+    return float(_linear_predictability(np.diagonal(rho.matrix).real[None])[0])

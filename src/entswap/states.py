@@ -36,6 +36,8 @@ class PureState:
         if not dims or any(d < 1 for d in dims) or math.prod(dims) != amps.size:
             raise ValueError(f"dims {dims} do not match amplitude count {amps.size}")
         norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            raise ValueError("amplitudes have non-finite entries")
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} differs from 1 beyond 1e-12")
         amps.flags.writeable = False

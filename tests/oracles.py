@@ -7,6 +7,8 @@ explicit index loops, explicit projections, determinant sign changes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
@@ -127,3 +129,46 @@ def charpoly_eigenvalues(h: np.ndarray, samples: int = 4001, tol: float = 1e-13)
                     a_x, fa = mid, fm
             roots.append(0.5 * (a_x + b_x))
     return roots
+
+
+def jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one Hermitian matrix, ascending, by scalar cyclic complex Jacobi.
+
+    One matrix at a time with Python-level rotations and math-module
+    trigonometry: the reference the vectorised library solver is held to.
+    """
+    a = np.array(m, dtype=complex)
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0].real])
+    tol = 1e-14 * max(1.0, float(np.abs(a).max()))
+    for _ in range(100):
+        off = a - np.diag(np.diag(a))
+        if np.abs(off).max() <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = a[p, q]
+                h = abs(g)
+                if h <= tol:
+                    continue
+                theta = 0.5 * math.atan2(2.0 * h, (a[p, p] - a[q, q]).real)
+                c = math.cos(theta)
+                s = math.sin(theta)
+                phase = g / h
+                pc = phase.conjugate()
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p + pc * s * col_q
+                a[:, q] = -s * col_p + pc * c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p + phase * s * row_q
+                a[q, :] = -s * row_p + phase * c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+    else:
+        raise ArithmeticError("Jacobi eigensolver did not converge within 100 sweeps")
+    return np.sort(np.diag(a).real)

@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from entswap import cli, swap
+from entswap import cli, measures, states, swap
 from entswap.cli import main
+from entswap.linalg import DensityMatrix
 
 
 def run_main(capsys, argv):
@@ -122,6 +126,62 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run_main(capsys, ["verify", "--trials", "5"])
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("field", ["vn_sum", "l_sum"])
+def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field):
+    real_report = measures.report
+
+    def poisoned(rho):
+        rep = real_report(rho)
+        values = getattr(rep, field).copy()
+        values[len(values) // 2] = np.nan
+        return dataclasses.replace(rep, **{field: values})
+
+    monkeypatch.setattr(measures, "report", poisoned)
+    code, out, _ = run_main(capsys, ["verify", "--trials", str(cli.VERIFY_CHUNK + 5)])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
+    chunk = cli.VERIFY_CHUNK
+    da, db, seed = 3, 2, 5
+    last = 2 * chunk + 7
+    # reference: one N = 1 report per state, state by state
+    ref_rho, ref_vn, ref_l = [], [], []
+    for row in states.haar_states(da, db, seed, last):
+        psi = row.reshape(da, db)
+        rho = np.einsum("ab,cb->ac", psi, psi.conj())
+        rep = measures.report(DensityMatrix(rho, (da,)))
+        ref_rho.append(rho)
+        ref_vn.append(abs(rep.vn_sum - math.log2(da)))
+        ref_l.append(abs(rep.l_sum - (da - 1) / da))
+
+    real_report = measures.report
+    seen = []
+
+    def spy(rho):
+        rep = real_report(rho)
+        seen.append((rho, rep))
+        return rep
+
+    monkeypatch.setattr(measures, "report", spy)
+    for trials in (chunk - 1, chunk + 1, last):
+        seen.clear()
+        argv = ["verify", "--trials", str(trials), "--dims", f"{da},{db}", "--seed", str(seed)]
+        code, out, _ = run_main(capsys, argv)
+        doc = json.loads(out)
+        assert code == 0
+        sizes = [len(rho) for rho, _ in seen]
+        assert max(sizes) <= chunk and sum(sizes) == trials
+        assert np.array_equal(np.concatenate([rho for rho, _ in seen]), ref_rho[:trials])
+        vn = np.abs(np.concatenate([rep.vn_sum for _, rep in seen]) - math.log2(da))
+        lin = np.abs(np.concatenate([rep.l_sum for _, rep in seen]) - (da - 1) / da)
+        assert np.array_equal(vn, ref_vn[:trials])
+        assert np.array_equal(lin, ref_l[:trials])
+        assert doc["max_vn_residual"] == max(ref_vn[:trials])
+        assert doc["max_linear_residual"] == max(ref_l[:trials])
 
 
 def test_verify_bad_dims_exit_2(capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from entswap import linalg
 from entswap.linalg import (
     DensityMatrix,
     NonHermitianError,
@@ -75,6 +78,13 @@ def test_density_matrix_rejects_non_hermitian():
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2, dtype=complex), (2,))
+
+
+def test_density_matrix_rejects_non_finite():
+    for m in ([[np.nan, 0.0], [0.0, 0.5]], [[0.5, np.inf], [np.inf, 0.5]], [[np.inf, 0], [0, -np.inf]]):
+        # inf - inf in the Hermiticity deviation is the expected NaN here
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.array(m), (2,))
 
 
 def test_density_matrix_rejects_bad_dims():
@@ -167,3 +177,80 @@ def test_density_matrix_spectrum_is_a_distribution():
         assert vals.min() >= -1e-10
         assert abs(vals.sum() - 1.0) < 1e-10
         assert np.all(np.diff(vals) >= 0.0)
+
+
+def test_eigenvalues_reject_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(np.array([[bad, 0.0], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(np.stack([np.eye(2), np.array([[0.5, bad], [bad, 0.5]])]))
+
+
+_ENTRY = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    re = np.array(draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    im = np.array(draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    x = re + 1j * im
+    return (x + x.conj().T) / 2
+
+
+def _degenerate_and_diagonal_cases():
+    rot = np.linalg.qr(random_hermitian(3, 31) + 3 * np.eye(3))[0]
+    return [
+        np.array([[0.7]]),
+        np.array([[0.25 + 0j]]),
+        np.diag([0.5, 0.1, 0.4]).astype(complex),
+        np.eye(4, dtype=complex) / 4,
+        np.diag([0.2, 0.2, 0.6]).astype(complex),
+        rot @ np.diag([0.25, 0.25, 0.5]) @ rot.conj().T,
+        np.full((2, 2), 0.5, dtype=complex),
+        np.zeros((3, 3), dtype=complex),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_matrices())
+def test_vectorised_jacobi_matches_scalar_reference(h):
+    mine = hermitian_eigenvalues(h)
+    assert np.abs(mine - oracles.jacobi_eigenvalues(h)).max() < 1e-13
+
+
+def test_vectorised_jacobi_matches_scalar_reference_on_special_inputs():
+    for h in _degenerate_and_diagonal_cases():
+        assert np.abs(hermitian_eigenvalues(h) - oracles.jacobi_eigenvalues(h)).max() < 1e-13
+
+
+def test_stack_gives_each_matrix_its_own_eigenvalues_bit_for_bit():
+    # matrices that converge at different sweeps share one stack; the masked
+    # rotations must leave each one exactly as a solve on its own would
+    for n in (1, 2, 3, 4):
+        stack = [random_hermitian(n, 40 + n + k) for k in range(5)]
+        stack += [h for h in _degenerate_and_diagonal_cases() if h.shape == (n, n)]
+        batched = hermitian_eigenvalues(np.stack(stack))
+        assert batched.shape == (len(stack), n)
+        for row, h in zip(batched, stack):
+            assert np.array_equal(row, hermitian_eigenvalues(h))
+
+
+def test_nearly_hermitian_input_is_solved_as_its_hermitian_part():
+    # Hermitian only within 1e-12: one triangle above the Jacobi tolerance,
+    # its mirror below it; the Hermitian part has off-diagonals 4.5e-13
+    h = np.array([[0.5, 0.0], [9e-13, 0.5]])
+    expected = np.array([0.5 - 4.5e-13, 0.5 + 4.5e-13])
+    assert np.abs(hermitian_eigenvalues(h) - expected).max() < 1e-15
+
+
+def test_non_convergence_names_sweeps_magnitude_and_batch_index(monkeypatch):
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    stack = np.stack([np.eye(4) / 4, random_hermitian(4, 23), np.diag([0.1, 0.2, 0.3, 0.4])])
+    with pytest.raises(ArithmeticError) as exc:
+        hermitian_eigenvalues(stack)
+    message = str(exc.value)
+    assert "within 1 sweeps" in message
+    assert "largest off-diagonal magnitude" in message
+    assert "batch index 1" in message

@@ -157,7 +157,31 @@ def test_triality_sums_on_haar_reductions(seed, dims):
 
 def test_entropy_rejects_clearly_negative_spectrum():
     # bypass the DensityMatrix guard to hit the measure-level check
-    from entswap.measures import _entropy_bits
+    from entswap.measures import _entropy
 
     with pytest.raises(ValueError):
-        _entropy_bits([1.1, -0.1])
+        _entropy(np.array([[0.5, 0.5], [-0.1, 1.1]]))
+
+
+def test_report_on_a_stack_matches_each_matrix_alone_bit_for_bit():
+    matrices = [haar_state(3, 2, seed=21, index=k).reduced({0}).matrix for k in range(6)]
+    matrices.append(np.diag([0.2, 0.3, 0.5]).astype(complex))
+    batch = report(np.stack(matrices))
+    for k, m in enumerate(matrices):
+        one = report(DensityMatrix(m, (3,)))
+        for field in ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum"):
+            assert getattr(batch, field)[k] == getattr(one, field)
+        assert batch.dim == one.dim == 3
+
+
+def test_report_rejects_malformed_stacks():
+    good = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+    with pytest.raises(ValueError):
+        report(good[0])  # one bare matrix is not a stack
+    with pytest.raises(ValueError):
+        report(good * 2.0)  # trace 2
+    for entry in ((1, 0, 0), (1, 0, 1)):
+        bad = good.copy()
+        bad[entry] = np.nan
+        with pytest.raises(ValueError):
+            report(bad)

@@ -25,6 +25,12 @@ def test_pure_state_rejects_unnormalized():
         PureState(np.array([1.0, 1.0]), (2,))
 
 
+def test_pure_state_rejects_non_finite():
+    for amps in ([np.nan, 0, 0, 1], [np.inf, 0, 0, 1], [0, 1j * np.inf, 0, 0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(amps, (2, 2))
+
+
 def test_pure_state_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.0]), (3,))
