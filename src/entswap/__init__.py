@@ -6,26 +6,10 @@ coherence, predictability, and entanglement measures that obey exact
 complementarity sums.
 """
 
-from .experiment import EnsembleResult, RunConfig, run_ensemble, sample_bbm, three_sigma
-from .linalg import (
-    DensityMatrix,
-    NonHermitianError,
-    dagger,
-    hermitian_eigenvalues,
-    kron,
-    partial_trace,
-)
-from .measures import MeasureReport, chs, cre, diagonal_part, pl, pvn, report, sl, svn
-from .states import (
-    BELL_LABELS,
-    PureState,
-    bell_state,
-    composite_state,
-    fidelity,
-    haar_state,
-    haar_states,
-    schmidt_pair,
-)
+from .experiment import EnsembleResult, RunConfig, run_ensemble, three_sigma
+from .linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues, partial_trace
+from .measures import MeasureReport, report, svn
+from .states import BELL_LABELS, PureState, haar_states, schmidt_pair
 from .swap import (
     BBMOutcome,
     SwapSpectrum,
@@ -34,10 +18,16 @@ from .swap import (
     outcome_probabilities,
     post_entropies,
     predictability_probability,
-    pvn_expansion_check,
     special_case_probs,
-    stationarity_check,
     swap_spectrum,
 )
+
+__all__ = [
+    "BBMOutcome", "BELL_LABELS", "DensityMatrix", "EnsembleResult", "MeasureReport",
+    "NonHermitianError", "PureState", "RunConfig", "SwapSpectrum", "UndefinedBranchError",
+    "bbm_outcomes", "haar_states", "hermitian_eigenvalues", "outcome_probabilities",
+    "partial_trace", "post_entropies", "predictability_probability", "report", "run_ensemble",
+    "schmidt_pair", "special_case_probs", "svn", "swap_spectrum", "three_sigma",
+]
 
 __version__ = "0.1.0"

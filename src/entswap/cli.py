@@ -20,7 +20,6 @@ import numpy as np
 
 from . import measures, states, swap
 from .experiment import RunConfig, run_ensemble
-from .linalg import DensityMatrix
 
 FIGURE_Q_SET = (0.1, 0.25, 0.5, 0.75, 0.9)
 DEFAULT_GRID = 1001
@@ -42,44 +41,40 @@ def _display(x: float) -> float:
     return round(float(x), 4)
 
 
-def _grid_points(n: int) -> list[float]:
-    return [i / (n - 1) for i in range(n)]
+def _reduce(psi: np.ndarray) -> np.ndarray:
+    """rho_A of each pure state in a stack of amplitude matrices psi[N, dA, dB]."""
+    return np.einsum("nab,ncb->nac", psi, psi.conj())
 
 
-def _figure_rows(which: str, grid: int) -> tuple[list[str], list[list[float]]]:
+def _figure_rows(which: str, grid: int) -> tuple[list[str], np.ndarray]:
+    """Header and rows of one figure, each column computed over the whole grid at once."""
+    x = np.arange(grid) / (grid - 1)
     if which in ("1a", "1b"):
         kind = "svn_phi" if which == "1a" else "svn_psi"
         pick = 0 if which == "1a" else 1
         header = ["p"] + [f"{kind}_q{q:g}" for q in FIGURE_Q_SET]
-        rows = [
-            [p] + [swap.post_entropies(p, q)[pick] for q in FIGURE_Q_SET]
-            for p in _grid_points(grid)
-        ]
-        return header, rows
-    if which == "2a":
+        columns = [x] + [swap.post_entropies(x, q)[pick] for q in FIGURE_Q_SET]
+    elif which == "2a":
         header = ["q", "pr_phi", "pr_psi", "pl_initial"]
-        rows = []
-        for q in _grid_points(grid):
-            pr_phi, pr_psi = swap.special_case_probs(q)
-            pl_value = swap.predictability_probability(q)[2]
-            rows.append([q, pr_phi, pr_psi, pl_value])
-        return header, rows
-    if which == "2b":
+        pr_phi, pr_psi = swap.special_case_probs(x)
+        columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
+    elif which == "2b":
         header = ["q", "svn_initial", "pvn_initial", "svn_psi", "pvn_final_psi"]
-        rows = []
-        for q in _grid_points(grid):
-            p = 1.0 - q
-            initial = measures.report(DensityMatrix(np.diag([p, 1.0 - p]).astype(complex), (2,)))
-            psi_plus = next(o for o in swap.bbm_outcomes(p, q) if o.label == "psi+")
-            final = measures.report(psi_plus.post_state.reduced({0}))
-            rows.append([q, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn])
-        return header, rows
-    raise ValueError(f"unknown figure {which!r}")
+        p = 1.0 - x
+        initial_diag = np.zeros((grid, 2, 2))
+        initial_diag[:, 0, 0], initial_diag[:, 1, 1] = p, 1.0 - p
+        initial = measures.report(initial_diag)
+        psi_plus = swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")]
+        final = measures.report(_reduce(psi_plus.reshape(grid, 2, 2)))
+        columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
+    else:
+        raise ValueError(f"unknown figure {which!r}")
+    return header, np.column_stack(columns)
 
 
-def _csv_text(header: list[str], rows: list[list[float]]) -> str:
+def _csv_text(header: list[str], rows: np.ndarray) -> str:
     lines = [",".join(header)]
-    lines += [",".join(_f17(x) for x in row) for row in rows]
+    lines += [",".join(_f17(x) for x in row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -122,7 +117,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for start in range(0, args.trials, VERIFY_CHUNK):
         count = min(VERIFY_CHUNK, args.trials - start)
         psi = states.haar_states(da, db, args.seed, count, start=start).reshape(count, da, db)
-        rep = measures.report(np.einsum("nab,ncb->nac", psi, psi.conj()))
+        rep = measures.report(_reduce(psi))
         # np.maximum and np.max propagate NaN, where Python's max would drop it
         max_vn = float(np.maximum(max_vn, np.max(np.abs(rep.vn_sum - vn_target))))
         max_l = float(np.maximum(max_l, np.max(np.abs(rep.l_sum - l_target))))
@@ -145,8 +140,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_swap(args: argparse.Namespace) -> int:
+    outcomes = swap.bbm_outcomes(args.p, args.q)
+    posts = np.stack([o.post_state.amplitudes for o in outcomes if o.post_state is not None])
+    rep = measures.report(_reduce(posts.reshape(-1, 2, 2)))  # one report for every branch
+    branch_measures = zip(rep.s_vn.tolist(), rep.p_vn.tolist(), rep.c_re.tolist())
     entries = []
-    for o in swap.bbm_outcomes(args.p, args.q):
+    for o in outcomes:
         entry: dict = {
             "label": o.label,
             "probability": _display(o.probability),
@@ -160,12 +159,12 @@ def cmd_swap(args: argparse.Namespace) -> int:
                 cre=None, cre_full=None,
             )
         else:
-            rep = measures.report(o.post_state.reduced({0}))
+            s_vn, p_vn, c_re = next(branch_measures)
             entry.update(
                 post_state=[[z.real, z.imag] for z in o.post_state.amplitudes],
-                svn=_display(rep.s_vn), svn_full=rep.s_vn,
-                pvn=_display(rep.p_vn), pvn_full=rep.p_vn,
-                cre=_display(rep.c_re), cre_full=rep.c_re,
+                svn=_display(s_vn), svn_full=s_vn,
+                pvn=_display(p_vn), pvn_full=p_vn,
+                cre=_display(c_re), cre_full=c_re,
             )
         entries.append(entry)
     pair_p = measures.svn(states.schmidt_pair(args.p).reduced({0}))
@@ -193,12 +192,9 @@ def cmd_swap(args: argparse.Namespace) -> int:
 
 def _weight_arg(text: str) -> float:
     try:
-        value = float(text)
+        return float(states.require_weight(float(text)))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is outside [0, 1]")
-    return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]") from None
 
 
 def _dims_arg(text: str) -> tuple[int, int]:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures, rng, swap
-from .linalg import DensityMatrix
-from .measures import MeasureReport
+from . import rng, swap
 from .states import BELL_LABELS, require_weight
+
+SHOT_CHUNK = 1 << 16  # draws per batch in `run_ensemble`: bounds memory for any shot count
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class EnsembleResult:
     counts: dict[str, int]
     empirical_freq: dict[str, float]
     analytic_prob: dict[str, float]
-    mean_post_svn: float
-    pre_report: MeasureReport
-    post_reports: dict[str, MeasureReport]
 
     def freq_error(self) -> dict[str, float]:
         """Per-label |empirical - analytic|."""
@@ -52,46 +49,19 @@ def three_sigma(prob: float, shots: int) -> float:
     return 3.0 * math.sqrt(prob * (1.0 - prob) / shots)
 
 
-def sample_bbm(p: float, q: float, state: rng.RngState) -> tuple[str, rng.RngState]:
-    """Draw one Bell label; returns the label and the advanced stream state."""
-    probs = np.array(list(swap.outcome_probabilities(p, q).values()))
-    u, nxt = state.draw()
-    idx = int(rng.categorical(np.array([u]), probs)[0])
-    return BELL_LABELS[idx], nxt
-
-
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
-    """cfg.shots draws from counter 0 of the seed's stream, plus the analytic bookkeeping.
+    """cfg.shots draws from counter 0 of the seed's stream, tallied per Bell label.
 
-    The label sequence is exactly what repeated sample_bbm calls starting
-    from RngState(seed, 0) would produce, so identical configs give
-    identical results bit for bit.
+    Draw i picks its label by categorical inversion of uniform i alone, and
+    the draws stream in chunks of SHOT_CHUNK, so memory stays bounded and
+    identical configs give identical results bit for bit.
     """
     probs = swap.outcome_probabilities(cfg.p, cfg.q)
     prob_vec = np.array([probs[label] for label in BELL_LABELS])
-    draws = rng.uniforms(cfg.seed, 0, cfg.shots)
-    picked = rng.categorical(draws, prob_vec)
-    tally = np.bincount(picked, minlength=len(BELL_LABELS))
+    tally = np.zeros(len(BELL_LABELS), dtype=np.int64)
+    for start in range(0, cfg.shots, SHOT_CHUNK):
+        draws = rng.uniforms(cfg.seed, start, min(SHOT_CHUNK, cfg.shots - start))
+        tally += np.bincount(rng.categorical(draws, prob_vec), minlength=len(BELL_LABELS))
     counts = {label: int(c) for label, c in zip(BELL_LABELS, tally)}
     empirical = {label: counts[label] / cfg.shots for label in BELL_LABELS}
-
-    outcomes = swap.bbm_outcomes(cfg.p, cfg.q)
-    pre_state = DensityMatrix(np.diag([cfg.p, 1.0 - cfg.p]).astype(complex), (2,))
-    post_reports = {
-        o.label: measures.report(o.post_state.reduced({0}))
-        for o in outcomes
-        if o.post_state is not None
-    }
-    mean_post_svn = sum(
-        o.probability * post_reports[o.label].s_vn
-        for o in outcomes
-        if o.post_state is not None
-    )
-    return EnsembleResult(
-        counts=counts,
-        empirical_freq=empirical,
-        analytic_prob=probs,
-        mean_post_svn=mean_post_svn,
-        pre_report=measures.report(pre_state),
-        post_reports=post_reports,
-    )
+    return EnsembleResult(counts=counts, empirical_freq=empirical, analytic_prob=probs)

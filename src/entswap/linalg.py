@@ -26,16 +26,6 @@ class NonHermitianError(ValueError):
     """Raised when an operation that requires a Hermitian matrix gets one that is not."""
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with complex output."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace matrix together with its subsystem dimensions."""
@@ -61,10 +51,6 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

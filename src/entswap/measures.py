@@ -3,7 +3,7 @@
 All entropic quantities are in bits. The two sums C_re + P_vn + S_vn and
 C_hs + P_l + S_l are reported exactly as computed, never coerced to their
 bounds. `report` computes every quantifier for a whole stack of density
-matrices at once; the one-state functions are its N = 1 view.
+matrices at once, and a single DensityMatrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ class MeasureReport:
 
 
 def _entropy(lam: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each row of a stack of spectra (N, d)."""
+    """Entropy in bits of each spectrum along the last axis of `lam`."""
     lowest = lam.min(initial=0.0)
     if lowest < -EIG_NEG_TOL:
         raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
     kept = np.where(lam < EIG_CLAMP, 1.0, lam)  # tiny magnitudes count as exact zeros: 1*log2(1) = 0
-    return 0.0 - (kept * np.log2(kept)).sum(axis=1)  # 0.0 - x, not -x, so a zero entropy is +0.0
+    return 0.0 - (kept * np.log2(kept)).sum(axis=-1)  # 0.0 - x, not -x, so a zero entropy is +0.0
 
 
 def _linear_entropy(m: np.ndarray) -> np.ndarray:
@@ -49,9 +49,9 @@ def _linear_entropy(m: np.ndarray) -> np.ndarray:
 
 
 def _linear_predictability(populations: np.ndarray) -> np.ndarray:
-    """(d-1)/d - S_l(rho_diag) of each row of a stack of diagonals (N, d)."""
+    """(d-1)/d - S_l(rho_diag) of each diagonal along the last axis of `populations`."""
     d = populations.shape[-1]
-    return (d - 1) / d - (1.0 - (populations * populations).sum(axis=1))
+    return (d - 1) / d - (1.0 - (populations * populations).sum(axis=-1))
 
 
 def _report(m: np.ndarray) -> MeasureReport:
@@ -100,34 +100,4 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
 
 def svn(rho: DensityMatrix) -> float:
     """von Neumann entropy -Tr(rho log2 rho)."""
-    return float(_entropy(hermitian_eigenvalues(rho.matrix[None]))[0])
-
-
-def sl(rho: DensityMatrix) -> float:
-    """Linear entropy 1 - Tr(rho^2)."""
-    return float(_linear_entropy(rho.matrix[None])[0])
-
-
-def diagonal_part(rho: DensityMatrix) -> DensityMatrix:
-    """Same diagonal, zero off-diagonals."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.dims)
-
-
-def cre(rho: DensityMatrix) -> float:
-    """Relative entropy of coherence S(rho_diag) - S(rho)."""
-    return report(rho).c_re
-
-
-def chs(rho: DensityMatrix) -> float:
-    """Hilbert-Schmidt coherence: summed squared magnitudes off the diagonal."""
-    return report(rho).c_hs
-
-
-def pvn(rho: DensityMatrix) -> float:
-    """Predictability log2(d) - S(rho_diag)."""
-    return report(rho).p_vn
-
-
-def pl(rho: DensityMatrix) -> float:
-    """Linear predictability (d-1)/d - S_l(rho_diag)."""
-    return float(_linear_predictability(np.diagonal(rho.matrix).real[None])[0])
+    return float(_entropy(hermitian_eigenvalues(rho.matrix)))

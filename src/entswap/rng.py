@@ -13,13 +13,11 @@ where GOLDEN = 0x9E3779B97F4A7C15 and mix64 is the SplitMix64 finalizer
 with every step on 64-bit words. A uniform double keeps the top 53 bits,
 u = (raw >> 11) * 2**-53, so u lies in [0, 1). Each draw is a pure
 function of (seed, index): vectorized evaluation, resuming mid-stream,
-and partitioning by counter range are all bit-identical to sequential
-scalar use.
+and chunking by counter range are all bit-identical to drawing one at a
+time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,24 +27,6 @@ MASK64 = (1 << 64) - 1
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _DOUBLE_SCALE = 2.0**-53
-
-
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit word."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _M1) & MASK64
-    z = ((z ^ (z >> 27)) * _M2) & MASK64
-    return z ^ (z >> 31)
-
-
-def raw_draw(seed: int, index: int) -> int:
-    """The 64-bit word of draw `index` from `seed`'s stream."""
-    return mix64((seed + (index + 1) * GOLDEN) & MASK64)
-
-
-def uniform(seed: int, index: int) -> float:
-    """Draw `index` as a double in [0, 1)."""
-    return (raw_draw(seed, index) >> 11) * _DOUBLE_SCALE
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -71,15 +51,6 @@ def complex_normals(seed: int, start: int, count: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * u[1::2])
 
 
-def split_seed(seed: int, worker: int) -> int:
-    """Sub-seed for worker `worker`: mix64(seed XOR mix64((worker + 1) * GOLDEN)).
-
-    Partitioned runs draw from their sub-seed streams and merge by adding
-    counts; single-stream runs remain the canonical sequence.
-    """
-    return mix64((seed & MASK64) ^ mix64(((worker + 1) * GOLDEN) & MASK64))
-
-
 def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Map uniforms to label indices by cumulative-probability inversion.
 
@@ -99,14 +70,3 @@ def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cum, np.asarray(u, dtype=float), side="left")
     idx = np.where(idx >= p.size, positive[-1], idx)
     return np.maximum(idx, positive[0])
-
-
-@dataclass(frozen=True)
-class RngState:
-    """Position in a seeded stream; value semantics, cheap to copy."""
-
-    seed: int
-    counter: int = 0
-
-    def draw(self) -> tuple[float, "RngState"]:
-        return uniform(self.seed, self.counter), RngState(self.seed, self.counter + 1)

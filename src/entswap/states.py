@@ -15,13 +15,6 @@ NORM_TOL = 1e-12
 #: canonical Bell-state order, used everywhere labels appear
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
-_BELL_AMPLITUDES = {
-    "phi+": (1, 0, 0, 1),
-    "phi-": (1, 0, 0, -1),
-    "psi+": (0, 1, 1, 0),
-    "psi-": (0, 1, -1, 0),
-}
-
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -51,43 +44,22 @@ class PureState:
         return partial_trace(self.density(), keep)
 
 
-def require_weight(value: float, name: str = "weight") -> float:
-    """Validate a Schmidt weight: a probability-like number in [0, 1]."""
-    w = float(value)
-    if not 0.0 <= w <= 1.0:
+def require_weight(value, name: str = "weight"):
+    """Validate Schmidt weights: one number or an array of them, each in [0, 1].
+
+    NaN fails the check like any other value outside the interval. Returns
+    a float64 scalar for a scalar and a float64 array for an array.
+    """
+    w = np.asarray(value, dtype=float)
+    if not ((w >= 0.0) & (w <= 1.0)).all():
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return w
+    return w[()]
 
 
 def schmidt_pair(w: float) -> PureState:
     """Two-qubit pair sqrt(w)|00> + sqrt(1-w)|11>."""
     w = require_weight(w)
     return PureState(np.array([math.sqrt(w), 0.0, 0.0, math.sqrt(1.0 - w)]), (2, 2))
-
-
-def bell_state(label: str) -> PureState:
-    """One of the four Bell states by label."""
-    try:
-        amps = _BELL_AMPLITUDES[label]
-    except KeyError:
-        raise ValueError(f"unknown Bell label {label!r}, expected one of {BELL_LABELS}") from None
-    return PureState(np.array(amps, dtype=complex) / math.sqrt(2.0), (2, 2))
-
-
-def composite_state(p: float, q: float) -> PureState:
-    """Both source pairs side by side on wires (A, C, C', B).
-
-    The measured qubits sit at positions 1 and 2, which keeps them adjacent
-    for the Bell projection.
-    """
-    left = schmidt_pair(require_weight(p, "p"))
-    right = schmidt_pair(require_weight(q, "q"))
-    return PureState(np.kron(left.amplitudes, right.amplitudes), (2, 2, 2, 2))
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """Squared overlap |<a|b>|^2; insensitive to global phase."""
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -100,9 +72,3 @@ def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -
     d = dim_a * dim_b
     z = _rng.complex_normals(seed, 2 * d * start, count * d).reshape(count, d)
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def haar_state(dim_a: int, dim_b: int, seed: int, index: int = 0) -> PureState:
-    """Haar-random state number `index` of the seed's stream."""
-    row = haar_states(dim_a, dim_b, seed, 1, start=index)[0]
-    return PureState(row, (dim_a, dim_b))

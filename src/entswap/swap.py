@@ -2,19 +2,19 @@
 
 Weights p and q are the Schmidt weights of the two source pairs. Outcome
 labels follow BELL_LABELS order; `phi` branches keep the |00>/|11> sector
-of the AB state, `psi` branches the |01>/|10> sector.
+of the AB state, `psi` branches the |01>/|10> sector. The closed forms
+broadcast: p and q may be numbers or arrays of compatible shapes, and a
+call on numbers is the same computation on a single element.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
-from .linalg import EIG_CLAMP, DensityMatrix
-from .states import PureState, require_weight
+from .states import BELL_LABELS, PureState, require_weight
 
 
 class UndefinedBranchError(ValueError):
@@ -37,17 +37,35 @@ class BBMOutcome:
 
 @dataclass(frozen=True)
 class SwapSpectrum:
-    """Reduced-state eigenvalues of the branch families: (a, b) for phi, (c, d) for psi."""
+    """Reduced-state eigenvalues of the branch families: (a, b) for phi, (c, d) for psi.
 
-    a: float
-    b: float
-    c: float
-    d: float
+    Numbers for numbers p and q; arrays of their broadcast shape for arrays.
+    """
+
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
+    d: float | np.ndarray
 
 
-def _branch_norms_sq(p: float, q: float) -> tuple[float, float]:
+def _branch_norms_sq(p, q):
     u, v = 1.0 - p, 1.0 - q
     return p * q + u * v, p * v + u * q
+
+
+def _post_amplitudes(p, q) -> np.ndarray:
+    """Normalized AB amplitudes of the four branches, shape (..., 4, 4), rows in BELL_LABELS order.
+
+    The row of a branch with zero normalization is NaN: it has no post state.
+    """
+    u, v = 1.0 - p, 1.0 - q
+    a, b, c, d = np.sqrt([p * q, u * v, p * v, u * q])
+    n_phi, n_psi = np.sqrt(_branch_norms_sq(p, q))
+    zero = np.zeros_like(a)
+    amps = np.array([[a, zero, zero, b], [a, zero, zero, -b], [zero, c, d, zero], [zero, c, -d, zero]])
+    with np.errstate(invalid="ignore"):  # 0/0 where a branch normalization vanishes
+        amps = amps / np.array([n_phi, n_phi, n_psi, n_psi])[:, None]
+    return np.moveaxis(amps, (0, 1), (-2, -1))
 
 
 def outcome_probabilities(p: float, q: float) -> dict[str, float]:
@@ -67,93 +85,48 @@ def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     """The four measurement branches with their conditional AB states."""
     p = require_weight(p, "p")
     q = require_weight(q, "q")
-    u, v = 1.0 - p, 1.0 - q
     n2_phi, n2_psi = _branch_norms_sq(p, q)
-    outcomes: list[BBMOutcome] = []
-    for label, sign in (("phi+", 1.0), ("phi-", -1.0)):
-        post = None
-        if n2_phi > 0.0:
-            n = math.sqrt(n2_phi)
-            amps = np.array([math.sqrt(p * q) / n, 0.0, 0.0, sign * math.sqrt(u * v) / n])
-            post = PureState(amps, (2, 2))
-        outcomes.append(BBMOutcome(label, 0.5 * n2_phi, post))
-    for label, sign in (("psi+", 1.0), ("psi-", -1.0)):
-        post = None
-        if n2_psi > 0.0:
-            n = math.sqrt(n2_psi)
-            amps = np.array([0.0, math.sqrt(p * v) / n, sign * math.sqrt(u * q) / n, 0.0])
-            post = PureState(amps, (2, 2))
-        outcomes.append(BBMOutcome(label, 0.5 * n2_psi, post))
-    return outcomes
+    norms_sq = (n2_phi, n2_phi, n2_psi, n2_psi)
+    return [
+        BBMOutcome(label, 0.5 * n2, PureState(amps, (2, 2)) if n2 > 0.0 else None)
+        for label, n2, amps in zip(BELL_LABELS, norms_sq, _post_amplitudes(p, q))
+    ]
 
 
-def swap_spectrum(p: float, q: float) -> SwapSpectrum:
+def swap_spectrum(p, q) -> SwapSpectrum:
     """Branch eigenvalues a, b = pq, (1-p)(1-q) over N_phi^2 and c, d likewise over N_psi^2.
 
     Division is by the squared branch normalization: that is what makes
     each pair sum to one and reproduces the known entropy values; dividing
-    by the bare normalization would do neither.
+    by the bare normalization would do neither. Raises UndefinedBranchError
+    if a branch normalization vanishes at any of the weights.
     """
     p = require_weight(p, "p")
     q = require_weight(q, "q")
     u, v = 1.0 - p, 1.0 - q
     n2_phi, n2_psi = _branch_norms_sq(p, q)
-    if n2_phi == 0.0 or n2_psi == 0.0:
+    if np.any(n2_phi == 0.0) or np.any(n2_psi == 0.0):
         raise UndefinedBranchError(f"branch normalization vanishes at p={p}, q={q}")
     return SwapSpectrum(a=p * q / n2_phi, b=u * v / n2_phi, c=u * q / n2_psi, d=p * v / n2_psi)
 
 
-def _entropy_pair(x: float, y: float) -> float:
-    total = 0.0
-    for lam in (x, y):
-        if lam >= EIG_CLAMP:
-            total -= lam * math.log2(lam)
-    return total
-
-
-def post_entropies(p: float, q: float) -> tuple[float, float]:
+def post_entropies(p, q):
     """Entanglement entropy of the phi- and psi-branch post states, in bits."""
-    spectrum = swap_spectrum(p, q)
-    return _entropy_pair(spectrum.a, spectrum.b), _entropy_pair(spectrum.c, spectrum.d)
+    s = swap_spectrum(p, q)
+    return (
+        measures._entropy(np.stack([s.a, s.b], axis=-1)),
+        measures._entropy(np.stack([s.c, s.d], axis=-1)),
+    )
 
 
-_FD_STEP = 1e-5
-
-
-def stationarity_check(q: float, branch: str) -> tuple[float, float, int]:
-    """Finite-difference check that the branch entropy peaks where it should.
-
-    p_star is 1-q for the phi branch and q for the psi branch. Returns
-    (p_star, central first-difference quotient at p_star, sign of the
-    second difference); a maximum shows up as a tiny residual with sign -1.
-    """
-    q = require_weight(q, "q")
-    if branch == "phi":
-        p_star, pick = 1.0 - q, 0
-    elif branch == "psi":
-        p_star, pick = q, 1
-    else:
-        raise ValueError(f"branch must be 'phi' or 'psi', got {branch!r}")
-    h = _FD_STEP
-    if not 0.0 < q < 1.0 or p_star - h < 0.0 or p_star + h > 1.0:
-        raise ValueError(f"q={q} leaves no room for the finite-difference window")
-    s0 = post_entropies(p_star, q)[pick]
-    sp = post_entropies(p_star + h, q)[pick]
-    sm = post_entropies(p_star - h, q)[pick]
-    first = (sp - sm) / (2.0 * h)
-    second = sp - 2.0 * s0 + sm
-    sign = 0 if second == 0.0 else (1 if second > 0.0 else -1)
-    return p_star, first, sign
-
-
-def special_case_probs(q: float) -> tuple[float, float]:
+def special_case_probs(q):
     """Per-outcome probabilities on the p = 1-q line: (each phi, each psi)."""
     q = require_weight(q, "q")
     v = 1.0 - q
     return q * v, 0.5 * (v * v + q * q)
 
 
-def predictability_probability(q: float) -> tuple[float, float, float]:
+def predictability_probability(q):
     """Outcome probabilities on the p = 1-q line, predicted from linear predictability.
 
     Returns (Pr(psi+-), Pr(phi+-), P_l of the initial one-qubit state),
@@ -161,24 +134,5 @@ def predictability_probability(q: float) -> tuple[float, float, float]:
     probabilities agree with special_case_probs to rounding.
     """
     q = require_weight(q, "q")
-    rho_i = DensityMatrix(np.diag([q, 1.0 - q]).astype(complex), (2,))
-    pl_value = measures.pl(rho_i)
+    pl_value = measures._linear_predictability(np.stack([q, 1.0 - q], axis=-1))
     return 0.5 * (0.5 + pl_value), 0.5 * (0.5 - pl_value), pl_value
-
-
-_LN2_INV = 1.0 / math.log(2.0)
-
-
-def pvn_expansion_check(q: float) -> tuple[float, float, float]:
-    """Exact initial predictability against its quadratic expansion.
-
-    Returns (exact, expansion, exact - expansion). The remainder is
-    reported, never asserted: it is only small near q = 1/2.
-    """
-    q = require_weight(q, "q")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
-    v = 1.0 - q
-    exact = 1.0 + q * math.log2(q) + v * math.log2(v)
-    first_order = _LN2_INV * (q * q + v * v) + (1.0 - _LN2_INV)
-    return exact, first_order, exact - first_order

@@ -2,14 +2,19 @@
 
 Each function here recomputes something the library produces analytically
 or through optimized numpy routes, using the most literal method available:
-explicit index loops, explicit projections, determinant sign changes.
+explicit index loops, explicit projections, determinant sign changes,
+one random draw at a time, math-module arithmetic on one number at a time.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from entswap import rng, swap
+from entswap.states import BELL_LABELS, PureState, schmidt_pair
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -172,3 +177,152 @@ def jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
     else:
         raise ArithmeticError("Jacobi eigensolver did not converge within 100 sweeps")
     return np.sort(np.diag(a).real)
+
+
+# splitmix64 one draw at a time, with its own copy of the constants
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """SplitMix64 finalizer on a 64-bit word."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def raw_draw(seed: int, index: int) -> int:
+    """The 64-bit word of draw `index` from `seed`'s stream."""
+    return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
+
+
+def uniform(seed: int, index: int) -> float:
+    """Draw `index` as a double in [0, 1): its top 53 bits times 2**-53."""
+    return (raw_draw(seed, index) >> 11) * 2.0**-53
+
+
+@dataclass(frozen=True)
+class RngState:
+    """Position in a seeded stream; value semantics, cheap to copy."""
+
+    seed: int
+    counter: int = 0
+
+    def draw(self) -> tuple[float, "RngState"]:
+        return uniform(self.seed, self.counter), RngState(self.seed, self.counter + 1)
+
+
+def sample_bbm(p: float, q: float, state: RngState) -> tuple[str, RngState]:
+    """Draw one Bell label; returns the label and the advanced stream state."""
+    probs = np.array(list(swap.outcome_probabilities(p, q).values()))
+    u, nxt = state.draw()
+    idx = int(rng.categorical(np.array([u]), probs)[0])
+    return BELL_LABELS[idx], nxt
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product by explicit index loops; two vectors give a vector.
+
+    out[i * rows_b + k, j * cols_b + l] = a[i, j] * b[k, l], the big-endian
+    composite order the library uses.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    vectors = a.ndim == 1 and b.ndim == 1
+    a2 = a.reshape(a.shape[0], -1)
+    b2 = b.reshape(b.shape[0], -1)
+    (ra, ca), (rb, cb) = a2.shape, b2.shape
+    out = np.zeros((ra * rb, ca * cb), dtype=complex)
+    for i in range(ra):
+        for j in range(ca):
+            for k in range(rb):
+                for col in range(cb):
+                    out[i * rb + k, j * cb + col] = a2[i, j] * b2[k, col]
+    return out.reshape(-1) if vectors else out
+
+
+def bell_state(label: str) -> PureState:
+    """One of the four Bell states by label."""
+    if label not in BELL_MATRICES:
+        raise ValueError(f"unknown Bell label {label!r}, expected one of {BELL_LABELS}")
+    return PureState(BELL_MATRICES[label].reshape(4), (2, 2))
+
+
+def composite_state(p: float, q: float) -> PureState:
+    """Both source pairs side by side on wires (A, C, C', B).
+
+    The measured qubits sit at positions 1 and 2, which keeps them adjacent
+    for the Bell projection.
+    """
+    amps = kron(schmidt_pair(p).amplitudes, schmidt_pair(q).amplitudes)
+    return PureState(amps, (2, 2, 2, 2))
+
+
+def fidelity(a: PureState, b: PureState) -> float:
+    """Squared overlap |<a|b>|^2; insensitive to global phase."""
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+
+
+_FD_STEP = 1e-5
+
+
+def stationarity_check(q: float, branch: str) -> tuple[float, float, int]:
+    """Finite-difference check that the branch entropy peaks where it should.
+
+    p_star is 1-q for the phi branch and q for the psi branch. Returns
+    (p_star, central first-difference quotient at p_star, sign of the
+    second difference); a maximum shows up as a tiny residual with sign -1.
+    """
+    if branch == "phi":
+        p_star, pick = 1.0 - q, 0
+    elif branch == "psi":
+        p_star, pick = q, 1
+    else:
+        raise ValueError(f"branch must be 'phi' or 'psi', got {branch!r}")
+    h = _FD_STEP
+    if not 0.0 < q < 1.0 or p_star - h < 0.0 or p_star + h > 1.0:
+        raise ValueError(f"q={q} leaves no room for the finite-difference window")
+    s0 = swap.post_entropies(p_star, q)[pick]
+    sp = swap.post_entropies(p_star + h, q)[pick]
+    sm = swap.post_entropies(p_star - h, q)[pick]
+    first = (sp - sm) / (2.0 * h)
+    second = sp - 2.0 * s0 + sm
+    sign = 0 if second == 0.0 else (1 if second > 0.0 else -1)
+    return p_star, first, sign
+
+
+def binary_entropy(x: float, y: float) -> float:
+    """-x log2 x - y log2 y with 0 log 0 = 0, one term at a time."""
+    return sum(-t * math.log2(t) for t in (x, y) if t > 0.0)
+
+
+def figure_rows(which: str, grid: int) -> list[list[float]]:
+    """Rows of one `figures` CSV, point by point from the closed forms with math-module arithmetic."""
+    rows = []
+    for i in range(grid):
+        x = i / (grid - 1)
+        if which in ("1a", "1b"):
+            row = [x]
+            for q in (0.1, 0.25, 0.5, 0.75, 0.9):
+                p, u, v = x, 1.0 - x, 1.0 - q
+                if which == "1a":
+                    n2 = p * q + u * v
+                    row.append(binary_entropy(p * q / n2, u * v / n2))
+                else:
+                    n2 = p * v + u * q
+                    row.append(binary_entropy(u * q / n2, p * v / n2))
+        elif which == "2a":
+            q, v = x, 1.0 - x
+            row = [q, q * v, (q * q + v * v) / 2.0, 0.5 - 2.0 * q * v]
+        elif which == "2b":
+            q, p = x, 1.0 - x
+            s_initial = binary_entropy(p, 1.0 - p)
+            # psi+ on p = 1-q: rho_A = diag(p(1-q), (1-p)q) / (p(1-q) + (1-p)q)
+            n2 = p * (1.0 - q) + (1.0 - p) * q
+            s_final = binary_entropy(p * (1.0 - q) / n2, (1.0 - p) * q / n2)
+            row = [q, s_initial, 1.0 - s_initial, s_final, 1.0 - s_final]
+        else:
+            raise ValueError(f"unknown figure {which!r}")
+        rows.append(row)
+    return rows

@@ -13,7 +13,6 @@ import oracles
 from entswap import measures, states, swap
 from entswap.cli import main
 from entswap.experiment import RunConfig, run_ensemble, three_sigma
-from entswap.linalg import DensityMatrix
 
 
 def _verdict(num: int, name: str, ok: bool) -> bool:
@@ -94,7 +93,7 @@ def test_criterion_5_projector_oracle_equivalence():
     branch_mismatches = 0
     for p in grid:
         for q in grid:
-            reference = oracles.project_bbm(states.composite_state(p, q).amplitudes)
+            reference = oracles.project_bbm(oracles.composite_state(p, q).amplitudes)
             for outcome in swap.bbm_outcomes(p, q):
                 ref_prob, ref_post = reference[outcome.label]
                 worst_prob = max(worst_prob, abs(outcome.probability - ref_prob))
@@ -124,7 +123,7 @@ def test_criterion_6_entropy_stationarity():
     for i in range(1, 10):
         q = i / 10
         for branch in ("phi", "psi"):
-            _, residual, sign = swap.stationarity_check(q, branch)
+            _, residual, sign = oracles.stationarity_check(q, branch)
             details.append((q, branch, residual, sign))
             ok = ok and abs(residual) < 1e-6 and sign == -1
     assert _verdict(6, "entropy stationarity", ok), details
@@ -132,25 +131,19 @@ def test_criterion_6_entropy_stationarity():
 
 def test_criterion_7_triality_through_the_protocol():
     grid = [i / 100 for i in range(101)]
-    sums = []
-    cres = []
+    reduced = []
     for p in grid:
         for q in grid:
-            reports = [
-                measures.report(DensityMatrix(np.diag([w, 1.0 - w]).astype(complex), (2,)))
-                for w in (p, q)
-            ]
-            reports += [
-                measures.report(outcome.post_state.reduced({0}))
+            reduced += [np.diag([w, 1.0 - w]).astype(complex) for w in (p, q)]
+            reduced += [
+                outcome.post_state.reduced({0}).matrix
                 for outcome in swap.bbm_outcomes(p, q)
                 if outcome.post_state is not None
             ]
-            for rep in reports:
-                sums.append(abs(rep.p_vn + rep.s_vn - 1.0))
-                cres.append(rep.c_re)
+    rep = measures.report(np.stack(reduced))
     # np.max propagates NaN, which a fold with Python's max would drop
-    worst_sum = np.max(sums)
-    worst_cre = np.max(cres)
+    worst_sum = np.max(np.abs(rep.p_vn + rep.s_vn - 1.0))
+    worst_cre = np.max(rep.c_re)
     ok = bool(np.isfinite([worst_sum, worst_cre]).all()) and worst_sum < 1e-10 and worst_cre < 1e-12
     assert _verdict(7, "triality through the protocol", ok), (worst_sum, worst_cre)
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from entswap import cli, measures, states, swap
 from entswap.cli import main
 from entswap.linalg import DensityMatrix
@@ -48,6 +49,15 @@ def test_figures_cells_round_trip_exactly(capsys):
         p = cells[0]
         for q, value in zip(cli.FIGURE_Q_SET, cells[1:]):
             assert value == swap.post_entropies(p, q)[0]
+
+
+@pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
+def test_figures_match_the_pointwise_math_oracle(capsys, which):
+    code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", "101"])
+    assert code == 0
+    cells = np.array([[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]])
+    assert cells.shape == (101, 6 if which in ("1a", "1b") else 4 if which == "2a" else 5)
+    assert np.abs(cells - np.array(oracles.figure_rows(which, 101))).max() <= 1e-15
 
 
 def test_figures_phi_entropy_peaks_on_matching_rows(capsys):

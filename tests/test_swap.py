@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap.measures import pvn, svn
-from entswap.states import BELL_LABELS, bell_state, composite_state, fidelity
+from entswap.measures import svn
+from entswap.states import BELL_LABELS
 from entswap.swap import (
+    SwapSpectrum,
     UndefinedBranchError,
     bbm_outcomes,
     outcome_probabilities,
     post_entropies,
     predictability_probability,
-    pvn_expansion_check,
     special_case_probs,
-    stationarity_check,
     swap_spectrum,
 )
+from oracles import bell_state, composite_state, fidelity, stationarity_check
 
 # subnormal weights make branch probabilities underflow to zero on one
 # route but not the other; nothing physical lives down there
@@ -215,36 +215,46 @@ def test_predictability_probability_identity(q):
     assert abs(pr_phi - direct_phi) < 1e-12
 
 
-def test_pvn_expansion_balanced_point():
-    exact, first_order, gap = pvn_expansion_check(0.5)
-    assert exact == 0.0
-    assert abs(first_order - 0.2787) < 1e-4
-    assert abs(gap + first_order) < 1e-15
-
-
-def test_pvn_expansion_matches_measures_route():
-    from entswap.linalg import DensityMatrix
-
-    for q in (0.1, 0.37, 0.5, 0.81):
-        exact = pvn_expansion_check(q)[0]
-        rho = DensityMatrix(np.diag([q, 1.0 - q]).astype(complex), (2,))
-        assert abs(exact - pvn(rho)) < 1e-10
-
-
-def test_pvn_expansion_symmetric_and_guarded():
-    for q in (0.1, 0.3, 0.45):
-        a = pvn_expansion_check(q)
-        b = pvn_expansion_check(1.0 - q)
-        assert abs(a[0] - b[0]) < 1e-12
-        assert abs(a[2] - b[2]) < 1e-12
-    with pytest.raises(ValueError):
-        pvn_expansion_check(0.0)
-    with pytest.raises(ValueError):
-        pvn_expansion_check(1.0)
-
-
 def test_weight_validation_everywhere():
     for fn in (lambda: bbm_outcomes(-0.1, 0.5), lambda: swap_spectrum(0.5, 1.5),
                lambda: special_case_probs(2.0), lambda: predictability_probability(-1.0)):
         with pytest.raises(ValueError):
             fn()
+    for bad in (np.nan, -0.1, 1.5):
+        weights_with_one_bad = np.array([0.2, bad, 0.7])
+        for fn in (
+            lambda: swap_spectrum(weights_with_one_bad, 0.5),
+            lambda: swap_spectrum(0.5, weights_with_one_bad),
+            lambda: post_entropies(weights_with_one_bad, 0.3),
+            lambda: special_case_probs(weights_with_one_bad),
+            lambda: predictability_probability(weights_with_one_bad),
+        ):
+            with pytest.raises(ValueError):
+                fn()
+
+
+def _rows(result):
+    """The outputs of a closed form as rows of IEEE-754 bit patterns."""
+    if isinstance(result, SwapSpectrum):
+        result = (result.a, result.b, result.c, result.d)
+    return np.stack([np.asarray(r, dtype=np.float64) for r in result]).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(weights, weights), max_size=12))
+def test_array_calls_equal_the_scalar_calls_bit_for_bit(drawn):
+    endpoints = [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0)]
+    # both weights at an endpoint leave a branch undefined; (0, 0) still serves q alone
+    pairs = [(p, q) for p, q in endpoints + drawn if not (p in (0.0, 1.0) and q in (0.0, 1.0))]
+    p_arr, q_arr = np.array(pairs).T
+    q_all = np.array([q for _, q in endpoints + drawn])
+    for fn, args in (
+        (swap_spectrum, (p_arr, q_arr)),
+        (post_entropies, (p_arr, q_arr)),
+        (special_case_probs, (q_all,)),
+        (predictability_probability, (q_all,)),
+    ):
+        batch = _rows(fn(*args))
+        for k in range(len(args[0])):
+            one = _rows(fn(*(float(arg[k]) for arg in args)))
+            assert batch[:, k].tolist() == one.tolist(), (fn.__name__, [arg[k] for arg in args])
