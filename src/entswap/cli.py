@@ -141,9 +141,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_swap(args: argparse.Namespace) -> int:
     outcomes = swap.bbm_outcomes(args.p, args.q)
-    posts = np.stack([o.post_state.amplitudes for o in outcomes if o.post_state is not None])
-    rep = measures.report(_reduce(posts.reshape(-1, 2, 2)))  # one report for every branch
-    branch_measures = zip(rep.s_vn.tolist(), rep.p_vn.tolist(), rep.c_re.tolist())
+    pairs = [states.schmidt_pair(args.p), states.schmidt_pair(args.q)]
+    posts = [o.post_state for o in outcomes if o.post_state is not None]
+    amps = np.stack([state.amplitudes for state in pairs + posts]).reshape(-1, 2, 2)
+    rep = measures.report(_reduce(amps))  # one report for both source pairs and every branch
+    pair_p, pair_q = rep.s_vn[:2].tolist()
+    branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     entries = []
     for o in outcomes:
         entry: dict = {
@@ -167,8 +170,6 @@ def cmd_swap(args: argparse.Namespace) -> int:
                 cre=_display(c_re), cre_full=c_re,
             )
         entries.append(entry)
-    pair_p = measures.svn(states.schmidt_pair(args.p).reduced({0}))
-    pair_q = measures.svn(states.schmidt_pair(args.q).reduced({0}))
     doc = {
         "p": args.p,
         "q": args.q,

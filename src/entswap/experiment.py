@@ -52,16 +52,19 @@ def three_sigma(prob: float, shots: int) -> float:
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """cfg.shots draws from counter 0 of the seed's stream, tallied per Bell label.
 
-    Draw i picks its label by categorical inversion of uniform i alone, and
-    the draws stream in chunks of SHOT_CHUNK, so memory stays bounded and
-    identical configs give identical results bit for bit.
+    Draw i picks its label by categorical inversion of uniform i alone. The
+    draws stream in chunks of SHOT_CHUNK, and each chunk is counted under
+    the cumulative boundaries, checked once per run, rather than labelled
+    draw by draw (`rng._tally`, the counting form of `rng.categorical`).
+    Memory stays bounded and identical configs give identical results bit
+    for bit.
     """
     probs = swap.outcome_probabilities(cfg.p, cfg.q)
-    prob_vec = np.array([probs[label] for label in BELL_LABELS])
+    boundaries = rng._boundaries([probs[label] for label in BELL_LABELS])
     tally = np.zeros(len(BELL_LABELS), dtype=np.int64)
     for start in range(0, cfg.shots, SHOT_CHUNK):
         draws = rng.uniforms(cfg.seed, start, min(SHOT_CHUNK, cfg.shots - start))
-        tally += np.bincount(rng.categorical(draws, prob_vec), minlength=len(BELL_LABELS))
+        tally += rng._tally(draws, boundaries)
     counts = {label: int(c) for label, c in zip(BELL_LABELS, tally)}
     empirical = {label: counts[label] / cfg.shots for label in BELL_LABELS}
     return EnsembleResult(counts=counts, empirical_freq=empirical, analytic_prob=probs)

@@ -24,19 +24,32 @@ import numpy as np
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
 
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = 2.0**-53
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Draws [start, start + count) as doubles in [0, 1), vectorized."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)  # wraps mod 2**64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
+    """Draws [start, start + count) as doubles in [0, 1), vectorized.
+
+    The words are mixed in place in one uint64 buffer; the output's own
+    memory is the scratch for the shifts, so a call allocates two arrays.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)  # wraps mod 2**64
+    z += np.uint64(seed & MASK64)
+    out = np.empty(count, dtype=np.float64)
+    t = out.view(np.uint64)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= _M1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    return np.multiply(z, _DOUBLE_SCALE, out=out)  # exact: z < 2**53 converts without rounding
 
 
 def complex_normals(seed: int, start: int, count: int) -> np.ndarray:
@@ -51,6 +64,22 @@ def complex_normals(seed: int, start: int, count: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * u[1::2])
 
 
+def _boundaries(probs) -> tuple[np.ndarray, int, int]:
+    """Checked cumulative boundaries of a probability vector: (cum, first, last positive label).
+
+    Rejects anything but a nonempty vector of finite nonnegative entries
+    summing to 1 within 1e-9; every comparison is written so that NaN fails it.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or p.size == 0 or not (p >= 0.0).all():
+        raise ValueError("probs must be a nonempty nonnegative vector")
+    cum = np.cumsum(p)
+    if not abs(cum[-1] - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities sum to {cum[-1]}, not 1")
+    positive = np.flatnonzero(p > 0.0)
+    return cum, int(positive[0]), int(positive[-1])
+
+
 def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Map uniforms to label indices by cumulative-probability inversion.
 
@@ -60,13 +89,26 @@ def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     through rounding of the cumulative sum) lands on the last
     positive-probability label.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0 or np.any(p < 0.0):
-        raise ValueError("probs must be a nonempty nonnegative vector")
-    cum = np.cumsum(p)
-    if abs(cum[-1] - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {cum[-1]}, not 1")
-    positive = np.flatnonzero(p > 0.0)
+    cum, first, last = _boundaries(probs)
     idx = np.searchsorted(cum, np.asarray(u, dtype=float), side="left")
-    idx = np.where(idx >= p.size, positive[-1], idx)
-    return np.maximum(idx, positive[0])
+    idx = np.where(idx >= cum.size, last, idx)
+    return np.maximum(idx, first)
+
+
+def _tally(u: np.ndarray, boundaries: tuple[np.ndarray, int, int]) -> np.ndarray:
+    """Per-label counts of `categorical(u, probs)` without labelling each draw.
+
+    `boundaries` is `_boundaries(probs)`. The draws whose searchsorted index
+    is <= k are those with u <= cum[k]; differencing those counts gives the
+    draws per index. As in `categorical`, the draws below the first positive
+    label fold into it and those beyond the last boundary into the last
+    positive label. A zero-probability label past the first repeats the
+    boundary before it, so it counts nothing.
+    """
+    cum, first, last = boundaries
+    at_most = np.array([np.count_nonzero(u <= c) for c in cum.tolist()], dtype=np.int64)
+    counts = np.diff(at_most, prepend=0)
+    counts[first] = at_most[first]
+    counts[:first] = 0
+    counts[last] += len(u) - at_most[-1]
+    return counts

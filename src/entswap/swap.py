@@ -86,10 +86,11 @@ def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     p = require_weight(p, "p")
     q = require_weight(q, "q")
     n2_phi, n2_psi = _branch_norms_sq(p, q)
-    norms_sq = (n2_phi, n2_phi, n2_psi, n2_psi)
+    probs = (0.5 * n2_phi, 0.5 * n2_phi, 0.5 * n2_psi, 0.5 * n2_psi)
+    # the probability, not n2, decides: 0.5 * n2 underflows to 0.0 when n2 is the smallest subnormal
     return [
-        BBMOutcome(label, 0.5 * n2, PureState(amps, (2, 2)) if n2 > 0.0 else None)
-        for label, n2, amps in zip(BELL_LABELS, norms_sq, _post_amplitudes(p, q))
+        BBMOutcome(label, prob, PureState(amps, (2, 2)) if prob > 0.0 else None)
+        for label, prob, amps in zip(BELL_LABELS, probs, _post_amplitudes(p, q))
     ]
 
 

@@ -237,6 +237,21 @@ def test_swap_degenerate_branch_is_null(capsys):
     assert by_label["psi+"]["svn"] == 0.0
 
 
+@pytest.mark.parametrize("p, q", [
+    ("1", "5e-324"), ("5e-324", "1"), ("0", "5e-324"),  # a branch probability underflows to 0.0
+    ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"), ("0.3", "0.6"),
+])
+def test_swap_post_state_is_null_exactly_when_the_probability_is_zero(capsys, p, q):
+    for outcome in swap.bbm_outcomes(float(p), float(q)):
+        assert (outcome.post_state is None) == (outcome.probability == 0.0)
+    code, out, _ = run_main(capsys, ["swap", "--p", p, "--q", q])
+    assert code == 0
+    for entry in json.loads(out)["outcomes"]:
+        null = entry["probability_full"] == 0.0
+        assert (entry["post_state"] is None) == null, entry["label"]
+        assert (entry["svn_full"] is None) == null, entry["label"]
+
+
 def test_swap_empirical_block(capsys):
     code, out, _ = run_main(
         capsys, ["swap", "--p", "0.1", "--q", "0.75", "--shots", "20000", "--seed", "7"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -104,6 +104,52 @@ def test_categorical_rejects_bad_vectors():
         rng.categorical(np.array([0.5]), np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
         rng.categorical(np.array([0.5]), np.array([]))
+    # every comparison with NaN is False, so each check must be one that NaN fails
+    for bad in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.inf, 0.0, 0.0], [0.5, 0.5, np.inf],
+                [-np.inf, 0.5, 0.5]):
+        with pytest.raises(ValueError):
+            rng.categorical(np.array([0.1, 0.6, 0.99]), np.array(bad))
+        with pytest.raises(ValueError):
+            rng._boundaries(bad)
+
+
+def test_uniforms_in_place_match_the_scalar_stream_at_extreme_counters():
+    seed, start = (1 << 64) - 1, 1 << 40
+    for count in (1, (1 << 16) + 3):
+        expected = np.array([oracles.uniform(seed, start + i) for i in range(count)])
+        u = rng.uniforms(seed, start, count)
+        assert u.dtype == np.float64 and np.array_equal(u, expected)
+
+
+# weights with zeros first, in the middle and last; normalized below
+_weight_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)), min_size=1, max_size=6
+).filter(lambda w: sum(w) > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_vectors, seeds)
+@example([0.0, 0.5, 0.0, 0.5], 1)
+@example([0.0, 0.0, 1.0], 2)
+@example([0.5, 0.5, 0.0], 3)
+@example([0.0, 0.0, 0.5, 0.5], 4)
+@example([1.0], 5)
+@example([0.1] * 7 + [0.3 - 5e-14], 6)
+def test_tally_equals_the_bincount_of_the_labels(weights, seed):
+    p = np.array(weights) / sum(weights)
+    boundaries = rng._boundaries(p)
+    cum = boundaries[0]
+    u = np.concatenate([
+        rng.uniforms(seed, 0, 300),
+        cum,  # exactly on each boundary
+        np.nextafter(cum, -np.inf),
+        np.nextafter(cum, np.inf),  # the last of these is above cum[-1]
+        [0.0, np.nextafter(1.0, 0.0), 1.0, 1.5],
+    ])
+    expected = np.bincount(rng.categorical(u, p), minlength=len(p))
+    tally = rng._tally(u, boundaries)
+    assert tally.dtype == expected.dtype and np.array_equal(tally, expected)
+    assert np.array_equal(rng._tally(u[:0], boundaries), np.zeros(len(p), dtype=np.int64))
 
 
 def test_sample_bbm_matches_ensemble_counts():
