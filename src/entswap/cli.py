@@ -9,11 +9,13 @@ sibling field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,17 @@ from . import measures, states, swap
 from .experiment import RunConfig, run_ensemble
 
 FIGURE_Q_SET = (0.1, 0.25, 0.5, 0.75, 0.9)
+FIGURE_HEADERS = {
+    "1a": ["p"] + [f"svn_phi_q{q:g}" for q in FIGURE_Q_SET],
+    "1b": ["p"] + [f"svn_psi_q{q:g}" for q in FIGURE_Q_SET],
+    "2a": ["q", "pr_phi", "pr_psi", "pl_initial"],
+    "2b": ["q", "svn_initial", "pvn_initial", "svn_psi", "pvn_final_psi"],
+}
 DEFAULT_GRID = 1001
 DEFAULT_SEED = 7
 VERIFY_TOL = 1e-9
 VERIFY_CHUNK = 1024  # states per batch in `verify`: bounds memory for any --trials
+FIGURE_CHUNK = 4096  # grid points per batch in `figures`: bounds memory for any --grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,42 +55,43 @@ def _reduce(psi: np.ndarray) -> np.ndarray:
     return np.einsum("nab,ncb->nac", psi, psi.conj())
 
 
-def _figure_rows(which: str, grid: int) -> tuple[list[str], np.ndarray]:
-    """Header and rows of one figure, each column computed over the whole grid at once."""
-    x = np.arange(grid) / (grid - 1)
+def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
+    """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
-        kind = "svn_phi" if which == "1a" else "svn_psi"
         pick = 0 if which == "1a" else 1
-        header = ["p"] + [f"{kind}_q{q:g}" for q in FIGURE_Q_SET]
         columns = [x] + [swap.post_entropies(x, q)[pick] for q in FIGURE_Q_SET]
     elif which == "2a":
-        header = ["q", "pr_phi", "pr_psi", "pl_initial"]
         pr_phi, pr_psi = swap.special_case_probs(x)
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
-    elif which == "2b":
-        header = ["q", "svn_initial", "pvn_initial", "svn_psi", "pvn_final_psi"]
+    else:  # 2b: the header lookup, done first, rejects every other name
         p = 1.0 - x
-        initial_diag = np.zeros((grid, 2, 2))
+        initial_diag = np.zeros((len(x), 2, 2))
         initial_diag[:, 0, 0], initial_diag[:, 1, 1] = p, 1.0 - p
         initial = measures.report(initial_diag)
         psi_plus = swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")]
-        final = measures.report(_reduce(psi_plus.reshape(grid, 2, 2)))
+        final = measures.report(_reduce(psi_plus.reshape(len(x), 2, 2)))
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
-    else:
-        raise ValueError(f"unknown figure {which!r}")
-    return header, np.column_stack(columns)
+    return np.column_stack(columns)
 
 
-def _csv_text(header: list[str], rows: np.ndarray) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_f17(x) for x in row) for row in rows.tolist()]
-    return "\n".join(lines) + "\n"
+def _csv_lines(rows: np.ndarray) -> str:
+    """The rows as CSV lines; their Python lists are gone before the text is written."""
+    return "".join(",".join(_f17(v) for v in row) + "\n" for row in rows.tolist())
 
 
-def _emit(text: str, out: str | None) -> int:
-    """Write to stdout, or atomically (temp file + rename) to `out`."""
+def _figure_csv(which: str, grid: int):
+    """CSV text of one figure: the header, then one piece per FIGURE_CHUNK rows."""
+    yield ",".join(FIGURE_HEADERS[which]) + "\n"
+    for start in range(0, grid, FIGURE_CHUNK):
+        x = np.arange(start, min(start + FIGURE_CHUNK, grid)) / (grid - 1)
+        yield _csv_lines(_figure_rows(which, x))
+
+
+def _emit(pieces: Iterable[str], out: str | None) -> int:
+    """Write the text pieces to stdout, or atomically (temp file + rename) to `out`."""
     if out is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return EXIT_OK
     path = Path(out)
     try:
@@ -89,7 +99,8 @@ def _emit(text: str, out: str | None) -> int:
         fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", newline="") as fh:
-                fh.write(text)
+                for piece in pieces:
+                    fh.write(piece)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -104,8 +115,7 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    header, rows = _figure_rows(args.which, args.grid)
-    return _emit(_csv_text(header, rows), args.out)
+    return _emit(_figure_csv(args.which, args.grid), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -133,28 +143,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "tolerance": VERIFY_TOL,
         "pass": ok,
     }
-    code = _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    code = _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     if code != EXIT_OK:
         return code
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def cmd_swap(args: argparse.Namespace) -> int:
-    outcomes = swap.bbm_outcomes(args.p, args.q)
-    pairs = [states.schmidt_pair(args.p), states.schmidt_pair(args.q)]
-    posts = [o.post_state for o in outcomes if o.post_state is not None]
-    amps = np.stack([state.amplitudes for state in pairs + posts]).reshape(-1, 2, 2)
+    probs, post = swap._branches(args.p, args.q)
+    live = probs > 0.0
+    pairs = np.zeros((2, 2, 2))
+    pairs[:, 0, 0] = np.sqrt([args.p, args.q])
+    pairs[:, 1, 1] = np.sqrt([1.0 - args.p, 1.0 - args.q])
+    amps = np.concatenate([pairs, post[live].reshape(-1, 2, 2)]).astype(complex)
     rep = measures.report(_reduce(amps))  # one report for both source pairs and every branch
     pair_p, pair_q = rep.s_vn[:2].tolist()
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     entries = []
-    for o in outcomes:
-        entry: dict = {
-            "label": o.label,
-            "probability": _display(o.probability),
-            "probability_full": o.probability,
-        }
-        if o.post_state is None:
+    for label, prob, row, alive in zip(states.BELL_LABELS, probs.tolist(), post.tolist(), live):
+        entry: dict = {"label": label, "probability": _display(prob), "probability_full": prob}
+        if not alive:
             entry.update(
                 post_state=None,
                 svn=None, svn_full=None,
@@ -164,7 +172,7 @@ def cmd_swap(args: argparse.Namespace) -> int:
         else:
             s_vn, p_vn, c_re = next(branch_measures)
             entry.update(
-                post_state=[[z.real, z.imag] for z in o.post_state.amplitudes],
+                post_state=[[x, 0.0] for x in row],
                 svn=_display(s_vn), svn_full=s_vn,
                 pvn=_display(p_vn), pvn_full=p_vn,
                 cre=_display(c_re), cre_full=c_re,
@@ -188,7 +196,7 @@ def cmd_swap(args: argparse.Namespace) -> int:
             "frequencies": result.empirical_freq,
             "max_abs_error": max(result.freq_error().values()),
         }
-    return _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    return _emit([json.dumps(doc, indent=2) + "\n"], args.out)
 
 
 def _weight_arg(text: str) -> float:
@@ -211,27 +219,24 @@ def _dims_arg(text: str) -> tuple[int, int]:
     return da, db
 
 
-def _positive_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+def _int_arg(minimum: int):
+    """An argparse type for integers >= minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"value must be >= {minimum}")
+        return value
+
+    return parse
 
 
-def _grid_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError("grid must be >= 2")
-    return value
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `entswap` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="entswap",
         description="Entanglement swapping from partially entangled pairs: "
@@ -240,15 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figures", help="CSV sweep data behind the entropy/probability figures")
-    fig.add_argument("--which", required=True, choices=("1a", "1b", "2a", "2b"),
+    fig.add_argument("--which", required=True, choices=tuple(FIGURE_HEADERS),
                      help="which figure's data to produce")
-    fig.add_argument("--grid", type=_grid_arg, default=DEFAULT_GRID,
+    fig.add_argument("--grid", type=_int_arg(2), default=DEFAULT_GRID,
                      help="points per sweep, endpoints included (default 1001)")
     fig.add_argument("--out", default=None, help="output path (default: stdout)")
     fig.set_defaults(func=cmd_figures)
 
     ver = sub.add_parser("verify", help="complementarity-sum residuals over Haar-random states")
-    ver.add_argument("--trials", type=_positive_arg, default=10000,
+    ver.add_argument("--trials", type=_int_arg(1), default=10000,
                      help="number of random states (default 10000)")
     ver.add_argument("--dims", type=_dims_arg, default=(2, 2),
                      help="bipartite dimensions DA,DB (default 2,2)")
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("swap", help="analytic outcome table for one (p, q), optionally sampled")
     swp.add_argument("--p", type=_weight_arg, required=True, help="Schmidt weight of the first pair")
     swp.add_argument("--q", type=_weight_arg, required=True, help="Schmidt weight of the second pair")
-    swp.add_argument("--shots", type=_positive_arg, default=None,
+    swp.add_argument("--shots", type=_int_arg(1), default=None,
                      help="if given, append empirical frequencies from this many draws")
     swp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     swp.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -68,29 +68,29 @@ def _post_amplitudes(p, q) -> np.ndarray:
     return np.moveaxis(amps, (0, 1), (-2, -1))
 
 
+def _branches(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (4,) and normalized AB amplitudes (4, 4) of the branches at numbers p and q.
+
+    Both are in BELL_LABELS order. A branch whose probability is 0.0 has no
+    post state, whatever its amplitude row holds: 0.5 * n2 underflows to 0.0
+    when n2 is the smallest subnormal, so the probability, not n2, decides.
+    """
+    n2_phi, n2_psi = _branch_norms_sq(p, q)
+    return 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi]), _post_amplitudes(p, q)
+
+
 def outcome_probabilities(p: float, q: float) -> dict[str, float]:
     """Analytic probability of each Bell outcome, keyed in BELL_LABELS order."""
-    p = require_weight(p, "p")
-    q = require_weight(q, "q")
-    n2_phi, n2_psi = _branch_norms_sq(p, q)
-    return {
-        "phi+": 0.5 * n2_phi,
-        "phi-": 0.5 * n2_phi,
-        "psi+": 0.5 * n2_psi,
-        "psi-": 0.5 * n2_psi,
-    }
+    probs, _ = _branches(require_weight(p, "p"), require_weight(q, "q"))
+    return dict(zip(BELL_LABELS, probs))
 
 
 def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     """The four measurement branches with their conditional AB states."""
-    p = require_weight(p, "p")
-    q = require_weight(q, "q")
-    n2_phi, n2_psi = _branch_norms_sq(p, q)
-    probs = (0.5 * n2_phi, 0.5 * n2_phi, 0.5 * n2_psi, 0.5 * n2_psi)
-    # the probability, not n2, decides: 0.5 * n2 underflows to 0.0 when n2 is the smallest subnormal
+    probs, amps = _branches(require_weight(p, "p"), require_weight(q, "q"))
     return [
-        BBMOutcome(label, prob, PureState(amps, (2, 2)) if prob > 0.0 else None)
-        for label, prob, amps in zip(BELL_LABELS, probs, _post_amplitudes(p, q))
+        BBMOutcome(label, prob, PureState(row, (2, 2)) if prob > 0.0 else None)
+        for label, prob, row in zip(BELL_LABELS, probs, amps)
     ]
 
 

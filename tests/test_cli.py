@@ -91,6 +91,34 @@ def test_figures_reruns_identical_and_atomic(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("grid", [2, 7, 8, 50])
+def test_figures_chunks_give_the_unchunked_bytes(capsys, monkeypatch, grid):
+    argvs = [["figures", "--which", which, "--grid", str(grid)] for which in ("1a", "1b", "2a", "2b")]
+    whole = [run_main(capsys, argv) for argv in argvs]  # grid <= FIGURE_CHUNK: one chunk
+    monkeypatch.setattr(cli, "FIGURE_CHUNK", 7)
+    assert [run_main(capsys, argv) for argv in argvs] == whole
+    assert all(len(out.splitlines()) == grid + 1 for _, out, _ in whole)
+
+
+def test_figures_failure_midway_leaves_no_file(tmp_path, monkeypatch):
+    real_rows = cli._figure_rows
+    chunks = []
+
+    def fail_on_second_chunk(which, x):
+        chunks.append(len(x))
+        if len(chunks) == 2:
+            raise RuntimeError("second chunk")
+        return real_rows(which, x)
+
+    monkeypatch.setattr(cli, "FIGURE_CHUNK", 7)
+    monkeypatch.setattr(cli, "_figure_rows", fail_on_second_chunk)
+    target = tmp_path / "fig.csv"
+    with pytest.raises(RuntimeError):
+        main(["figures", "--which", "2b", "--grid", "20", "--out", str(target)])
+    assert chunks == [7, 7]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figures_bad_flags_exit_2(capsys):
     for argv in (
         ["figures", "--which", "9z"],
@@ -252,6 +280,21 @@ def test_swap_post_state_is_null_exactly_when_the_probability_is_zero(capsys, p,
         assert (entry["svn_full"] is None) == null, entry["label"]
 
 
+def test_swap_builds_no_state_objects(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("swap built a state object")
+
+    monkeypatch.setattr(swap, "bbm_outcomes", refuse)
+    monkeypatch.setattr(states, "schmidt_pair", refuse)
+    monkeypatch.setattr(states.PureState, "__post_init__", refuse)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+    code, out, _ = run_main(capsys, ["swap", "--p", "0.3", "--q", "1"])
+    assert code == 0
+    # phi- at q = 1 is sqrt(p)|00> - 0|11>: the negated zero keeps its sign
+    assert json.loads(out)["outcomes"][1]["post_state"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.0, 0.0]]
+    assert '[\n          -0.0,\n          0.0\n        ]' in out
+
+
 def test_swap_empirical_block(capsys):
     code, out, _ = run_main(
         capsys, ["swap", "--p", "0.1", "--q", "0.75", "--shots", "20000", "--seed", "7"]
@@ -291,3 +334,27 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "q,pr_phi,pr_psi,pl_initial"
+
+
+def test_main_reuses_one_parser_and_matches_a_fresh_one(capsys):
+    def call(argv, parse):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    def fresh(argv):
+        args = cli.build_parser.__wrapped__().parse_args(argv)
+        return args.func(args)
+
+    argvs = (
+        ["swap", "--p", "0.5", "--q", "nope"],
+        ["figures", "--which", "2a", "--grid", "5"],
+        ["swap", "--p", "0.1", "--q", "0.75", "--shots", "100"],
+    )
+    reused = [call(argv, main) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _ in reused] == [2, 0, 0]
+    assert "'nope' is not a number in [0, 1]" in reused[0][1].err
+    assert reused == [call(argv, fresh) for argv in argvs]
