@@ -63,7 +63,7 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     elif which == "2a":
         pr_phi, pr_psi = swap.special_case_probs(x)
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
-    else:  # 2b: the header lookup, done first, rejects every other name
+    elif which == "2b":
         p = 1.0 - x
         initial_diag = np.zeros((len(x), 2, 2))
         initial_diag[:, 0, 0], initial_diag[:, 1, 1] = p, 1.0 - p
@@ -71,6 +71,8 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
         psi_plus = swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")]
         final = measures.report(_reduce(psi_plus.reshape(len(x), 2, 2)))
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
+    else:
+        raise ValueError(f"unknown figure {which!r}")
     return np.column_stack(columns)
 
 
@@ -150,19 +152,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_swap(args: argparse.Namespace) -> int:
-    probs, post = swap._branches(args.p, args.q)
-    live = probs > 0.0
-    pairs = np.zeros((2, 2, 2))
-    pairs[:, 0, 0] = np.sqrt([args.p, args.q])
-    pairs[:, 1, 1] = np.sqrt([1.0 - args.p, 1.0 - args.q])
-    amps = np.concatenate([pairs, post[live].reshape(-1, 2, 2)]).astype(complex)
+    outcomes = swap.bbm_outcomes(args.p, args.q)
+    pairs = [states.schmidt_pair(args.p), states.schmidt_pair(args.q)]
+    posts = [o.post_state for o in outcomes if o.post_state is not None]
+    amps = np.stack([state.amplitudes for state in pairs + posts]).reshape(-1, 2, 2)
     rep = measures.report(_reduce(amps))  # one report for both source pairs and every branch
     pair_p, pair_q = rep.s_vn[:2].tolist()
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     entries = []
-    for label, prob, row, alive in zip(states.BELL_LABELS, probs.tolist(), post.tolist(), live):
-        entry: dict = {"label": label, "probability": _display(prob), "probability_full": prob}
-        if not alive:
+    for o in outcomes:
+        entry: dict = {
+            "label": o.label,
+            "probability": _display(o.probability),
+            "probability_full": o.probability,
+        }
+        if o.post_state is None:
             entry.update(
                 post_state=None,
                 svn=None, svn_full=None,
@@ -172,7 +176,7 @@ def cmd_swap(args: argparse.Namespace) -> int:
         else:
             s_vn, p_vn, c_re = next(branch_measures)
             entry.update(
-                post_state=[[x, 0.0] for x in row],
+                post_state=[[z.real, z.imag] for z in o.post_state.amplitudes],
                 svn=_display(s_vn), svn_full=s_vn,
                 pvn=_display(p_vn), pvn_full=p_vn,
                 cre=_display(c_re), cre_full=c_re,
@@ -249,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which figure's data to produce")
     fig.add_argument("--grid", type=_int_arg(2), default=DEFAULT_GRID,
                      help="points per sweep, endpoints included (default 1001)")
-    fig.add_argument("--out", default=None, help="output path (default: stdout)")
+    fig.add_argument("--out", default=None,
+                     help="output path, written atomically (default: stdout, streamed as computed)")
     fig.set_defaults(func=cmd_figures)
 
     ver = sub.add_parser("verify", help="complementarity-sum residuals over Haar-random states")
