@@ -35,15 +35,12 @@ DEFAULT_SEED = 7
 VERIFY_TOL = 1e-9
 VERIFY_CHUNK = 1024  # states per batch in `verify`: bounds memory for any --trials
 FIGURE_CHUNK = 4096  # grid points per batch in `figures`: bounds memory for any --grid
+VERIFY_MAX_DIM = 16  # largest DA*DB of `verify --dims`: bounds a chunk's rho_A stack
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _display(x: float) -> float:
@@ -59,7 +56,7 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
         pick = 0 if which == "1a" else 1
-        columns = [x] + [swap.post_entropies(x, q)[pick] for q in FIGURE_Q_SET]
+        columns = [x, swap.post_entropies(x[:, None], np.array(FIGURE_Q_SET))[pick]]
     elif which == "2a":
         pr_phi, pr_psi = swap.special_case_probs(x)
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
@@ -77,8 +74,9 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
 
 
 def _csv_lines(rows: np.ndarray) -> str:
-    """The rows as CSV lines; their Python lists are gone before the text is written."""
-    return "".join(",".join(_f17(v) for v in row) + "\n" for row in rows.tolist())
+    """The rows as CSV lines of `%.17g` cells, the whole block formatted by one `%`."""
+    n, k = rows.shape
+    return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(rows.ravel().tolist())
 
 
 def _figure_csv(which: str, grid: int):
@@ -92,8 +90,18 @@ def _figure_csv(which: str, grid: int):
 def _emit(pieces: Iterable[str], out: str | None) -> int:
     """Write the text pieces to stdout, or atomically (temp file + rename) to `out`."""
     if out is None:
-        for piece in pieces:
-            sys.stdout.write(piece)
+        try:
+            for piece in pieces:
+                sys.stdout.write(piece)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: point stdout's descriptor at devnull, as the
+            # Python docs advise, so that no later write or exit flush can raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: cannot write to stdout: the reader closed the pipe", file=sys.stderr)
+            return EXIT_IO
         return EXIT_OK
     path = Path(out)
     try:
@@ -220,6 +228,8 @@ def _dims_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("dims must be integers") from None
     if da < 2 or db < 2:
         raise argparse.ArgumentTypeError("each dimension must be >= 2")
+    if da * db > VERIFY_MAX_DIM:
+        raise argparse.ArgumentTypeError(f"DA*DB must be <= {VERIFY_MAX_DIM}")
     return da, db
 
 

@@ -326,3 +326,8 @@ def figure_rows(which: str, grid: int) -> list[list[float]]:
             raise ValueError(f"unknown figure {which!r}")
         rows.append(row)
     return rows
+
+
+def csv_lines_per_cell(rows: np.ndarray) -> str:
+    """CSV lines of a block, one `format(x, ".17g")` call per cell."""
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows.tolist())

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from entswap import cli, measures, states, swap
@@ -100,6 +102,29 @@ def test_figures_chunks_give_the_unchunked_bytes(capsys, monkeypatch, grid):
     assert all(len(out.splitlines()) == grid + 1 for _, out, _ in whole)
 
 
+_ROW_BLOCKS = st.integers(4, 6).flatmap(
+    lambda k: st.lists(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=k, max_size=k), max_size=20
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(-1, k))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROW_BLOCKS)
+def test_csv_lines_match_the_per_cell_formatter(rows):
+    assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
+
+
+def test_csv_lines_match_the_per_cell_formatter_on_edge_cells():
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53,
+             1e16, 1e17, 0.1, math.nan, math.inf, -math.inf]
+    for k in (4, 5, 6):
+        rows = np.resize(np.array(edges), (len(edges), k))
+        assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
+    for k in (4, 6):
+        assert cli._csv_lines(np.empty((0, k))) == oracles.csv_lines_per_cell(np.empty((0, k))) == ""
+
+
 def test_figures_failure_midway_leaves_no_file(tmp_path, monkeypatch):
     real_rows = cli._figure_rows
     chunks = []
@@ -137,6 +162,29 @@ def test_figures_unwritable_out_exits_3(tmp_path, capsys):
     code = main(["figures", "--which", "2a", "--grid", "3", "--out", str(target)])
     assert code == 3
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, header", [
+    # the header is read, then the pipe closes with most of the 100001 rows unwritten
+    (["figures", "--which", "2b", "--grid", "100001"], "q,svn_initial,pvn_initial,svn_psi,pvn_final_psi\n"),
+    # the pipe closes before anything is read: the JSON is still in stdout's buffer
+    (["swap", "--p", "0.1", "--q", "0.75"], None),
+])
+def test_a_closed_stdout_exits_3_without_a_traceback(argv, header):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entswap", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    if header is not None:
+        assert proc.stdout.readline() == header
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 3
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_passes_and_reports(capsys):
@@ -223,11 +271,16 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
 
 
 def test_verify_bad_dims_exit_2(capsys):
-    for dims in ("3", "2,1", "a,b"):
+    for dims in ("3", "2,1", "a,b", "5,4", "17,2"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dims", dims])
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if dims in ("5,4", "17,2"):
+            assert "DA*DB must be <= 16" in err
+    code, out, _ = run_main(capsys, ["verify", "--dims", "4,4", "--trials", "3"])
+    assert code == 0
+    assert json.loads(out)["dims"] == [4, 4]
 
 
 def test_swap_worked_example_document(capsys):
