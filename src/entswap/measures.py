@@ -61,7 +61,7 @@ def _report(m: np.ndarray) -> MeasureReport:
     s = _entropy(hermitian_eigenvalues(m))
     s_diag = _entropy(np.sort(populations, axis=1))  # the diagonal part's spectrum is its diagonal
     sq = np.abs(m) ** 2
-    c_hs = sq.reshape(len(m), -1).sum(axis=1) - np.diagonal(sq, axis1=1, axis2=2).sum(axis=1)
+    c_hs = sq.reshape(len(m), d * d).sum(axis=1) - np.diagonal(sq, axis1=1, axis2=2).sum(axis=1)
     s_l = _linear_entropy(m)
     p_l = _linear_predictability(populations)
     c_re = s_diag - s

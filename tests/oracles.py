@@ -179,6 +179,16 @@ def jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a).real)
 
 
+def eigvalsh_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or stack by LAPACK alone, at every size.
+
+    `np.linalg.eigvalsh` on the Hermitian part (m + m^H) / 2, as the library
+    solves n >= 3: the reference its closed 2x2 form is held to.
+    """
+    a = np.asarray(m, dtype=complex)
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+
+
 # splitmix64 one draw at a time, with its own copy of the constants
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1

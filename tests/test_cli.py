@@ -341,6 +341,23 @@ def test_swap_post_state_keeps_a_negated_zero(capsys):
     assert '[\n          -0.0,\n          0.0\n        ]' in out
 
 
+def test_figures_and_swap_bytes_match_an_eigvalsh_spectrum(capsys, monkeypatch):
+    # every rho_A that figures and swap reduce is diagonal, where the closed
+    # 2x2 spectrum is the sorted diagonal exactly, as LAPACK's is; both runs
+    # take the same log2, so the bytes agree on every numpy
+    weights = ("0", "1", "0.5", "0.3", "5e-324")
+    argvs = [["figures", "--which", which, "--grid", str(grid)]
+             for which in ("1a", "1b", "2a", "2b") for grid in (11, 1001)]
+    argvs += [["swap", "--p", p, "--q", q] for p in weights for q in weights]
+
+    def outputs():
+        return [run_main(capsys, argv)[:2] for argv in argvs]
+
+    closed_form = outputs()
+    monkeypatch.setattr(measures, "hermitian_eigenvalues", oracles.eigvalsh_eigenvalues)
+    assert outputs() == closed_form
+
+
 def test_swap_empirical_block(capsys):
     code, out, _ = run_main(
         capsys, ["swap", "--p", "0.1", "--q", "0.75", "--shots", "20000", "--seed", "7"]

@@ -126,8 +126,10 @@ def test_partial_trace_bad_indices():
 
 
 def test_eigenvalues_diagonal_passthrough():
-    vals = hermitian_eigenvalues(np.diag([0.5, 0.1, 0.4]).astype(complex))
-    assert np.abs(vals - np.array([0.1, 0.4, 0.5])).max() == 0.0
+    for diagonal in ([0.5, 0.1, 0.4], [0.7, 0.1], [0.1, 0.7], [0.3, 0.3], [0.0, 1.0], [1.0, 0.0],
+                     [-2.5, 1e-300]):
+        vals = hermitian_eigenvalues(np.diag(diagonal).astype(complex))
+        assert np.abs(vals - np.sort(diagonal)).max() == 0.0
 
 
 def test_eigenvalues_projector_onto_plus():
@@ -169,9 +171,10 @@ def test_density_matrix_spectrum_is_a_distribution():
 
 def test_eigenvalues_reject_non_finite():
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+        # inf - inf in the Hermiticity deviation is the expected NaN here
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             hermitian_eigenvalues(np.array([[bad, 0.0], [0.0, 0.5]]))
-        with pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             hermitian_eigenvalues(np.stack([np.eye(2), np.array([[0.5, bad], [bad, 0.5]])]))
 
 
@@ -233,3 +236,53 @@ def test_nearly_hermitian_input_is_solved_as_its_hermitian_part():
     expected = np.array([0.5 - 4.5e-13, 0.5 + 4.5e-13])
     assert np.abs(hermitian_eigenvalues(h) - expected).max() < 1e-15
 
+
+@st.composite
+def qubit_stacks(draw):
+    # magnitudes from subnormal to 1e6, so the half gap and |b| span many scales
+    entry = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    n = draw(st.integers(min_value=0, max_value=6))
+    x = np.array(draw(st.lists(entry, min_size=8 * n, max_size=8 * n))).reshape(n, 2, 2, 2)
+    x = x[..., 0] + 1j * x[..., 1]
+    return (x + x.conj().swapaxes(-1, -2)) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubit_stacks())
+def test_qubit_eigenvalues_match_eigvalsh(stack):
+    mine = hermitian_eigenvalues(stack)
+    ref = oracles.eigvalsh_eigenvalues(stack)
+    assert mine.shape == ref.shape == (len(stack), 2)
+    norms = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    assert (np.abs(mine - ref).max(axis=1, initial=0.0) <= 1e-14 * norms).all()
+
+
+def test_qubit_eigenvalues_resolve_small_off_diagonals():
+    # beside a gap of 1, an off-diagonal of 1e-9 moves the eigenvalues by
+    # 1e-18, below the resolution at norm 1: the error must stay within it
+    for h in ([[0.0, 1e-9], [1e-9, 1.0]], [[1.0, 1e-9j], [-1e-9j, 0.0]]):
+        vals = hermitian_eigenvalues(np.array(h, dtype=complex))
+        assert np.abs(vals - np.array([-1e-18, 1.0 + 1e-18])).max() <= 2.3e-16
+    # with no gap at all, the off-diagonal alone splits the pair, however small
+    for b in (1e-300, 1e-300j, 5e-324):
+        h = np.array([[0.0, b], [np.conj(b), 0.0]])
+        assert np.array_equal(hermitian_eigenvalues(h), np.array([-abs(b), abs(b)]))
+
+
+def test_qubit_eigenvalues_of_rank_one_projectors():
+    for theta, phi in ((np.pi / 4, 0.0), (np.pi / 4, np.pi / 2), (0.3, 1.1), (1.2, -2.0), (1e-4, 0.5)):
+        v = np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
+        vals = hermitian_eigenvalues(np.outer(v, v.conj()))
+        assert np.abs(vals - np.array([0.0, 1.0])).max() < 1e-15
+
+
+def test_qubit_eigenvalues_do_not_overflow():
+    cases = [
+        ([[1e308, 0.0], [0.0, -1e308]], [-1e308, 1e308]),
+        ([[0.0, 1e308], [1e308, 0.0]], [-1e308, 1e308]),
+        ([[-1e308, 1e308j], [-1e308j, 1e308]], [-np.sqrt(2) * 1e308, np.sqrt(2) * 1e308]),
+    ]
+    for h, expected in cases:
+        vals = hermitian_eigenvalues(np.array(h, dtype=complex))
+        assert np.isfinite(vals).all()
+        assert np.abs(vals / np.array(expected) - 1.0).max() < 1e-15

@@ -202,6 +202,14 @@ def test_report_on_a_stack_matches_each_matrix_alone_bit_for_bit():
         assert batch.dim == one.dim == 3
 
 
+def test_report_on_an_empty_stack_gives_empty_fields():
+    for d in (2, 3):
+        rep = report(np.zeros((0, d, d), dtype=complex))
+        for field in ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum"):
+            assert getattr(rep, field).shape == (0,)
+        assert rep.dim == d
+
+
 def test_report_rejects_malformed_stacks():
     good = np.stack([np.eye(2, dtype=complex) / 2] * 3)
     with pytest.raises(ValueError):
