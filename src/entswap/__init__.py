@@ -6,7 +6,7 @@ coherence, predictability, and entanglement measures that obey exact
 complementarity sums.
 """
 
-from .experiment import EnsembleResult, RunConfig, run_ensemble, three_sigma
+from .experiment import EnsembleResult, RunConfig, run_ensemble
 from .linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues, partial_trace
 from .measures import MeasureReport, report, svn
 from .states import BELL_LABELS, PureState, haar_states, schmidt_pair
@@ -27,7 +27,7 @@ __all__ = [
     "NonHermitianError", "PureState", "RunConfig", "SwapSpectrum", "UndefinedBranchError",
     "bbm_outcomes", "haar_states", "hermitian_eigenvalues", "outcome_probabilities",
     "partial_trace", "post_entropies", "predictability_probability", "report", "run_ensemble",
-    "schmidt_pair", "special_case_probs", "svn", "swap_spectrum", "three_sigma",
+    "schmidt_pair", "special_case_probs", "svn", "swap_spectrum",
 ]
 
 __version__ = "0.1.0"

@@ -43,8 +43,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _display(x: float) -> float:
-    return round(float(x), 4)
+def _shown(name: str, value: float | None) -> dict:
+    """`name` rounded to 4 decimals and `name_full` at full precision; two nulls for None."""
+    return {name: None if value is None else round(float(value), 4), f"{name}_full": value}
 
 
 def _reduce(psi: np.ndarray) -> np.ndarray:
@@ -169,34 +170,18 @@ def cmd_swap(args: argparse.Namespace) -> int:
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     entries = []
     for o in outcomes:
-        entry: dict = {
+        live = o.post_state is not None
+        s_vn, p_vn, c_re = next(branch_measures) if live else (None, None, None)
+        entries.append({
             "label": o.label,
-            "probability": _display(o.probability),
-            "probability_full": o.probability,
-        }
-        if o.post_state is None:
-            entry.update(
-                post_state=None,
-                svn=None, svn_full=None,
-                pvn=None, pvn_full=None,
-                cre=None, cre_full=None,
-            )
-        else:
-            s_vn, p_vn, c_re = next(branch_measures)
-            entry.update(
-                post_state=[[z.real, z.imag] for z in o.post_state.amplitudes],
-                svn=_display(s_vn), svn_full=s_vn,
-                pvn=_display(p_vn), pvn_full=p_vn,
-                cre=_display(c_re), cre_full=c_re,
-            )
-        entries.append(entry)
+            **_shown("probability", o.probability),
+            "post_state": [[z.real, z.imag] for z in o.post_state.amplitudes] if live else None,
+            **_shown("svn", s_vn), **_shown("pvn", p_vn), **_shown("cre", c_re),
+        })
     doc = {
         "p": args.p,
         "q": args.q,
-        "initial": {
-            "svn_pair_p": _display(pair_p), "svn_pair_p_full": pair_p,
-            "svn_pair_q": _display(pair_q), "svn_pair_q_full": pair_q,
-        },
+        "initial": {**_shown("svn_pair_p", pair_p), **_shown("svn_pair_q", pair_q)},
         "outcomes": entries,
     }
     if args.shots is not None:

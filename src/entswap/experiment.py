@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,6 @@ class EnsembleResult:
     def freq_error(self) -> dict[str, float]:
         """Per-label |empirical - analytic|."""
         return {k: abs(self.empirical_freq[k] - self.analytic_prob[k]) for k in self.counts}
-
-
-def three_sigma(prob: float, shots: int) -> float:
-    """Normal-approximation 3-sigma band for a binomial frequency."""
-    return 3.0 * math.sqrt(prob * (1.0 - prob) / shots)
 
 
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:

@@ -15,12 +15,23 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-EIG_CLAMP = 1e-12  # eigenvalues with |lam| below this count as exact zeros
-EIG_NEG_TOL = 1e-10  # most negative eigenvalue tolerated on a density matrix
 
 
 class NonHermitianError(ValueError):
     """Raised when an operation that requires a Hermitian matrix gets one that is not."""
+
+
+def _checked_adjoint(a: np.ndarray, ndims: tuple[int, ...]) -> np.ndarray:
+    """a^H, once `a` is checked: ndim in `ndims`, square, finite and Hermitian within 1e-12."""
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix with ndim in {ndims}, got shape {a.shape}")
+    ah = a.conj().swapaxes(-1, -2)
+    # a NaN or inf entry makes the deviation NaN or inf, so it fails here
+    if not np.abs(a - ah).max(initial=0.0) <= HERMITICITY_TOL:
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries")
+        raise NonHermitianError("matrix is not Hermitian within 1e-12")
+    return ah
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,15 +44,9 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        _checked_adjoint(m, (2,))
         if not dims or any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
             raise ValueError(f"subsystem dims {dims} do not factor dimension {m.shape[0]}")
-        # a NaN or inf entry makes the deviation NaN or inf, so it fails here
-        if not np.abs(m - m.conj().T).max() <= HERMITICITY_TOL:
-            if not np.isfinite(m).all():
-                raise ValueError("density matrix has non-finite entries")
-            raise NonHermitianError("matrix is not Hermitian within 1e-12")
         tr = complex(m.trace())
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within 1e-12, got {tr}")
@@ -87,16 +92,11 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     a solve on its own gives.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    ah = a.conj().swapaxes(-1, -2)
-    # a NaN or inf entry makes the deviation NaN or inf, so it fails here
-    if not np.abs(a - ah).max(initial=0.0) <= HERMITICITY_TOL:
-        if not np.isfinite(a).all():
-            raise ValueError("matrix has non-finite entries")
-        raise NonHermitianError("matrix is not Hermitian within 1e-12")
+    ah = _checked_adjoint(a, (2, 3))
     if a.shape[-1] != 2:
-        return np.linalg.eigvalsh(0.5 * (a + ah))
+        h = 0.5 * a  # halve each term before the sum, so finite inputs cannot overflow;
+        h += np.multiply(ah, 0.5, out=ah)  # ah is a fresh conjugate: halve it in place
+        return np.linalg.eigvalsh(h)
     # lambda = mean -+ hypot(h, |b|) with h the half gap, written as the outer
     # diagonal entry -+ s so that a zero b gives back the diagonal exactly.
     # h halves before it subtracts, and b adds half the (checked, tiny)

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_CLAMP, EIG_NEG_TOL, TRACE_TOL, DensityMatrix, hermitian_eigenvalues
+from .linalg import TRACE_TOL, DensityMatrix, hermitian_eigenvalues
+
+EIG_CLAMP = 1e-12  # eigenvalues with |lam| below this count as exact zeros
+EIG_NEG_TOL = 1e-10  # most negative eigenvalue tolerated on a density matrix
 
 
 @dataclass(frozen=True)
@@ -100,4 +103,4 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
 
 def svn(rho: DensityMatrix) -> float:
     """von Neumann entropy -Tr(rho log2 rho)."""
-    return float(_entropy(hermitian_eigenvalues(rho.matrix)))
+    return report(rho).s_vn

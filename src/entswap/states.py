@@ -37,11 +37,9 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
-
     def reduced(self, keep) -> DensityMatrix:
-        return partial_trace(self.density(), keep)
+        rho = DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+        return partial_trace(rho, keep)
 
 
 def require_weight(value, name: str = "weight"):

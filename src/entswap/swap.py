@@ -48,9 +48,11 @@ class SwapSpectrum:
     d: float | np.ndarray
 
 
-def _branch_norms_sq(p, q):
+def _products(p, q):
+    """pq, (1-p)(1-q), p(1-q), (1-p)q and the squared branch norms N_phi^2 and N_psi^2 they sum to."""
     u, v = 1.0 - p, 1.0 - q
-    return p * q + u * v, p * v + u * q
+    pq, uv, pv, uq = p * q, u * v, p * v, u * q
+    return pq, uv, pv, uq, pq + uv, pv + uq
 
 
 def _post_amplitudes(p, q) -> np.ndarray:
@@ -58,9 +60,7 @@ def _post_amplitudes(p, q) -> np.ndarray:
 
     The row of a branch with zero normalization is NaN: it has no post state.
     """
-    u, v = 1.0 - p, 1.0 - q
-    a, b, c, d = np.sqrt([p * q, u * v, p * v, u * q])
-    n_phi, n_psi = np.sqrt(_branch_norms_sq(p, q))
+    a, b, c, d, n_phi, n_psi = np.sqrt(_products(p, q))
     zero = np.zeros_like(a)
     amps = np.array([[a, zero, zero, b], [a, zero, zero, -b], [zero, c, d, zero], [zero, c, -d, zero]])
     with np.errstate(invalid="ignore"):  # 0/0 where a branch normalization vanishes
@@ -75,7 +75,7 @@ def _branches(p, q) -> tuple[np.ndarray, np.ndarray]:
     post state, whatever its amplitude row holds: 0.5 * n2 underflows to 0.0
     when n2 is the smallest subnormal, so the probability, not n2, decides.
     """
-    n2_phi, n2_psi = _branch_norms_sq(p, q)
+    *_, n2_phi, n2_psi = _products(p, q)
     return 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi]), _post_amplitudes(p, q)
 
 
@@ -104,11 +104,10 @@ def swap_spectrum(p, q) -> SwapSpectrum:
     """
     p = require_weight(p, "p")
     q = require_weight(q, "q")
-    u, v = 1.0 - p, 1.0 - q
-    n2_phi, n2_psi = _branch_norms_sq(p, q)
+    pq, uv, pv, uq, n2_phi, n2_psi = _products(p, q)
     if np.any(n2_phi == 0.0) or np.any(n2_psi == 0.0):
         raise UndefinedBranchError(f"branch normalization vanishes at p={p}, q={q}")
-    return SwapSpectrum(a=p * q / n2_phi, b=u * v / n2_phi, c=u * q / n2_psi, d=p * v / n2_psi)
+    return SwapSpectrum(a=pq / n2_phi, b=uv / n2_phi, c=uq / n2_psi, d=pv / n2_psi)
 
 
 def post_entropies(p, q):

@@ -302,6 +302,11 @@ def stationarity_check(q: float, branch: str) -> tuple[float, float, int]:
     return p_star, first, sign
 
 
+def three_sigma(prob: float, shots: int) -> float:
+    """Normal-approximation 3-sigma band for a binomial frequency."""
+    return 3.0 * math.sqrt(prob * (1.0 - prob) / shots)
+
+
 def binary_entropy(x: float, y: float) -> float:
     """-x log2 x - y log2 y with 0 log 0 = 0, one term at a time."""
     return sum(-t * math.log2(t) for t in (x, y) if t > 0.0)

@@ -12,7 +12,7 @@ import numpy as np
 import oracles
 from entswap import measures, states, swap
 from entswap.cli import main
-from entswap.experiment import RunConfig, run_ensemble, three_sigma
+from entswap.experiment import RunConfig, run_ensemble
 
 
 def _verdict(num: int, name: str, ok: bool) -> bool:
@@ -157,7 +157,7 @@ def test_criterion_8_monte_carlo_consistency():
         result = run_ensemble(cfg)
         errors = result.freq_error()
         in_band = all(
-            errors[label] <= three_sigma(prob, cfg.shots)
+            errors[label] <= oracles.three_sigma(prob, cfg.shots)
             for label, prob in result.analytic_prob.items()
         )
         identical = result == run_ensemble(cfg)

@@ -230,6 +230,18 @@ def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "vn_sum is log2 d for any spectrum and l_sum is (d-1)/d for any Hermitian rho, "
+    "so verify checks only rounding and cannot see a broken eigensolver"))
+def test_verify_fails_on_an_eigensolver_that_ignores_coherences(capsys, monkeypatch):
+    def sorted_diagonal(m):
+        return np.sort(np.diagonal(np.asarray(m), axis1=-2, axis2=-1).real, axis=-1)
+
+    monkeypatch.setattr(measures, "hermitian_eigenvalues", sorted_diagonal)
+    code, _, _ = run_main(capsys, ["verify", "--trials", "2000", "--dims", "3,2"])
+    assert code == 1
+
+
 def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
     chunk = cli.VERIFY_CHUNK
     da, db, seed = 3, 2, 5
@@ -339,6 +351,243 @@ def test_swap_post_state_keeps_a_negated_zero(capsys):
     # phi- at q = 1 is sqrt(p)|00> - 0|11>: the negated zero keeps its sign
     assert json.loads(out)["outcomes"][1]["post_state"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.0, 0.0]]
     assert '[\n          -0.0,\n          0.0\n        ]' in out
+
+
+# the whole stdout of `swap` at the two weight pairs below, taken as the
+# bytes of record: key order, indentation, null branches and the negated zero
+SWAP_P1_Q0 = """\
+{
+  "p": 1.0,
+  "q": 0.0,
+  "initial": {
+    "svn_pair_p": 0.0,
+    "svn_pair_p_full": 0.0,
+    "svn_pair_q": 0.0,
+    "svn_pair_q_full": 0.0
+  },
+  "outcomes": [
+    {
+      "label": "phi+",
+      "probability": 0.0,
+      "probability_full": 0.0,
+      "post_state": null,
+      "svn": null,
+      "svn_full": null,
+      "pvn": null,
+      "pvn_full": null,
+      "cre": null,
+      "cre_full": null
+    },
+    {
+      "label": "phi-",
+      "probability": 0.0,
+      "probability_full": 0.0,
+      "post_state": null,
+      "svn": null,
+      "svn_full": null,
+      "pvn": null,
+      "pvn_full": null,
+      "cre": null,
+      "cre_full": null
+    },
+    {
+      "label": "psi+",
+      "probability": 0.5,
+      "probability_full": 0.5,
+      "post_state": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          1.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      "svn": 0.0,
+      "svn_full": 0.0,
+      "pvn": 1.0,
+      "pvn_full": 1.0,
+      "cre": 0.0,
+      "cre_full": 0.0
+    },
+    {
+      "label": "psi-",
+      "probability": 0.5,
+      "probability_full": 0.5,
+      "post_state": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          1.0,
+          0.0
+        ],
+        [
+          -0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      "svn": 0.0,
+      "svn_full": 0.0,
+      "pvn": 1.0,
+      "pvn_full": 1.0,
+      "cre": 0.0,
+      "cre_full": 0.0
+    }
+  ]
+}
+"""
+
+SWAP_HALF_HALF = """\
+{
+  "p": 0.5,
+  "q": 0.5,
+  "initial": {
+    "svn_pair_p": 1.0,
+    "svn_pair_p_full": 0.9999999999999999,
+    "svn_pair_q": 1.0,
+    "svn_pair_q_full": 0.9999999999999999
+  },
+  "outcomes": [
+    {
+      "label": "phi+",
+      "probability": 0.25,
+      "probability_full": 0.25,
+      "post_state": [
+        [
+          0.7071067811865475,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.7071067811865475,
+          0.0
+        ]
+      ],
+      "svn": 1.0,
+      "svn_full": 1.0,
+      "pvn": 0.0,
+      "pvn_full": 0.0,
+      "cre": 0.0,
+      "cre_full": 0.0
+    },
+    {
+      "label": "phi-",
+      "probability": 0.25,
+      "probability_full": 0.25,
+      "post_state": [
+        [
+          0.7071067811865475,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ],
+        [
+          -0.7071067811865475,
+          0.0
+        ]
+      ],
+      "svn": 1.0,
+      "svn_full": 1.0,
+      "pvn": 0.0,
+      "pvn_full": 0.0,
+      "cre": 0.0,
+      "cre_full": 0.0
+    },
+    {
+      "label": "psi+",
+      "probability": 0.25,
+      "probability_full": 0.25,
+      "post_state": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.7071067811865475,
+          0.0
+        ],
+        [
+          0.7071067811865475,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      "svn": 1.0,
+      "svn_full": 1.0,
+      "pvn": 0.0,
+      "pvn_full": 0.0,
+      "cre": 0.0,
+      "cre_full": 0.0
+    },
+    {
+      "label": "psi-",
+      "probability": 0.25,
+      "probability_full": 0.25,
+      "post_state": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.7071067811865475,
+          0.0
+        ],
+        [
+          -0.7071067811865475,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      "svn": 1.0,
+      "svn_full": 1.0,
+      "pvn": 0.0,
+      "pvn_full": 0.0,
+      "cre": 0.0,
+      "cre_full": 0.0
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("p, q, golden", [("1", "0", SWAP_P1_Q0), ("0.5", "0.5", SWAP_HALF_HALF)],
+                         ids=["p1-q0", "half-half"])
+def test_swap_document_bytes_are_pinned(capsys, p, q, golden):
+    assert run_main(capsys, ["swap", "--p", p, "--q", q]) == (0, golden, "")
 
 
 def test_figures_and_swap_bytes_match_an_eigvalsh_spectrum(capsys, monkeypatch):

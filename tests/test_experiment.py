@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from entswap import experiment, rng
-from entswap.experiment import EnsembleResult, RunConfig, run_ensemble, three_sigma
+from entswap.experiment import EnsembleResult, RunConfig, run_ensemble
 from entswap.states import BELL_LABELS
 from entswap.swap import outcome_probabilities
 
@@ -194,8 +194,8 @@ def test_degenerate_branches_are_skipped():
 
 
 def test_three_sigma_band():
-    assert abs(three_sigma(0.25, 10_000) - 3.0 * math.sqrt(0.25 * 0.75 / 10_000)) < 1e-15
-    assert three_sigma(0.0, 100) == 0.0
+    assert abs(oracles.three_sigma(0.25, 10_000) - 3.0 * math.sqrt(0.25 * 0.75 / 10_000)) < 1e-15
+    assert oracles.three_sigma(0.0, 100) == 0.0
 
 
 def test_frequencies_within_three_sigma():
@@ -203,7 +203,7 @@ def test_frequencies_within_three_sigma():
         result = run_ensemble(RunConfig(p=0.1, q=0.75, shots=shots, seed=7))
         errors = result.freq_error()
         for label, prob in result.analytic_prob.items():
-            assert errors[label] <= three_sigma(prob, shots)
+            assert errors[label] <= oracles.three_sigma(prob, shots)
 
 
 def test_error_shrinks_with_more_shots():

@@ -286,3 +286,13 @@ def test_qubit_eigenvalues_do_not_overflow():
         vals = hermitian_eigenvalues(np.array(h, dtype=complex))
         assert np.isfinite(vals).all()
         assert np.abs(vals / np.array(expected) - 1.0).max() < 1e-15
+
+
+def test_eigenvalues_of_larger_matrices_do_not_overflow():
+    vals = hermitian_eigenvalues(np.diag([1e308, -1e308, 0.0]))
+    assert vals.tolist() == [-1e308, 0.0, 1e308]
+    chain = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 1e308], [0.0, 1e308, 0.0]])
+    vals = hermitian_eigenvalues(chain)
+    assert np.isfinite(vals).all()
+    expected = np.array([-np.sqrt(2), 0.0, np.sqrt(2)]) * 1e308
+    assert np.abs(vals - expected).max() < 1e-15 * np.sqrt(2) * 1e308

@@ -9,14 +9,14 @@ DOCUMENTED_NAMES = {
     "NonHermitianError", "PureState", "RunConfig", "SwapSpectrum", "UndefinedBranchError",
     "bbm_outcomes", "haar_states", "hermitian_eigenvalues", "outcome_probabilities",
     "partial_trace", "post_entropies", "predictability_probability", "report", "run_ensemble",
-    "schmidt_pair", "special_case_probs", "svn", "swap_spectrum", "three_sigma",
+    "schmidt_pair", "special_case_probs", "svn", "swap_spectrum",
 }
 
 LAYERS_FILE = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
 
 
 def test_package_exports_exactly_the_documented_names():
-    assert len(entswap.__all__) == len(set(entswap.__all__)) == 24
+    assert len(entswap.__all__) == len(set(entswap.__all__)) == 23
     assert set(entswap.__all__) == DOCUMENTED_NAMES
     for name in entswap.__all__:
         assert hasattr(entswap, name), name
