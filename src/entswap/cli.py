@@ -48,11 +48,6 @@ def _shown(name: str, value: float | None) -> dict:
     return {name: None if value is None else round(float(value), 4), f"{name}_full": value}
 
 
-def _reduce(psi: np.ndarray) -> np.ndarray:
-    """rho_A of each pure state in a stack of amplitude matrices psi[N, dA, dB]."""
-    return np.einsum("nab,ncb->nac", psi, psi.conj())
-
-
 def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
@@ -67,7 +62,7 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
         initial_diag[:, 0, 0], initial_diag[:, 1, 1] = p, 1.0 - p
         initial = measures.report(initial_diag)
         psi_plus = swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")]
-        final = measures.report(_reduce(psi_plus.reshape(len(x), 2, 2)))
+        final = measures._pure_report(psi_plus.reshape(len(x), 2, 2))
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
     else:
         raise ValueError(f"unknown figure {which!r}")
@@ -138,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for start in range(0, args.trials, VERIFY_CHUNK):
         count = min(VERIFY_CHUNK, args.trials - start)
         psi = states.haar_states(da, db, args.seed, count, start=start).reshape(count, da, db)
-        rep = measures.report(_reduce(psi))
+        rep = measures._pure_report(psi)
         # np.maximum and np.max propagate NaN, where Python's max would drop it
         max_vn = float(np.maximum(max_vn, np.max(np.abs(rep.vn_sum - vn_target))))
         max_l = float(np.maximum(max_l, np.max(np.abs(rep.l_sum - l_target))))
@@ -162,10 +157,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_swap(args: argparse.Namespace) -> int:
     outcomes = swap.bbm_outcomes(args.p, args.q)
-    pairs = [states.schmidt_pair(args.p), states.schmidt_pair(args.q)]
-    posts = [o.post_state for o in outcomes if o.post_state is not None]
-    amps = np.stack([state.amplitudes for state in pairs + posts]).reshape(-1, 2, 2)
-    rep = measures.report(_reduce(amps))  # one report for both source pairs and every branch
+    posts = [o.post_state.amplitudes for o in outcomes if o.post_state is not None]
+    amps = np.vstack([states._pair_amplitudes([args.p, args.q]), *posts]).reshape(-1, 2, 2)
+    rep = measures._pure_report(amps)  # one report for both source pairs and every branch
     pair_p, pair_q = rep.s_vn[:2].tolist()
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     entries = []
@@ -174,8 +168,8 @@ def cmd_swap(args: argparse.Namespace) -> int:
         s_vn, p_vn, c_re = next(branch_measures) if live else (None, None, None)
         entries.append({
             "label": o.label,
-            **_shown("probability", o.probability),
-            "post_state": [[z.real, z.imag] for z in o.post_state.amplitudes] if live else None,
+            **_shown("probability", float(o.probability)),
+            "post_state": o.post_state.amplitudes.view(float).reshape(-1, 2).tolist() if live else None,
             **_shown("svn", s_vn), **_shown("pvn", p_vn), **_shown("cre", c_re),
         })
     doc = {
@@ -191,7 +185,7 @@ def cmd_swap(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "counts": result.counts,
             "frequencies": result.empirical_freq,
-            "max_abs_error": max(result.freq_error().values()),
+            "max_abs_error": float(max(result.freq_error().values())),
         }
     return _emit([json.dumps(doc, indent=2) + "\n"], args.out)
 

@@ -57,11 +57,14 @@ def _linear_predictability(populations: np.ndarray) -> np.ndarray:
     return (d - 1) / d - (1.0 - (populations * populations).sum(axis=-1))
 
 
-def _report(m: np.ndarray) -> MeasureReport:
-    """Every quantifier of each matrix in a checked stack (N, d, d)."""
+def _report(m: np.ndarray, lam: np.ndarray) -> MeasureReport:
+    """Every quantifier of each matrix in a checked stack (N, d, d), given the spectra `lam`.
+
+    `lam` may omit zero eigenvalues: the entropy ignores them.
+    """
     d = m.shape[-1]
     populations = np.diagonal(m, axis1=1, axis2=2).real
-    s = _entropy(hermitian_eigenvalues(m))
+    s = _entropy(lam)
     s_diag = _entropy(np.sort(populations, axis=1))  # the diagonal part's spectrum is its diagonal
     sq = np.abs(m) ** 2
     c_hs = sq.reshape(len(m), d * d).sum(axis=1) - np.diagonal(sq, axis1=1, axis2=2).sum(axis=1)
@@ -91,14 +94,29 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
     checked when it was built.
     """
     if isinstance(rho, DensityMatrix):
-        one = _report(rho.matrix[None])
+        m = rho.matrix[None]
+        one = _report(m, hermitian_eigenvalues(m))
         return MeasureReport(**{k: v if k == "dim" else float(v[0]) for k, v in vars(one).items()})
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
     if not (np.abs(np.trace(m, axis1=1, axis2=2) - 1.0) <= TRACE_TOL).all():
         raise ValueError("every trace must be 1 within 1e-12")
-    return _report(m)
+    return _report(m, hermitian_eigenvalues(m))
+
+
+def _pure_report(psi: np.ndarray) -> MeasureReport:
+    """The report of rho_A for each pure state in a stack of amplitude matrices psi[N, dA, dB].
+
+    rho_A and rho_B share their nonzero eigenvalues, the squared Schmidt
+    coefficients, so the spectrum is taken from the smaller of the two;
+    rho_A's dA - dB extra zero eigenvalues add nothing to the entropy.
+    The states must be normalized: there is no trace check here.
+    """
+    rho_a = np.einsum("nab,ncb->nac", psi, psi.conj())
+    _, da, db = psi.shape
+    smaller = np.einsum("nab,nac->nbc", psi, psi.conj()) if db < da else rho_a
+    return _report(rho_a, hermitian_eigenvalues(smaller))
 
 
 def svn(rho: DensityMatrix) -> float:

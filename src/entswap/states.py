@@ -54,10 +54,16 @@ def require_weight(value, name: str = "weight"):
     return w[()]
 
 
+def _pair_amplitudes(w) -> np.ndarray:
+    """Amplitudes of sqrt(w)|00> + sqrt(1-w)|11> for each weight in `w`, shape (..., 4)."""
+    w = np.asarray(w, dtype=float)
+    zero = np.zeros_like(w)
+    return np.stack([np.sqrt(w), zero, zero, np.sqrt(1.0 - w)], axis=-1)
+
+
 def schmidt_pair(w: float) -> PureState:
     """Two-qubit pair sqrt(w)|00> + sqrt(1-w)|11>."""
-    w = require_weight(w)
-    return PureState(np.array([math.sqrt(w), 0.0, 0.0, math.sqrt(1.0 - w)]), (2, 2))
+    return PureState(_pair_amplitudes(require_weight(w)), (2, 2))
 
 
 def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -> np.ndarray:

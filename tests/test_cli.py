@@ -216,15 +216,15 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize("field", ["vn_sum", "l_sum"])
 def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field):
-    real_report = measures.report
+    real_kernel = measures._pure_report
 
-    def poisoned(rho):
-        rep = real_report(rho)
+    def poisoned(psi):
+        rep = real_kernel(psi)
         values = getattr(rep, field).copy()
         values[len(values) // 2] = np.nan
         return dataclasses.replace(rep, **{field: values})
 
-    monkeypatch.setattr(measures, "report", poisoned)
+    monkeypatch.setattr(measures, "_pure_report", poisoned)
     code, out, _ = run_main(capsys, ["verify", "--trials", str(cli.VERIFY_CHUNK + 5)])
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -246,40 +246,52 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
     chunk = cli.VERIFY_CHUNK
     da, db, seed = 3, 2, 5
     last = 2 * chunk + 7
-    # reference: one N = 1 report per state, state by state
-    ref_rho, ref_vn, ref_l = [], [], []
+    # reference: one N = 1 kernel call per state, state by state, and the
+    # entropy of the same state through a checked rho_A and its own spectrum
+    ref_psi, ref_vn, ref_l, ref_svn = [], [], [], []
     for row in states.haar_states(da, db, seed, last):
         psi = row.reshape(da, db)
+        rep = measures._pure_report(psi[None])
+        ref_psi.append(psi)
+        ref_vn.append(abs(rep.vn_sum[0] - math.log2(da)))
+        ref_l.append(abs(rep.l_sum[0] - (da - 1) / da))
         rho = np.einsum("ab,cb->ac", psi, psi.conj())
-        rep = measures.report(DensityMatrix(rho, (da,)))
-        ref_rho.append(rho)
-        ref_vn.append(abs(rep.vn_sum - math.log2(da)))
-        ref_l.append(abs(rep.l_sum - (da - 1) / da))
+        ref_svn.append(measures.report(DensityMatrix(rho, (da,))).s_vn)
 
-    real_report = measures.report
+    real_kernel = measures._pure_report
     seen = []
 
-    def spy(rho):
-        rep = real_report(rho)
-        seen.append((rho, rep))
+    def spy(psi):
+        rep = real_kernel(psi)
+        seen.append((psi, rep))
         return rep
 
-    monkeypatch.setattr(measures, "report", spy)
+    monkeypatch.setattr(measures, "_pure_report", spy)
     for trials in (chunk - 1, chunk + 1, last):
         seen.clear()
         argv = ["verify", "--trials", str(trials), "--dims", f"{da},{db}", "--seed", str(seed)]
         code, out, _ = run_main(capsys, argv)
         doc = json.loads(out)
         assert code == 0
-        sizes = [len(rho) for rho, _ in seen]
+        sizes = [len(psi) for psi, _ in seen]
         assert max(sizes) <= chunk and sum(sizes) == trials
-        assert np.array_equal(np.concatenate([rho for rho, _ in seen]), ref_rho[:trials])
+        assert np.array_equal(np.concatenate([psi for psi, _ in seen]), ref_psi[:trials])
         vn = np.abs(np.concatenate([rep.vn_sum for _, rep in seen]) - math.log2(da))
         lin = np.abs(np.concatenate([rep.l_sum for _, rep in seen]) - (da - 1) / da)
         assert np.array_equal(vn, ref_vn[:trials])
         assert np.array_equal(lin, ref_l[:trials])
+        s_vn = np.concatenate([rep.s_vn for _, rep in seen])
+        assert np.abs(s_vn - ref_svn[:trials]).max() <= 1e-14
         assert doc["max_vn_residual"] == max(ref_vn[:trials])
         assert doc["max_linear_residual"] == max(ref_l[:trials])
+
+
+@pytest.mark.parametrize("dims", [f"{da},{db}" for da in range(2, cli.VERIFY_MAX_DIM // 2 + 1)
+                                  for db in range(2, cli.VERIFY_MAX_DIM // da + 1)])
+def test_verify_passes_at_every_accepted_dims(capsys, dims):
+    code, out, _ = run_main(capsys, ["verify", "--trials", "300", "--dims", dims])
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_verify_bad_dims_exit_2(capsys):
@@ -622,6 +634,28 @@ def test_swap_empirical_block(capsys):
     )
     rerun = run_main(capsys, ["swap", "--p", "0.1", "--q", "0.75", "--shots", "20000", "--seed", "7"])
     assert rerun[1] == out
+
+
+def test_swap_document_holds_only_plain_python_values(capsys, monkeypatch):
+    # json's indent encoder compares each value through its type; numpy scalars take a slow path
+    def leaves(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                yield from leaves(item)
+        else:
+            yield node
+
+    docs = []
+    real_dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda doc, **kw: docs.append(doc) or real_dumps(doc, **kw))
+    for argv in (["--p", "0.3", "--q", "0.7", "--shots", "100"], ["--p", "1", "--q", "1"]):
+        assert run_main(capsys, ["swap", *argv])[0] == 0
+    for doc in docs:
+        assert {type(value) for value in leaves(doc)} <= {str, int, float, type(None)}
+    post = docs[1]["outcomes"][states.BELL_LABELS.index("phi-")]["post_state"]
+    assert post[3] == [0.0, 0.0] and math.copysign(1.0, post[3][0]) == -1.0  # -b at b = 0 is -0.0
 
 
 def test_swap_bad_weight_exits_2(capsys):

@@ -5,13 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from entswap import measures
+from entswap.cli import VERIFY_MAX_DIM
 from entswap.linalg import DensityMatrix
 from entswap.measures import report, svn
 from entswap.states import PureState, haar_states
 
+# every (DA, DB) that `verify --dims` accepts
+VERIFY_DIMS = [(da, db) for da in range(2, VERIFY_MAX_DIM // 2 + 1) for db in range(2, VERIFY_MAX_DIM // da + 1)]
+
 
 def haar_state(da, db, seed, index=0):
     return PureState(haar_states(da, db, seed, 1, start=index)[0], (da, db))
+
+
+def haar_psi(da, db, seed, count):
+    """Amplitude matrices psi[N, DA, DB] of `count` Haar states and their rho_A."""
+    psi = haar_states(da, db, seed, count).reshape(count, da, db)
+    return psi, np.einsum("nab,ncb->nac", psi, psi.conj())
 
 
 def cre(rho):
@@ -221,3 +233,41 @@ def test_report_rejects_malformed_stacks():
         bad[entry] = np.nan
         with pytest.raises(ValueError):
             report(bad)
+
+
+def kernel_spectrum(monkeypatch, psi):
+    """The report of `measures._pure_report` and the spectrum it hands to `_report`."""
+    real_report = measures._report
+    seen = []
+
+    def spy(m, lam):
+        seen.append(lam)
+        return real_report(m, lam)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_report", spy)
+        rep = measures._pure_report(psi)
+    (lam,) = seen
+    return rep, lam
+
+
+@pytest.mark.parametrize("da, db", [(da, db) for da, db in VERIFY_DIMS if db < da])
+def test_pure_report_takes_rho_b_spectrum_with_the_moments_of_rho_a(monkeypatch, da, db):
+    # the moments come from rho_A's entries alone, so they stay independent of any eigensolver
+    psi, rho_a = haar_psi(da, db, seed=61, count=10_000)
+    rep, lam = kernel_spectrum(monkeypatch, psi)
+    assert lam.shape == (len(psi), db)
+    trace = np.trace(rho_a, axis1=1, axis2=2).real
+    purity = 1.0 - measures._linear_entropy(rho_a)
+    assert np.abs(lam.sum(axis=1) - trace).max() <= 1e-12
+    assert np.abs((lam * lam).sum(axis=1) - purity).max() <= 1e-12
+    assert np.abs(rep.s_vn - measures._entropy(oracles.eigvalsh_eigenvalues(rho_a))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("da, db", [(da, db) for da, db in VERIFY_DIMS if db >= da])
+def test_pure_report_at_db_not_below_da_is_the_report_of_rho_a(da, db):
+    psi, rho_a = haar_psi(da, db, seed=62, count=2000)
+    kernel, direct = measures._pure_report(psi), report(rho_a)
+    for field in ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum"):
+        assert np.array_equal(getattr(kernel, field), getattr(direct, field))
+    assert kernel.dim == direct.dim == da

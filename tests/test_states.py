@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from entswap import states
 from entswap.states import BELL_LABELS, PureState, haar_states, schmidt_pair
 from oracles import bell_state, composite_state, fidelity
 
@@ -35,6 +36,16 @@ def test_schmidt_pair_balanced_is_bell():
 def test_schmidt_pair_endpoints():
     assert np.array_equal(schmidt_pair(1.0).amplitudes, np.array([1, 0, 0, 0], dtype=complex))
     assert np.array_equal(schmidt_pair(0.0).amplitudes, np.array([0, 0, 0, 1], dtype=complex))
+
+
+def test_pair_amplitudes_broadcast_to_the_scalar_square_roots():
+    weights = [0.0, 1.0, 0.5, 0.3, 0.1, 0.75, 5e-324, 1e-300, 1.0 - 2**-53]
+    for shape in ((len(weights),), (3, 3)):
+        amps = states._pair_amplitudes(np.reshape(weights, shape))
+        assert amps.shape == shape + (4,)
+        for w, row in zip(weights, amps.reshape(-1, 4)):
+            assert row.tolist() == [math.sqrt(w), 0.0, 0.0, math.sqrt(1.0 - w)]
+            assert np.array_equal(schmidt_pair(w).amplitudes, row)
 
 
 def test_schmidt_pair_rejects_bad_weight():
