@@ -24,7 +24,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         require_weight(self.p, "p")
         require_weight(self.q, "q")
-        if int(self.shots) < 1:
+        for name in ("shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "seed", int(self.seed) & rng.MASK64)

@@ -21,17 +21,15 @@ class NonHermitianError(ValueError):
     """Raised when an operation that requires a Hermitian matrix gets one that is not."""
 
 
-def _checked_adjoint(a: np.ndarray, ndims: tuple[int, ...]) -> np.ndarray:
-    """a^H, once `a` is checked: ndim in `ndims`, square, finite and Hermitian within 1e-12."""
+def _check_hermitian(a: np.ndarray, ndims: tuple[int, ...]) -> None:
+    """Raise unless `a` has ndim in `ndims` and is square, finite and Hermitian within 1e-12."""
     if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix with ndim in {ndims}, got shape {a.shape}")
-    ah = a.conj().swapaxes(-1, -2)
     # a NaN or inf entry makes the deviation NaN or inf, so it fails here
-    if not np.abs(a - ah).max(initial=0.0) <= HERMITICITY_TOL:
+    if not np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) <= HERMITICITY_TOL:
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
         raise NonHermitianError("matrix is not Hermitian within 1e-12")
-    return ah
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +42,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
-        _checked_adjoint(m, (2,))
+        _check_hermitian(m, (2,))
         if not dims or any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
             raise ValueError(f"subsystem dims {dims} do not factor dimension {m.shape[0]}")
         tr = complex(m.trace())
@@ -69,40 +67,35 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"keep indices {kept} out of range for {n} subsystems")
     if len(kept) == n:
         return rho
-    dims = list(rho.dims)
-    t = rho.matrix.reshape(dims + dims)
-    # trace removes an axis pair but leaves the order of the others alone
-    for ax in reversed([i for i in range(n) if i not in kept]):
-        t = np.trace(t, axis1=ax, axis2=ax + len(dims))
-        del dims[ax]
+    # a traced subsystem's column label repeats its row label, so einsum sums its diagonal
+    cols = [n + i if i in kept else i for i in range(n)]
+    t = np.einsum(rho.matrix.reshape(rho.dims * 2), [*range(n), *cols], kept + [n + i for i in kept])
+    dims = tuple(rho.dims[i] for i in kept)
     d = math.prod(dims)
-    return DensityMatrix(t.reshape(d, d), tuple(dims))
+    return DensityMatrix(t.reshape(d, d), dims)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, or of each matrix in a stack.
 
     `m` is one (n, n) matrix, giving shape (n,), or a stack (N, n, n),
-    giving shape (N, n). A matrix Hermitian within 1e-12 is solved as its
-    Hermitian part (m + m^H) / 2. A 2x2 spectrum is a closed form, computed
-    elementwise: it is exact on a diagonal matrix and otherwise accurate to
-    about 1e-16 times the matrix norm. Larger matrices go to LAPACK through
-    `np.linalg.eigvalsh`, which reads only one triangle; a LAPACK failure to
-    converge raises numpy's `LinAlgError`. A stack gives each matrix the bits
-    a solve on its own gives.
+    giving shape (N, n). The solve reads only the lower triangle, as LAPACK
+    does: a matrix Hermitian within 1e-12 is solved as the Hermitian matrix
+    its lower triangle defines. A 2x2 spectrum is a closed form, computed elementwise:
+    it is exact on a diagonal matrix and otherwise accurate to about 1e-16
+    times the matrix norm. Larger matrices go to LAPACK through
+    `np.linalg.eigvalsh`; a LAPACK failure to converge raises numpy's
+    `LinAlgError`. A stack gives each matrix the bits a solve on its own gives.
     """
     a = np.asarray(m, dtype=complex)
-    ah = _checked_adjoint(a, (2, 3))
+    _check_hermitian(a, (2, 3))
     if a.shape[-1] != 2:
-        h = 0.5 * a  # halve each term before the sum, so finite inputs cannot overflow;
-        h += np.multiply(ah, 0.5, out=ah)  # ah is a fresh conjugate: halve it in place
-        return np.linalg.eigvalsh(h)
+        return np.linalg.eigvalsh(a)
     # lambda = mean -+ hypot(h, |b|) with h the half gap, written as the outer
-    # diagonal entry -+ s so that a zero b gives back the diagonal exactly.
-    # h halves before it subtracts, and b adds half the (checked, tiny)
-    # Hermiticity deviation, so finite inputs cannot overflow.
+    # diagonal entry -+ s so that a zero b gives back the diagonal exactly;
+    # h halves before it subtracts, so finite inputs cannot overflow.
     d0, d1 = a[..., 0, 0].real, a[..., 1, 1].real
-    b = a[..., 1, 0] + 0.5 * (ah[..., 1, 0] - a[..., 1, 0])
+    b = a[..., 1, 0]
     h = np.abs(0.5 * d0 - 0.5 * d1)
     s = np.hypot(h, np.abs(b)) - h
     return np.stack([np.minimum(d0, d1) - s, np.maximum(d0, d1) + s], axis=-1)

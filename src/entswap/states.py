@@ -28,10 +28,12 @@ class PureState:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims) or math.prod(dims) != amps.size:
             raise ValueError(f"dims {dims} do not match amplitude count {amps.size}")
-        norm = float(np.linalg.norm(amps))
-        if not math.isfinite(norm):
-            raise ValueError("amplitudes have non-finite entries")
-        if abs(norm - 1.0) > NORM_TOL:
+        with np.errstate(over="ignore"):  # huge finite entries give an inf norm, rejected below
+            norm = float(np.linalg.norm(amps))
+        # a NaN or inf entry makes the norm NaN or inf, so it fails here
+        if not abs(norm - 1.0) <= NORM_TOL:
+            if not np.isfinite(amps).all():
+                raise ValueError("amplitudes have non-finite entries")
             raise ValueError(f"state norm {norm} differs from 1 beyond 1e-12")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -182,11 +182,10 @@ def jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
 def eigvalsh_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix or stack by LAPACK alone, at every size.
 
-    `np.linalg.eigvalsh` on the Hermitian part (m + m^H) / 2, as the library
-    solves n >= 3: the reference its closed 2x2 form is held to.
+    `np.linalg.eigvalsh`, which reads the lower triangle as the library does:
+    the reference the library's closed 2x2 form is held to.
     """
-    a = np.asarray(m, dtype=complex)
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    return np.linalg.eigvalsh(np.asarray(m, dtype=complex))
 
 
 # splitmix64 one draw at a time, with its own copy of the constants

@@ -228,6 +228,14 @@ def test_run_config_validation():
         RunConfig(p=0.5, q=1.2, shots=10, seed=0)
     with pytest.raises(ValueError):
         RunConfig(p=0.5, q=0.5, shots=0, seed=0)
+    # shots and seed are integers, never truncated or parsed
+    for shots, seed in ((2.7, 1), (2, 1.9), (True, 0), (1, False), (1, "3"), ("3", 1),
+                        (1, float("inf")), (1, float("nan")), (np.float64(2.0), 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RunConfig(p=0.5, q=0.5, shots=shots, seed=seed)
+    cfg = RunConfig(p=0.5, q=0.5, shots=np.int32(3), seed=np.uint64((1 << 64) - 1))
+    assert (cfg.shots, cfg.seed) == (3, (1 << 64) - 1)
+    assert type(cfg.shots) is int and type(cfg.seed) is int
 
 
 def test_run_config_masks_seed_to_64_bits():

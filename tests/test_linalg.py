@@ -94,13 +94,14 @@ def test_partial_trace_product_state_factorizes():
 
 def test_partial_trace_matches_index_summation_oracle():
     gen = np.random.default_rng(42)
-    for dims in ((2, 2), (2, 3), (2, 2, 2), (3, 2, 2)):
+    for dims in ((2, 2), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)):
         d = int(np.prod(dims))
         x = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
         m = x @ x.conj().T
         rho = DensityMatrix(m / m.trace(), dims)
         n = len(dims)
-        for keep in ({0}, {n - 1}, set(range(n - 1))):
+        # the middle and the outer pair of three are the keeps a label mix-up would garble
+        for keep in ({0}, {n - 1}, set(range(n - 1)), {n // 2}, {0, n - 1}):
             mine = partial_trace(rho, keep).matrix
             ref = oracles.partial_trace_loops(rho.matrix, dims, keep)
             assert np.abs(mine - ref).max() < 1e-12
@@ -228,13 +229,19 @@ def test_stack_gives_each_matrix_its_own_eigenvalues_bit_for_bit():
             assert np.array_equal(row, hermitian_eigenvalues(h))
 
 
-def test_nearly_hermitian_input_is_solved_as_its_hermitian_part():
+def test_nearly_hermitian_input_is_solved_from_its_lower_triangle():
     # Hermitian only within 1e-12: the lower triangle holds 9e-13, the upper
-    # 0; the Hermitian part has off-diagonals 4.5e-13 whichever triangle the
-    # solver reads
+    # 0. The solver reads the lower triangle alone, as LAPACK does, so the
+    # off-diagonal is 9e-13 here and 0 in the transpose
     h = np.array([[0.5, 0.0], [9e-13, 0.5]])
-    expected = np.array([0.5 - 4.5e-13, 0.5 + 4.5e-13])
+    expected = np.array([0.5 - 9e-13, 0.5 + 9e-13])
     assert np.abs(hermitian_eigenvalues(h) - expected).max() < 1e-15
+    assert hermitian_eigenvalues(h.T).tolist() == [0.5, 0.5]
+    # the same block inside a 3x3 goes to LAPACK and gets the same pair
+    big = np.zeros((3, 3))
+    big[:2, :2] = h
+    big[2, 2] = 2.0
+    assert np.abs(hermitian_eigenvalues(big) - np.append(expected, 2.0)).max() < 1e-15
 
 
 @st.composite

@@ -24,6 +24,14 @@ def test_pure_state_rejects_non_finite():
             PureState(amps, (2, 2))
 
 
+def test_pure_state_rejects_huge_finite_amplitudes_as_unnormalized():
+    # the norm overflows to inf; the entries are finite, so this is an
+    # unnormalized state, reported without a RuntimeWarning
+    for amps in ([1e200, 1e200], [1e200j, 0.0], [1.7e308, 1.7e308]):
+        with pytest.raises(ValueError, match="state norm inf differs from 1"):
+            PureState(np.array(amps), (2,))
+
+
 def test_pure_state_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.0]), (3,))
