@@ -43,11 +43,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _shown(name: str, value: float | None) -> dict:
-    """`name` rounded to 4 decimals and `name_full` at full precision; two nulls for None."""
-    return {name: None if value is None else round(float(value), 4), f"{name}_full": value}
-
-
 def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
@@ -90,13 +85,13 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
             for piece in pieces:
                 sys.stdout.write(piece)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader is gone: point stdout's descriptor at devnull, as the
-            # Python docs advise, so that no later write or exit flush can raise
+        except OSError as exc:
+            # a closed pipe, a full disk: point stdout's descriptor at devnull, as
+            # the Python docs advise, so that no later write or exit flush can raise
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            print("error: cannot write to stdout: the reader closed the pipe", file=sys.stderr)
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
             return EXIT_IO
         return EXIT_OK
     path = Path(out)
@@ -155,39 +150,84 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+_HOLE = "<leaf>"  # a skeleton leaf of `_swap_template`
+
+
+@functools.cache
+def _swap_template(live: tuple[bool, ...], shots: bool) -> str:
+    """The `swap` document as a `%` template with one `%s` per leaf value.
+
+    `live` says which branches have a post state and `shots` whether the
+    empirical block is present; together they fix every key, bracket,
+    indent and null. json.dumps(indent=2) writes a skeleton whose leaves
+    are a marker, and each quoted marker becomes a `%s`.
+    """
+    def shown(name: str, alive: bool = True) -> dict:
+        leaf = _HOLE if alive else None
+        return {name: leaf, f"{name}_full": leaf}
+
+    skeleton = {
+        "p": _HOLE,
+        "q": _HOLE,
+        "initial": {**shown("svn_pair_p"), **shown("svn_pair_q")},
+        "outcomes": [
+            {
+                "label": label,
+                **shown("probability"),
+                "post_state": [[_HOLE, _HOLE]] * 4 if alive else None,
+                **shown("svn", alive), **shown("pvn", alive), **shown("cre", alive),
+            }
+            for label, alive in zip(states.BELL_LABELS, live)
+        ],
+    }
+    if shots:
+        skeleton["empirical"] = {
+            "shots": _HOLE,
+            "seed": _HOLE,
+            "counts": dict.fromkeys(states.BELL_LABELS, _HOLE),
+            "frequencies": dict.fromkeys(states.BELL_LABELS, _HOLE),
+            "max_abs_error": _HOLE,
+        }
+    text = json.dumps(skeleton, indent=2).replace("%", "%%")
+    return text.replace(json.dumps(_HOLE), "%s") + "\n"
+
+
+def _json_floats(values: list[float]) -> list:
+    """The float leaves of a template fill: `%s` writes a finite float as its repr, as json does.
+
+    It would write NaN and the infinities as nan and inf, so a list that
+    holds one is spelled by json.dumps, value by value, instead.
+    """
+    if all(map(math.isfinite, values)):
+        return values
+    return [json.dumps(value) for value in values]
+
+
 def cmd_swap(args: argparse.Namespace) -> int:
     outcomes = swap.bbm_outcomes(args.p, args.q)
     posts = [o.post_state.amplitudes for o in outcomes if o.post_state is not None]
     amps = np.vstack([states._pair_amplitudes([args.p, args.q]), *posts]).reshape(-1, 2, 2)
     rep = measures._pure_report(amps)  # one report for both source pairs and every branch
-    pair_p, pair_q = rep.s_vn[:2].tolist()
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
-    entries = []
+    # the leaves in the template's order; each shown value is followed by its `_full` value
+    floats = [args.p, args.q]
+    for value in rep.s_vn[:2].tolist():
+        floats += (round(value, 4), value)
     for o in outcomes:
-        live = o.post_state is not None
-        s_vn, p_vn, c_re = next(branch_measures) if live else (None, None, None)
-        entries.append({
-            "label": o.label,
-            **_shown("probability", float(o.probability)),
-            "post_state": o.post_state.amplitudes.view(float).reshape(-1, 2).tolist() if live else None,
-            **_shown("svn", s_vn), **_shown("pvn", p_vn), **_shown("cre", c_re),
-        })
-    doc = {
-        "p": args.p,
-        "q": args.q,
-        "initial": {**_shown("svn_pair_p", pair_p), **_shown("svn_pair_q", pair_q)},
-        "outcomes": entries,
-    }
+        probability = float(o.probability)
+        floats += (round(probability, 4), probability)
+        if o.post_state is not None:
+            floats += o.post_state.amplitudes.view(float).tolist()
+            for value in next(branch_measures):
+                floats += (round(value, 4), value)
+    leaves = _json_floats(floats)
     if args.shots is not None:
         result = run_ensemble(RunConfig(args.p, args.q, args.shots, args.seed))
-        doc["empirical"] = {
-            "shots": args.shots,
-            "seed": args.seed,
-            "counts": result.counts,
-            "frequencies": result.empirical_freq,
-            "max_abs_error": float(max(result.freq_error().values())),
-        }
-    return _emit([json.dumps(doc, indent=2) + "\n"], args.out)
+        leaves += (args.shots, args.seed, *result.counts.values())
+        leaves += _json_floats([*result.empirical_freq.values(), float(max(result.freq_error().values()))])
+    live = tuple(o.post_state is not None for o in outcomes)
+    text = _swap_template(live, args.shots is not None) % tuple(leaves)
+    return _emit([text], args.out)
 
 
 def _weight_arg(text: str) -> float:

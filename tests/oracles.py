@@ -8,13 +8,15 @@ one random draw at a time, math-module arithmetic on one number at a time.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from entswap import rng, swap
-from entswap.states import BELL_LABELS, PureState, schmidt_pair
+from entswap import measures, rng, swap
+from entswap.experiment import RunConfig, run_ensemble
+from entswap.states import BELL_LABELS, PureState, _pair_amplitudes, schmidt_pair
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -345,3 +347,47 @@ def figure_rows(which: str, grid: int) -> list[list[float]]:
 def csv_lines_per_cell(rows: np.ndarray) -> str:
     """CSV lines of a block, one `format(x, ".17g")` call per cell."""
     return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows.tolist())
+
+
+def _shown(name: str, value: float | None) -> dict:
+    """`name` rounded to 4 decimals and `name_full` at full precision; two nulls for None."""
+    return {name: None if value is None else round(float(value), 4), f"{name}_full": value}
+
+
+def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -> str:
+    """The `swap` stdout at (p, q): a dict of plain Python values through json.dumps(indent=2).
+
+    The reference the CLI's cached templates are held to byte for byte.
+    """
+    outcomes = swap.bbm_outcomes(p, q)
+    posts = [o.post_state.amplitudes for o in outcomes if o.post_state is not None]
+    amps = np.vstack([_pair_amplitudes([p, q]), *posts]).reshape(-1, 2, 2)
+    rep = measures._pure_report(amps)
+    pair_p, pair_q = rep.s_vn[:2].tolist()
+    branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
+    entries = []
+    for o in outcomes:
+        live = o.post_state is not None
+        s_vn, p_vn, c_re = next(branch_measures) if live else (None, None, None)
+        entries.append({
+            "label": o.label,
+            **_shown("probability", float(o.probability)),
+            "post_state": o.post_state.amplitudes.view(float).reshape(-1, 2).tolist() if live else None,
+            **_shown("svn", s_vn), **_shown("pvn", p_vn), **_shown("cre", c_re),
+        })
+    doc = {
+        "p": p,
+        "q": q,
+        "initial": {**_shown("svn_pair_p", pair_p), **_shown("svn_pair_q", pair_q)},
+        "outcomes": entries,
+    }
+    if shots is not None:
+        result = run_ensemble(RunConfig(p, q, shots, seed))
+        doc["empirical"] = {
+            "shots": shots,
+            "seed": seed,
+            "counts": result.counts,
+            "frequencies": result.empirical_freq,
+            "max_abs_error": float(max(result.freq_error().values())),
+        }
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -185,6 +186,21 @@ def test_a_closed_stdout_exits_3_without_a_traceback(argv, header):
     proc.stderr.close()
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["swap", "--p", "0.5", "--q", "0.5"],
+    ["verify", "--trials", "10"],
+    ["figures", "--which", "2a", "--grid", "5"],
+])
+def test_a_full_stdout_exits_3_without_a_traceback(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "entswap", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write to stdout: ") and proc.stderr.count("\n") == 1
 
 
 def test_verify_passes_and_reports(capsys):
@@ -636,26 +652,47 @@ def test_swap_empirical_block(capsys):
     assert rerun[1] == out
 
 
-def test_swap_document_holds_only_plain_python_values(capsys, monkeypatch):
-    # json's indent encoder compares each value through its type; numpy scalars take a slow path
-    def leaves(node):
-        if isinstance(node, dict):
-            node = list(node.values())
-        if isinstance(node, list):
-            for item in node:
-                yield from leaves(item)
-        else:
-            yield node
+def _swap_argv(p, q, shots, seed):
+    argv = ["swap", "--p", repr(p), "--q", repr(q), "--seed", str(seed)]
+    return argv if shots is None else argv + ["--shots", str(shots)]
 
-    docs = []
-    real_dumps = json.dumps
-    monkeypatch.setattr(cli.json, "dumps", lambda doc, **kw: docs.append(doc) or real_dumps(doc, **kw))
-    for argv in (["--p", "0.3", "--q", "0.7", "--shots", "100"], ["--p", "1", "--q", "1"]):
-        assert run_main(capsys, ["swap", *argv])[0] == 0
-    for doc in docs:
-        assert {type(value) for value in leaves(doc)} <= {str, int, float, type(None)}
-    post = docs[1]["outcomes"][states.BELL_LABELS.index("phi-")]["post_state"]
-    assert post[3] == [0.0, 0.0] and math.copysign(1.0, post[3][0]) == -1.0  # -b at b = 0 is -0.0
+
+# weights where a branch dies or a probability underflows, next to any weight in [0, 1]
+swap_weights = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300]) | st.floats(0.0, 1.0)
+
+
+# run_main reads capsys empty on every call, so one fixture serves every example
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=swap_weights, q=swap_weights, shots=st.none() | st.integers(1, 50),
+       seed=st.sampled_from([0, -5, -(2**70), 2**64, 2**64 + 3]) | st.integers(-(2**80), 2**80))
+def test_swap_bytes_match_the_reference_builder(capsys, p, q, shots, seed):
+    argv = _swap_argv(p, q, shots, seed)
+    assert run_main(capsys, argv) == (0, oracles.swap_document(p, q, shots, seed), "")
+
+
+def test_swap_writes_nan_and_infinity_as_json_does(capsys, monkeypatch):
+    real_report = measures._pure_report
+
+    def poisoned(psi):
+        rep = real_report(psi)
+        return dataclasses.replace(rep, s_vn=np.full_like(rep.s_vn, np.nan),
+                                   p_vn=np.full_like(rep.p_vn, -np.inf))
+
+    monkeypatch.setattr(measures, "_pure_report", poisoned)
+    for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, -5)):
+        code, out, _ = run_main(capsys, _swap_argv(p, q, shots, seed))
+        assert (code, out) == (0, oracles.swap_document(p, q, shots, seed))
+        assert '"svn_pair_p": NaN,' in out and '"pvn_full": -Infinity,' in out
+
+
+def test_swap_templates_are_one_per_document_shape(capsys):
+    weights = ("0", "1", "0.5", "0.3", "5e-324", "1e-300")
+    for p in weights:
+        for q in weights:
+            for extra in ([], ["--shots", "5"]):
+                assert run_main(capsys, ["swap", "--p", p, "--q", q, *extra])[0] == 0
+    # all four branches live, the phi pair dead or the psi pair dead; with and without shots
+    assert cli._swap_template.cache_info().currsize <= 6
 
 
 def test_swap_bad_weight_exits_2(capsys):

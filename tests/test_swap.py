@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap.measures import svn
+from entswap.linalg import DensityMatrix
+from entswap.measures import report, svn
 from entswap.states import BELL_LABELS
 from entswap.swap import (
     SwapSpectrum,
@@ -16,6 +17,7 @@ from entswap.swap import (
     post_entropies,
     predictability_probability,
     special_case_probs,
+    _branches,
     swap_spectrum,
 )
 from oracles import bell_state, composite_state, fidelity, stationarity_check
@@ -258,3 +260,33 @@ def test_array_calls_equal_the_scalar_calls_bit_for_bit(drawn):
         for k in range(len(args[0])):
             one = _rows(fn(*(float(arg[k]) for arg in args)))
             assert batch[:, k].tolist() == one.tolist(), (fn.__name__, [arg[k] for arg in args])
+
+
+def test_probabilities_follow_the_initial_predictability_by_an_independent_route():
+    # P_l of each source pair from a loop partial trace of the composite state,
+    # probabilities from projecting it onto the Bell states: no swap.py formula
+    grid = [i / 100 for i in range(101)]
+    pl = {}
+    for w in grid:
+        composite = oracles.composite_state(w, w)
+        rho = np.outer(composite.amplitudes, composite.amplitudes.conj())
+        pl_a, pl_b = (report(DensityMatrix(oracles.partial_trace_loops(rho, (2, 2, 2, 2), [keep]), (2,))).p_l
+                      for keep in (0, 3))
+        assert pl_a == pl_b  # both pairs of the composite are Schmidt pairs of weight w
+        pl[w] = pl_a
+    worst_line = worst_off = worst_branches = 0.0
+    for i, p in enumerate(grid):
+        for j, q in enumerate(grid):
+            reference = oracles.project_bbm(oracles.composite_state(p, q).amplitudes)
+            sigma = np.sign((2.0 * p - 1.0) * (2.0 * q - 1.0))
+            # derived here, not stated in the paper: with P_l(w) = (2w-1)^2/2,
+            # N_phi^2 = pq + (1-p)(1-q) = (1 + (2p-1)(2q-1))/2
+            phi = 0.25 + sigma * math.sqrt(pl[p] * pl[q]) / 2.0
+            probs, _ = _branches(p, q)
+            worst_off = max(worst_off, abs(reference["phi+"][0] - phi), abs(reference["phi-"][0] - phi))
+            worst_branches = max(worst_branches, abs(probs[0] - phi), abs(probs[1] - phi))
+            if i + j == 100:  # p = 1 - q
+                psi = (0.5 + pl[p]) / 2.0
+                worst_line = max(worst_line, abs(reference["psi+"][0] - psi), abs(reference["psi-"][0] - psi))
+                worst_branches = max(worst_branches, abs(probs[2] - psi), abs(probs[3] - psi))
+    assert worst_line < 1e-12 and worst_off < 1e-12 and worst_branches < 1e-12, (worst_line, worst_off, worst_branches)
