@@ -35,7 +35,7 @@ DEFAULT_SEED = 7
 VERIFY_TOL = 1e-9
 VERIFY_CHUNK = 1024  # states per batch in `verify`: bounds memory for any --trials
 FIGURE_CHUNK = 4096  # grid points per batch in `figures`: bounds memory for any --grid
-VERIFY_MAX_DIM = 16  # largest DA*DB of `verify --dims`: bounds a chunk's rho_A stack
+VERIFY_MAX_DIM = 16  # largest DA*DB of `verify --dims`: bounds a chunk's amplitude planes
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -53,9 +53,9 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
     elif which == "2b":
         p = 1.0 - x
-        initial_diag = np.zeros((len(x), 2, 2))
-        initial_diag[:, 0, 0], initial_diag[:, 1, 1] = p, 1.0 - p
-        initial = measures.report(initial_diag)
+        # the initial one-qubit state is diagonal: its populations are its spectrum
+        populations = np.column_stack([p, 1.0 - p])
+        initial = measures._report(populations, populations, (populations * populations).sum(axis=1))
         psi_plus = swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")]
         final = measures._pure_report(psi_plus.reshape(len(x), 2, 2))
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]

@@ -91,11 +91,19 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     _check_hermitian(a, (2, 3))
     if a.shape[-1] != 2:
         return np.linalg.eigvalsh(a)
-    # lambda = mean -+ hypot(h, |b|) with h the half gap, written as the outer
-    # diagonal entry -+ s so that a zero b gives back the diagonal exactly;
-    # h halves before it subtracts, so finite inputs cannot overflow.
-    d0, d1 = a[..., 0, 0].real, a[..., 1, 1].real
-    b = a[..., 1, 0]
+    return _qubit_eigenvalues(a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0])
+
+
+def _qubit_eigenvalues(d0, d1, b) -> np.ndarray:
+    """Ascending eigenvalues (..., 2) of the Hermitian 2x2 matrices [[d0, b*], [b, d1]].
+
+    lambda = mean -+ hypot(h, |b|) with h the half gap, written as the outer
+    diagonal entry -+ s so that a zero b gives back the diagonal exactly;
+    h halves before it subtracts, so finite inputs cannot overflow.
+    """
     h = np.abs(0.5 * d0 - 0.5 * d1)
     s = np.hypot(h, np.abs(b)) - h
-    return np.stack([np.minimum(d0, d1) - s, np.maximum(d0, d1) + s], axis=-1)
+    lam = np.empty(s.shape + (2,))
+    np.subtract(np.minimum(d0, d1), s, lam[..., 0])
+    np.add(np.maximum(d0, d1), s, lam[..., 1])
+    return lam

@@ -8,12 +8,13 @@ matrices at once, and a single DensityMatrix is a stack of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TRACE_TOL, DensityMatrix, hermitian_eigenvalues
+from .linalg import TRACE_TOL, DensityMatrix, _qubit_eigenvalues, hermitian_eigenvalues
 
 EIG_CLAMP = 1e-12  # eigenvalues with |lam| below this count as exact zeros
 EIG_NEG_TOL = 1e-10  # most negative eigenvalue tolerated on a density matrix
@@ -46,30 +47,36 @@ def _entropy(lam: np.ndarray) -> np.ndarray:
     return 0.0 - (kept * np.log2(kept)).sum(axis=-1)  # 0.0 - x, not -x, so a zero entropy is +0.0
 
 
-def _linear_entropy(m: np.ndarray) -> np.ndarray:
-    """1 - Tr(rho^2) of each matrix in a stack (N, d, d)."""
-    return 1.0 - np.einsum("nij,nji->n", m, m).real
+def _linear_predictability(diag_purity: np.ndarray, d: int) -> np.ndarray:
+    """(d-1)/d - S_l(rho_diag), from Tr(rho_diag^2), the sum of the squared populations."""
+    return (d - 1) / d - (1.0 - diag_purity)
 
 
-def _linear_predictability(populations: np.ndarray) -> np.ndarray:
-    """(d-1)/d - S_l(rho_diag) of each diagonal along the last axis of `populations`."""
-    d = populations.shape[-1]
-    return (d - 1) / d - (1.0 - (populations * populations).sum(axis=-1))
+def _purity(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) = ||rho||_F^2 of each Hermitian matrix held as planes re, im (d, d, N).
 
-
-def _report(m: np.ndarray, lam: np.ndarray) -> MeasureReport:
-    """Every quantifier of each matrix in a checked stack (N, d, d), given the spectra `lam`.
-
-    `lam` may omit zero eigenvalues: the entropy ignores them.
+    The squared moduli are added one entry at a time in row-major order, so
+    the bits depend neither on N nor on the planes' memory layout.
     """
-    d = m.shape[-1]
-    populations = np.diagonal(m, axis1=1, axis2=2).real
+    sq = re * re
+    sq += im * im
+    return functools.reduce(np.add, sq.reshape(len(sq) ** 2, sq.shape[-1]))
+
+
+def _report(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> MeasureReport:
+    """Every quantifier of each state in a stack, from its diagonal, spectrum and purity.
+
+    `populations` (N, d) is each density matrix's diagonal, `lam` its
+    eigenvalues (zero eigenvalues may be omitted: the entropy ignores them)
+    and `purity` (N,) its Tr(rho^2).
+    """
+    d = populations.shape[-1]
     s = _entropy(lam)
     s_diag = _entropy(np.sort(populations, axis=1))  # the diagonal part's spectrum is its diagonal
-    sq = np.abs(m) ** 2
-    c_hs = sq.reshape(len(m), d * d).sum(axis=1) - np.diagonal(sq, axis1=1, axis2=2).sum(axis=1)
-    s_l = _linear_entropy(m)
-    p_l = _linear_predictability(populations)
+    diag_purity = (populations * populations).sum(axis=-1)
+    c_hs = purity - diag_purity
+    s_l = 1.0 - purity
+    p_l = _linear_predictability(diag_purity, d)
     c_re = s_diag - s
     p_vn = math.log2(d) - s_diag
     return MeasureReport(
@@ -85,6 +92,14 @@ def _report(m: np.ndarray, lam: np.ndarray) -> MeasureReport:
     )
 
 
+def _stack_report(m: np.ndarray) -> MeasureReport:
+    """The report of each matrix in a checked stack (N, d, d) with unit traces."""
+    lam = hermitian_eigenvalues(m)
+    planes = m.transpose(1, 2, 0)
+    purity = _purity(planes.real, planes.imag)
+    return _report(np.diagonal(m, axis1=1, axis2=2).real, lam, purity)
+
+
 def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
     """All quantifiers at once.
 
@@ -94,29 +109,80 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
     checked when it was built.
     """
     if isinstance(rho, DensityMatrix):
-        m = rho.matrix[None]
-        one = _report(m, hermitian_eigenvalues(m))
+        one = _stack_report(rho.matrix[None])
         return MeasureReport(**{k: v if k == "dim" else float(v[0]) for k, v in vars(one).items()})
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
     if not (np.abs(np.trace(m, axis1=1, axis2=2) - 1.0) <= TRACE_TOL).all():
         raise ValueError("every trace must be 1 within 1e-12")
-    return _report(m, hermitian_eigenvalues(m))
+    return _stack_report(m)
+
+
+def _gram_eigenvalues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (N, k) of the Hermitian matrices held as planes re, im (k, k, N).
+
+    Only the lower triangle is read, as `hermitian_eigenvalues` reads it:
+    the closed 2x2 form for k = 2, LAPACK `eigvalsh` for k >= 3.
+    """
+    if len(re) == 2:
+        return _qubit_eigenvalues(re[0, 0], re[1, 1], re[1, 0] + 1j * im[1, 0])
+    m = np.empty((re.shape[2], len(re), len(re)), dtype=complex)
+    m.real, m.imag = re.transpose(2, 0, 1), im.transpose(2, 0, 1)
+    return np.linalg.eigvalsh(m)
+
+
+def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Planes re, im (k, k, N) of G[i, l] = sum_j x[i, j] x[l, j]* for amplitude planes x (k, m, 2, N).
+
+    The sum runs over j one term at a time, into the output in place; each
+    term's products are added before it is accumulated, as in einsum's
+    complex product, so G has the bits of psi psi^H by einsum.
+    """
+    k, _, _, n = x.shape
+    re, im = np.zeros((k, k, n)), np.zeros((k, k, n))
+    term, part = np.empty((k, k, n)), np.empty((k, k, n))
+    for r, i in x.transpose(1, 2, 0, 3):
+        rc, ic = r[:, None], i[:, None]
+        np.multiply(rc, r, term)
+        term += np.multiply(ic, i, part)
+        re += term
+        np.multiply(ic, r, term)
+        term -= np.multiply(rc, i, part)
+        im += term
+    return re, im
 
 
 def _pure_report(psi: np.ndarray) -> MeasureReport:
     """The report of rho_A for each pure state in a stack of amplitude matrices psi[N, dA, dB].
 
-    rho_A and rho_B share their nonzero eigenvalues, the squared Schmidt
-    coefficients, so the spectrum is taken from the smaller of the two;
-    rho_A's dA - dB extra zero eigenvalues add nothing to the entropy.
-    The states must be normalized: there is no trace check here.
+    The work is done on real planes with the state index innermost. rho_A
+    and rho_B share their purity and their nonzero eigenvalues, the squared
+    Schmidt coefficients, so only the smaller Gram matrix of psi is formed:
+    rho_A = psi psi^H when dB >= dA, rho_B = psi^T psi* otherwise. rho_A's
+    populations are the row sums of |psi|^2. A real or strided stack is
+    read as it is, with no complex copy. The states must be normalized:
+    there is no trace check here. Non-finite amplitudes raise ValueError.
     """
-    rho_a = np.einsum("nab,ncb->nac", psi, psi.conj())
-    _, da, db = psi.shape
-    smaller = np.einsum("nab,nac->nbc", psi, psi.conj()) if db < da else rho_a
-    return _report(rho_a, hermitian_eigenvalues(smaller))
+    psi = np.asarray(psi)
+    n, da, db = psi.shape
+    planes = np.empty((da, db, 2, n))
+    planes[:, :, 0] = psi.real.transpose(1, 2, 0)
+    planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
+    if not np.isfinite(planes).all():
+        raise ValueError("amplitudes must be finite")
+    re, im = _gram(planes if db >= da else planes.swapaxes(0, 1))
+    # rho_A's diagonal: |psi[a, b]|^2 summed in order b = 0, 1, ...
+    if db >= da:
+        # G is rho_A. Its diagonal is left a strided view: with dA <= 4 the
+        # report's row sums add in the same order in any layout
+        populations = np.diagonal(re)
+    else:
+        # in C order, so that the report sums a row of eight pairwise, as
+        # numpy sums a row of an einsum rho_A's diagonal
+        mod2 = planes[:, :, 0] ** 2 + planes[:, :, 1] ** 2
+        populations = np.ascontiguousarray(functools.reduce(np.add, mod2.swapaxes(0, 1)).T)
+    return _report(populations, _gram_eigenvalues(re, im), _purity(re, im))
 
 
 def svn(rho: DensityMatrix) -> float:

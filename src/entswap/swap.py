@@ -134,5 +134,6 @@ def predictability_probability(q):
     probabilities agree with special_case_probs to rounding.
     """
     q = require_weight(q, "q")
-    pl_value = measures._linear_predictability(np.stack([q, 1.0 - q], axis=-1))
+    v = 1.0 - q
+    pl_value = measures._linear_predictability(q * q + v * v, 2)
     return 0.5 * (0.5 + pl_value), 0.5 * (0.5 - pl_value), pl_value

@@ -246,15 +246,20 @@ def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field):
     assert json.loads(out)["pass"] is False
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "vn_sum is log2 d for any spectrum and l_sum is (d-1)/d for any Hermitian rho, "
     "so verify checks only rounding and cannot see a broken eigensolver"))
 def test_verify_fails_on_an_eigensolver_that_ignores_coherences(capsys, monkeypatch):
-    def sorted_diagonal(m):
-        return np.sort(np.diagonal(np.asarray(m), axis1=-2, axis2=-1).real, axis=-1)
+    calls = []
 
-    monkeypatch.setattr(measures, "hermitian_eigenvalues", sorted_diagonal)
+    def sorted_diagonal(re, im):
+        calls.append(len(re))
+        return np.sort(np.diagonal(re), axis=-1)
+
+    monkeypatch.setattr(measures, "_gram_eigenvalues", sorted_diagonal)
     code, _, _ = run_main(capsys, ["verify", "--trials", "2000", "--dims", "3,2"])
+    if calls != [2, 2]:  # pytest.fail is no AssertionError, so a solver that never ran fails this test
+        pytest.fail(f"the sorted-diagonal solver ran on {calls}, not on two qubit chunks")
     assert code == 1
 
 
@@ -631,8 +636,17 @@ def test_figures_and_swap_bytes_match_an_eigvalsh_spectrum(capsys, monkeypatch):
         return [run_main(capsys, argv)[:2] for argv in argvs]
 
     closed_form = outputs()
-    monkeypatch.setattr(measures, "hermitian_eigenvalues", oracles.eigvalsh_eigenvalues)
+    calls = []
+
+    def eigvalsh_planes(re, im):
+        calls.append(re.shape)
+        return oracles.eigvalsh_eigenvalues((re + 1j * im).transpose(2, 0, 1))
+
+    monkeypatch.setattr(measures, "_gram_eigenvalues", eigvalsh_planes)
     assert outputs() == closed_form
+    # one kernel call per figure 2b chunk and per swap document
+    assert len(calls) == 2 + len(weights) ** 2
+    assert {shape[:2] for shape in calls} == {(2, 2)}
 
 
 def test_swap_empirical_block(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import measures
+from entswap import measures, states, swap
 from entswap.cli import VERIFY_MAX_DIM
 from entswap.linalg import DensityMatrix
 from entswap.measures import report, svn
@@ -235,17 +236,21 @@ def test_report_rejects_malformed_stacks():
             report(bad)
 
 
+FIELDS = ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum")
+VN_FIELDS = ("c_re", "p_vn", "s_vn", "vn_sum")
+
+
 def kernel_spectrum(monkeypatch, psi):
-    """The report of `measures._pure_report` and the spectrum it hands to `_report`."""
-    real_report = measures._report
+    """The report of `measures._pure_report` and the spectrum it takes through `_gram_eigenvalues`."""
+    real_eigenvalues = measures._gram_eigenvalues
     seen = []
 
-    def spy(m, lam):
-        seen.append(lam)
-        return real_report(m, lam)
+    def spy(re, im):
+        seen.append(real_eigenvalues(re, im))
+        return seen[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(measures, "_report", spy)
+        patch.setattr(measures, "_gram_eigenvalues", spy)
         rep = measures._pure_report(psi)
     (lam,) = seen
     return rep, lam
@@ -258,7 +263,7 @@ def test_pure_report_takes_rho_b_spectrum_with_the_moments_of_rho_a(monkeypatch,
     rep, lam = kernel_spectrum(monkeypatch, psi)
     assert lam.shape == (len(psi), db)
     trace = np.trace(rho_a, axis1=1, axis2=2).real
-    purity = 1.0 - measures._linear_entropy(rho_a)
+    purity = np.einsum("nij,nji->n", rho_a, rho_a).real
     assert np.abs(lam.sum(axis=1) - trace).max() <= 1e-12
     assert np.abs((lam * lam).sum(axis=1) - purity).max() <= 1e-12
     assert np.abs(rep.s_vn - measures._entropy(oracles.eigvalsh_eigenvalues(rho_a))).max() <= 1e-14
@@ -268,6 +273,79 @@ def test_pure_report_takes_rho_b_spectrum_with_the_moments_of_rho_a(monkeypatch,
 def test_pure_report_at_db_not_below_da_is_the_report_of_rho_a(da, db):
     psi, rho_a = haar_psi(da, db, seed=62, count=2000)
     kernel, direct = measures._pure_report(psi), report(rho_a)
-    for field in ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum"):
+    for field in FIELDS:
         assert np.array_equal(getattr(kernel, field), getattr(direct, field))
     assert kernel.dim == direct.dim == da
+
+
+def swap_stacks():
+    """The 2x2 amplitude stacks `swap` reduces: Schmidt pairs and live branches on a weight grid."""
+    w = np.linspace(0.0, 1.0, 41)
+    yield np.sqrt(np.stack([w, 0 * w, 0 * w, 1.0 - w], axis=1)).reshape(-1, 2, 2)
+    amps = swap._post_amplitudes(*(a.ravel() for a in np.meshgrid(w, w))).reshape(-1, 4)
+    yield amps[np.isfinite(amps).all(axis=1)].reshape(-1, 2, 2)
+
+
+def test_pure_report_keeps_the_einsum_kernel_bits_on_swap_states():
+    for psi in swap_stacks():
+        kernel, reference = measures._pure_report(psi), oracles.pure_report_einsum(psi)
+        for field in VN_FIELDS:
+            assert np.array_equal(getattr(kernel, field), getattr(reference, field)), field
+        for field in FIELDS:
+            assert np.abs(getattr(kernel, field) - getattr(reference, field)).max() <= 2e-15, field
+
+
+@pytest.mark.parametrize("da, db", VERIFY_DIMS)
+def test_pure_report_agrees_with_the_einsum_kernel(da, db):
+    # the von Neumann fields keep their bits, so verify's max_vn_residual does;
+    # the linear ones now come from the purity and move in their last bits
+    psi, _ = haar_psi(da, db, seed=64, count=3000)
+    kernel, reference = measures._pure_report(psi), oracles.pure_report_einsum(psi)
+    for field in VN_FIELDS:
+        assert np.array_equal(getattr(kernel, field), getattr(reference, field)), field
+    for field in FIELDS:
+        assert np.abs(getattr(kernel, field) - getattr(reference, field)).max() <= 2e-15, field
+    assert kernel.dim == reference.dim == da
+
+
+@pytest.mark.parametrize("da, db", VERIFY_DIMS)
+def test_pure_report_on_a_stack_matches_each_state_alone_bit_for_bit(da, db):
+    psi, _ = haar_psi(da, db, seed=65, count=9)
+    batch = measures._pure_report(psi)
+    for k in range(len(psi)):
+        one = measures._pure_report(psi[k:k + 1])
+        for field in FIELDS:
+            assert getattr(batch, field)[k] == getattr(one, field)[0], field
+
+
+def test_pure_report_takes_a_real_strided_stack():
+    # figure 2b hands the kernel a column of the real branch amplitudes, a strided view
+    x = np.linspace(0.0, 1.0, 101)
+    psi = swap._post_amplitudes(1.0 - x, x)[:, states.BELL_LABELS.index("psi+")].reshape(len(x), 2, 2)
+    assert psi.dtype == float and not psi.flags.c_contiguous
+    kernel, copied = measures._pure_report(psi), measures._pure_report(psi.astype(complex))
+    for field in FIELDS:
+        assert np.array_equal(getattr(kernel, field), getattr(copied, field))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0.5)])
+def test_pure_report_rejects_non_finite_amplitudes(bad):
+    for da, db in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        psi, _ = haar_psi(da, db, seed=66, count=4)
+        psi[2, da - 1, 0] = bad
+        with pytest.raises(ValueError):
+            measures._pure_report(psi)
+
+
+@pytest.mark.parametrize("da, db", VERIFY_DIMS)
+def test_pure_report_memory_stays_within_a_few_stacks(da, db):
+    psi, _ = haar_psi(da, db, seed=67, count=1024)
+    measures._pure_report(psi)  # first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        measures._pure_report(psi)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * psi.nbytes
