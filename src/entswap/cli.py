@@ -53,9 +53,9 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
     elif which == "2b":
         p = 1.0 - x
-        # the initial one-qubit state is diagonal: its populations are its spectrum
-        populations = np.column_stack([p, 1.0 - p])
-        initial = measures._report(populations, populations, (populations * populations).sum(axis=1))
+        # the initial one-qubit state is diagonal: its populations, as rows, are its spectrum
+        populations = np.stack([p, 1.0 - p])
+        initial = measures._report(populations, populations, (populations * populations).sum(axis=0))
         psi_plus = swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")]
         final = measures._pure_report(psi_plus.reshape(len(x), 2, 2))
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]

@@ -8,6 +8,7 @@ function here is pure, so concurrent callers never interfere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,11 +92,11 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     _check_hermitian(a, (2, 3))
     if a.shape[-1] != 2:
         return np.linalg.eigvalsh(a)
-    return _qubit_eigenvalues(a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0])
+    return np.moveaxis(_qubit_eigenvalues(a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]), 0, -1)
 
 
 def _qubit_eigenvalues(d0, d1, b) -> np.ndarray:
-    """Ascending eigenvalues (..., 2) of the Hermitian 2x2 matrices [[d0, b*], [b, d1]].
+    """Ascending eigenvalues of the Hermitian 2x2 matrices [[d0, b*], [b, d1]], as rows (2, ...).
 
     lambda = mean -+ hypot(h, |b|) with h the half gap, written as the outer
     diagonal entry -+ s so that a zero b gives back the diagonal exactly;
@@ -103,7 +104,30 @@ def _qubit_eigenvalues(d0, d1, b) -> np.ndarray:
     """
     h = np.abs(0.5 * d0 - 0.5 * d1)
     s = np.hypot(h, np.abs(b)) - h
-    lam = np.empty(s.shape + (2,))
-    np.subtract(np.minimum(d0, d1), s, lam[..., 0])
-    np.add(np.maximum(d0, d1), s, lam[..., 1])
+    lam = np.empty((2,) + s.shape)
+    np.subtract(np.minimum(d0, d1), s, lam[0, ...])
+    np.add(np.maximum(d0, d1), s, lam[1, ...])
     return lam
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of x (d, ...), added in the order numpy's `sum` adds a row of d.
+
+    numpy starts from 0.0 and adds fewer than eight terms one after another.
+    From eight terms on (up to 128) it adds term j into partial sum j mod 8
+    over the whole blocks of eight, combines the partial sums as ((r0 + r1)
+    + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the terms left over one
+    at a time. So `_row_sums(x.T)` is `x.sum(axis=-1)` bit for bit, in any
+    layout of x, with each step one addition of whole rows.
+    """
+    d = len(x)
+    if d < 8:
+        out, rest = 0.0 + x[0], x[1:]
+    else:
+        whole = d - d % 8
+        r = [functools.reduce(np.add, x[j:whole:8]) for j in range(8)]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        out, rest = 0.0 + tree, x[whole:]
+    for row in rest:
+        out += row
+    return out

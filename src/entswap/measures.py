@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TRACE_TOL, DensityMatrix, _qubit_eigenvalues, hermitian_eigenvalues
+from .linalg import TRACE_TOL, DensityMatrix, _qubit_eigenvalues, _row_sums, hermitian_eigenvalues
 
 EIG_CLAMP = 1e-12  # eigenvalues with |lam| below this count as exact zeros
 EIG_NEG_TOL = 1e-10  # most negative eigenvalue tolerated on a density matrix
@@ -39,12 +39,26 @@ class MeasureReport:
 
 
 def _entropy(lam: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each spectrum along the last axis of `lam`."""
+    """Entropy in bits of each spectrum along the first axis of `lam` (k, ...)."""
     lowest = lam.min(initial=0.0)
     if lowest < -EIG_NEG_TOL:
         raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
     kept = np.where(lam < EIG_CLAMP, 1.0, lam)  # tiny magnitudes count as exact zeros: 1*log2(1) = 0
-    return 0.0 - (kept * np.log2(kept)).sum(axis=-1)  # 0.0 - x, not -x, so a zero entropy is +0.0
+    return 0.0 - _row_sums(kept * np.log2(kept))  # 0.0 - x, not -x, so a zero entropy is +0.0
+
+
+def _sorted_rows(x: np.ndarray) -> np.ndarray:
+    """x (d, N) with each column sorted ascending, by an odd-even transposition network.
+
+    Round r compares rows i and i + 1 for every i of r's parity, and d
+    rounds sort d rows. min and max only select values, so the result is
+    np.sort's along the columns, bit for bit, at a few whole-row calls.
+    """
+    rows = list(x)
+    for r in range(len(rows)):
+        for i in range(r % 2, len(rows) - 1, 2):
+            rows[i], rows[i + 1] = np.minimum(rows[i], rows[i + 1]), np.maximum(rows[i], rows[i + 1])
+    return np.stack(rows)
 
 
 def _linear_predictability(diag_purity: np.ndarray, d: int) -> np.ndarray:
@@ -66,14 +80,17 @@ def _purity(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def _report(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> MeasureReport:
     """Every quantifier of each state in a stack, from its diagonal, spectrum and purity.
 
-    `populations` (N, d) is each density matrix's diagonal, `lam` its
-    eigenvalues (zero eigenvalues may be omitted: the entropy ignores them)
-    and `purity` (N,) its Tr(rho^2).
+    `populations` (d, N) holds the density matrices' diagonals as rows,
+    `lam` (k, N) their eigenvalues (zero eigenvalues may be omitted: the
+    entropy ignores them) and `purity` (N,) their Tr(rho^2). Every step
+    works on whole rows of N, in any layout; the sums over a column add in
+    the order numpy's `sum` adds a row of d, so the bits are those of the
+    same tail over (N, d) columns.
     """
-    d = populations.shape[-1]
+    d = len(populations)
     s = _entropy(lam)
-    s_diag = _entropy(np.sort(populations, axis=1))  # the diagonal part's spectrum is its diagonal
-    diag_purity = (populations * populations).sum(axis=-1)
+    s_diag = _entropy(_sorted_rows(populations))  # the diagonal part's spectrum is its diagonal
+    diag_purity = _row_sums(populations * populations)
     c_hs = purity - diag_purity
     s_l = 1.0 - purity
     p_l = _linear_predictability(diag_purity, d)
@@ -97,7 +114,7 @@ def _stack_report(m: np.ndarray) -> MeasureReport:
     lam = hermitian_eigenvalues(m)
     planes = m.transpose(1, 2, 0)
     purity = _purity(planes.real, planes.imag)
-    return _report(np.diagonal(m, axis1=1, axis2=2).real, lam, purity)
+    return _report(np.diagonal(m, axis1=1, axis2=2).real.T, lam.T, purity)
 
 
 def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
@@ -123,10 +140,12 @@ def _gram_eigenvalues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (N, k) of the Hermitian matrices held as planes re, im (k, k, N).
 
     Only the lower triangle is read, as `hermitian_eigenvalues` reads it:
-    the closed 2x2 form for k = 2, LAPACK `eigvalsh` for k >= 3.
+    the closed 2x2 form for k = 2, LAPACK `eigvalsh` for k >= 3. The
+    closed form writes rows (2, N), returned transposed, so the report
+    reads them back as contiguous rows.
     """
     if len(re) == 2:
-        return _qubit_eigenvalues(re[0, 0], re[1, 1], re[1, 0] + 1j * im[1, 0])
+        return _qubit_eigenvalues(re[0, 0], re[1, 1], re[1, 0] + 1j * im[1, 0]).T
     m = np.empty((re.shape[2], len(re), len(re)), dtype=complex)
     m.real, m.imag = re.transpose(2, 0, 1), im.transpose(2, 0, 1)
     return np.linalg.eigvalsh(m)
@@ -172,17 +191,13 @@ def _pure_report(psi: np.ndarray) -> MeasureReport:
     if not np.isfinite(planes).all():
         raise ValueError("amplitudes must be finite")
     re, im = _gram(planes if db >= da else planes.swapaxes(0, 1))
-    # rho_A's diagonal: |psi[a, b]|^2 summed in order b = 0, 1, ...
+    # rho_A's diagonal as rows (dA, N): |psi[a, b]|^2 summed in order b = 0, 1, ...
     if db >= da:
-        # G is rho_A. Its diagonal is left a strided view: with dA <= 4 the
-        # report's row sums add in the same order in any layout
-        populations = np.diagonal(re)
+        populations = np.diagonal(re).T  # G is rho_A
     else:
-        # in C order, so that the report sums a row of eight pairwise, as
-        # numpy sums a row of an einsum rho_A's diagonal
         mod2 = planes[:, :, 0] ** 2 + planes[:, :, 1] ** 2
-        populations = np.ascontiguousarray(functools.reduce(np.add, mod2.swapaxes(0, 1)).T)
-    return _report(populations, _gram_eigenvalues(re, im), _purity(re, im))
+        populations = functools.reduce(np.add, mod2.swapaxes(0, 1))
+    return _report(populations, _gram_eigenvalues(re, im).T, _purity(re, im))
 
 
 def svn(rho: DensityMatrix) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, _row_sums, partial_trace
 
 NORM_TOL = 1e-12
 
@@ -73,8 +73,13 @@ def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -
 
     State k consumes uniform draws [2*d*(start+k), 2*d*(start+k+1)) of the
     seed's stream, d = dim_a*dim_b, so batches of any size agree draw for
-    draw.
+    draw. Rows are scaled in place by their reciprocal norms, as numpy
+    divides complex by real, with the norms summed as `np.linalg.norm` sums
+    them: the bits of z / np.linalg.norm(z, axis=1, keepdims=True).
     """
     d = dim_a * dim_b
     z = _rng.complex_normals(seed, 2 * d * start, count * d).reshape(count, d)
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    norm2 = _row_sums((z.conj() * z).real.T)
+    parts = z.view(np.float64)  # (count, 2d): each amplitude's real and imaginary part
+    parts *= (1.0 / np.sqrt(norm2))[:, None]
+    return z

@@ -114,8 +114,8 @@ def post_entropies(p, q):
     """Entanglement entropy of the phi- and psi-branch post states, in bits."""
     s = swap_spectrum(p, q)
     return (
-        measures._entropy(np.stack([s.a, s.b], axis=-1)),
-        measures._entropy(np.stack([s.c, s.d], axis=-1)),
+        measures._entropy(np.stack([s.a, s.b])),
+        measures._entropy(np.stack([s.c, s.d])),
     )
 
 

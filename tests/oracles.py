@@ -15,11 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from entswap import measures, rng, swap
+from entswap.cli import VERIFY_MAX_DIM
 from entswap.experiment import RunConfig, run_ensemble
 from entswap.linalg import hermitian_eigenvalues
 from entswap.states import BELL_LABELS, PureState, _pair_amplitudes, schmidt_pair
 
 _SQRT2 = np.sqrt(2.0)
+
+# every (DA, DB) that `verify --dims` accepts
+VERIFY_DIMS = [(da, db) for da in range(2, VERIFY_MAX_DIM // 2 + 1) for db in range(2, VERIFY_MAX_DIM // da + 1)]
 
 # B[c, c'] amplitude matrices of the four Bell states on the measured wires
 BELL_MATRICES = {
@@ -191,6 +195,39 @@ def eigvalsh_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(m, dtype=complex))
 
 
+def entropy_columns(lam: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each spectrum along the last axis of `lam`, by numpy's `sum` over it.
+
+    The library's entropy before it summed whole rows: the reference
+    `measures._entropy` is held to bit for bit.
+    """
+    lowest = lam.min(initial=0.0)
+    if lowest < -measures.EIG_NEG_TOL:
+        raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
+    kept = np.where(lam < measures.EIG_CLAMP, 1.0, lam)
+    return 0.0 - (kept * np.log2(kept)).sum(axis=-1)
+
+
+def report_columns(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> measures.MeasureReport:
+    """The report tail over columns: populations (N, d), spectra (N, k), purities (N,).
+
+    `measures._report` as it was before it took rows (d, N): np.sort along
+    each state's populations and numpy's `sum` along each state's row. The
+    reference the row tail is held to bit for bit.
+    """
+    d = populations.shape[-1]
+    s = entropy_columns(lam)
+    s_diag = entropy_columns(np.sort(populations, axis=1))
+    diag_purity = (populations * populations).sum(axis=-1)
+    c_hs = purity - diag_purity
+    s_l = 1.0 - purity
+    p_l = measures._linear_predictability(diag_purity, d)
+    c_re = s_diag - s
+    p_vn = math.log2(d) - s_diag
+    return measures.MeasureReport(c_re=c_re, p_vn=p_vn, s_vn=s, vn_sum=c_re + p_vn + s, c_hs=c_hs,
+                                  p_l=p_l, s_l=s_l, l_sum=c_hs + p_l + s_l, dim=d)
+
+
 def pure_report_einsum(psi: np.ndarray) -> measures.MeasureReport:
     """The report of rho_A for each pure state in psi[N, dA, dB], by complex einsum reductions.
 
@@ -203,9 +240,9 @@ def pure_report_einsum(psi: np.ndarray) -> measures.MeasureReport:
     n, da, db = psi.shape
     rho_a = np.einsum("nab,ncb->nac", psi, psi.conj())
     smaller = np.einsum("nab,nac->nbc", psi, psi.conj()) if db < da else rho_a
-    s = measures._entropy(hermitian_eigenvalues(smaller))
+    s = entropy_columns(hermitian_eigenvalues(smaller))
     populations = np.diagonal(rho_a, axis1=1, axis2=2).real
-    s_diag = measures._entropy(np.sort(populations, axis=1))
+    s_diag = entropy_columns(np.sort(populations, axis=1))
     sq = np.abs(rho_a) ** 2
     c_hs = sq.reshape(n, da * da).sum(axis=1) - np.diagonal(sq, axis1=1, axis2=2).sum(axis=1)
     s_l = 1.0 - np.einsum("nij,nji->n", rho_a, rho_a).real
@@ -214,6 +251,32 @@ def pure_report_einsum(psi: np.ndarray) -> measures.MeasureReport:
     p_vn = math.log2(da) - s_diag
     return measures.MeasureReport(c_re=c_re, p_vn=p_vn, s_vn=s, vn_sum=c_re + p_vn + s, c_hs=c_hs,
                                   p_l=p_l, s_l=s_l, l_sum=c_hs + p_l + s_l, dim=da)
+
+
+def bits(x) -> np.ndarray:
+    """The IEEE bit patterns of a float64 or complex128 array, so that equality sees the sign of a zero."""
+    return np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.int64)
+
+
+def complex_normals_exp(seed: int, start: int, count: int) -> np.ndarray:
+    """Complex Gaussians r * exp(2j*pi*u) through numpy's complex exp, one per pair of draws.
+
+    `rng.complex_normals` as it was before it wrote r*cos and r*sin into the
+    two halves: the reference it is held to bit for bit.
+    """
+    u = rng.uniforms(seed, start, 2 * count)
+    return np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])
+
+
+def haar_states_norm(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Haar states as rows divided by `np.linalg.norm`, from `complex_normals_exp`.
+
+    `states.haar_states` as it was before it scaled the rows in place: the
+    reference it is held to bit for bit.
+    """
+    d = dim_a * dim_b
+    z = complex_normals_exp(seed, 2 * d * start, count * d).reshape(count, d)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 # splitmix64 one draw at a time, with its own copy of the constants

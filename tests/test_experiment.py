@@ -70,6 +70,13 @@ def test_complex_normals_deterministic_and_indexed():
         assert rng.complex_normals(5, 2 * k, 1)[0] == z[k]
 
 
+def test_complex_normals_keep_the_bits_of_the_complex_exp():
+    # cos and sin written into the halves must round as numpy's complex exp does
+    for seed, start in ((5, 0), (2024, 123_457), (2**64 - 1, 2**40)):
+        z = rng.complex_normals(seed, start, 100_000)
+        assert np.array_equal(oracles.bits(z), oracles.bits(oracles.complex_normals_exp(seed, start, 100_000)))
+
+
 def test_complex_normals_moments():
     z = rng.complex_normals(2024, 0, 40_000)
     assert abs(z.mean()) < 0.02

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap.linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues, partial_trace
+from entswap.linalg import DensityMatrix, NonHermitianError, _row_sums, hermitian_eigenvalues, partial_trace
 from oracles import kron
 
 
@@ -303,3 +303,14 @@ def test_eigenvalues_of_larger_matrices_do_not_overflow():
     assert np.isfinite(vals).all()
     expected = np.array([-np.sqrt(2), 0.0, np.sqrt(2)]) * 1e308
     assert np.abs(vals - expected).max() < 1e-15 * np.sqrt(2) * 1e308
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_row_sums_add_in_the_order_of_numpys_sum(d):
+    # magnitudes 1e-8, 1 and 1e8 with both signs make any change of order show in the last bits
+    gen = np.random.default_rng(d)
+    x = gen.choice([-1e8, -1.0, -1e-8, 1e-8, 1.0, 1e8], size=(4096, d)) * gen.uniform(1.0, 2.0, size=(4096, d))
+    x[:4] = gen.choice([-0.0, 0.0], size=(4, d))  # rows of signed zeros sum to +0.0
+    expected = oracles.bits(x.sum(axis=-1))
+    assert np.array_equal(oracles.bits(_row_sums(x.T)), expected)
+    assert np.array_equal(oracles.bits(_row_sums(np.ascontiguousarray(x.T))), expected)

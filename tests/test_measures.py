@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from entswap import measures, states, swap
-from entswap.cli import VERIFY_MAX_DIM
-from entswap.linalg import DensityMatrix
+from entswap.linalg import DensityMatrix, hermitian_eigenvalues
 from entswap.measures import report, svn
 from entswap.states import PureState, haar_states
-
-# every (DA, DB) that `verify --dims` accepts
-VERIFY_DIMS = [(da, db) for da in range(2, VERIFY_MAX_DIM // 2 + 1) for db in range(2, VERIFY_MAX_DIM // da + 1)]
+from oracles import VERIFY_DIMS
 
 
 def haar_state(da, db, seed, index=0):
@@ -266,7 +263,7 @@ def test_pure_report_takes_rho_b_spectrum_with_the_moments_of_rho_a(monkeypatch,
     purity = np.einsum("nij,nji->n", rho_a, rho_a).real
     assert np.abs(lam.sum(axis=1) - trace).max() <= 1e-12
     assert np.abs((lam * lam).sum(axis=1) - purity).max() <= 1e-12
-    assert np.abs(rep.s_vn - measures._entropy(oracles.eigvalsh_eigenvalues(rho_a))).max() <= 1e-14
+    assert np.abs(rep.s_vn - oracles.entropy_columns(oracles.eigvalsh_eigenvalues(rho_a))).max() <= 1e-14
 
 
 @pytest.mark.parametrize("da, db", [(da, db) for da, db in VERIFY_DIMS if db >= da])
@@ -335,6 +332,52 @@ def test_pure_report_rejects_non_finite_amplitudes(bad):
         psi[2, da - 1, 0] = bad
         with pytest.raises(ValueError):
             measures._pure_report(psi)
+
+
+def assert_the_column_tail(rep, populations, lam, purity):
+    """`rep` has the bits of the report tail over (N, d) columns on the same C-ordered inputs."""
+    reference = oracles.report_columns(np.ascontiguousarray(populations), np.ascontiguousarray(lam), purity)
+    for field in FIELDS:
+        assert np.array_equal(oracles.bits(getattr(rep, field)), oracles.bits(getattr(reference, field))), field
+    assert rep.dim == reference.dim
+
+
+@pytest.mark.parametrize("da, db", VERIFY_DIMS)
+def test_row_tail_keeps_the_bits_of_the_column_tail(monkeypatch, da, db):
+    real_tail = measures._report
+    seen = []
+
+    def spy(populations, lam, purity):
+        seen.append((populations, lam, purity, real_tail(populations, lam, purity)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(measures, "_report", spy)
+    psi, _ = haar_psi(da, db, seed=68, count=3000)
+    measures._pure_report(psi)
+    ((populations, lam, purity, rep),) = seen
+    assert populations.shape == (da, len(psi)) and lam.shape == (min(da, db), len(psi))
+    assert_the_column_tail(rep, populations.T, lam.T, purity)
+
+
+def density_stack(d, seed, count=500):
+    """Random full-rank density matrices, then diagonal ones with tied and zero populations."""
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(count, d, d)) + 1j * gen.normal(size=(count, d, d))
+    m = x @ x.conj().swapaxes(1, 2)
+    m /= np.trace(m, axis1=1, axis2=2)[:, None, None]
+    levels = gen.choice([0.0, 1.0, 2.0, 3.0], size=(count, d))
+    levels[:, 0] += 1.0  # no all-zero diagonal
+    levels /= levels.sum(axis=1, keepdims=True)
+    return np.concatenate([m, levels[:, :, None] * np.eye(d)])
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_report_of_a_stack_keeps_the_bits_of_the_column_tail(d):
+    m = density_stack(d, seed=69 + d)
+    planes = m.transpose(1, 2, 0)
+    purity = measures._purity(planes.real, planes.imag)
+    populations = np.diagonal(m, axis1=1, axis2=2).real
+    assert_the_column_tail(report(m), populations, hermitian_eigenvalues(m), purity)
 
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)

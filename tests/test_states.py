@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,24 @@ def test_haar_states_normalized_and_deterministic():
     assert np.abs(np.linalg.norm(batch, axis=1) - 1.0).max() < 1e-12
     again = haar_states(3, 2, seed=99, count=8)
     assert np.array_equal(batch, again)
+
+
+@pytest.mark.parametrize("da, db", oracles.VERIFY_DIMS)
+def test_haar_states_keep_the_bits_of_the_norm_division(da, db):
+    batch = haar_states(da, db, seed=71, count=4096, start=37)
+    assert np.array_equal(oracles.bits(batch), oracles.bits(oracles.haar_states_norm(da, db, 71, 4096, start=37)))
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (3, 2), (5, 3), (4, 4)])
+def test_haar_states_memory_stays_within_a_few_batches(da, db):
+    haar_states(da, db, seed=72, count=1024)  # first-call allocations are not the draw's
+    tracemalloc.start()
+    try:
+        batch = haar_states(da, db, seed=72, count=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * batch.nbytes
 
 
 def test_haar_state_matches_batch_row():
