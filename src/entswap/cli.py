@@ -64,10 +64,110 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     return np.column_stack(columns)
 
 
+# `%.17g` of a cell with 1e-4 <= |v| < 10 is fixed notation: decimal exponent X in
+# [-4, 0], 17 digits, trailing zeros dropped. `_csv_cells` writes such a cell with
+# array arithmetic into a frame with room for every digit, sign and zero, then drops
+# the frame bytes the cell does not show; every other cell is written by `%` itself.
+CSV_CELLS = 2048  # cells per sub-block of `_csv_lines`: bounds its temporaries
+# i = how many of these are <= |v|. Each double is at or above its power of ten,
+# so i = X + 5 exactly for the cells above; i is 0 or 6 for the rest, NaN included.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
+_FAST = np.array([False, True, True, True, True, True, False])
+# 10^(16 - X) by i: an exact double for X >= -4, so |v| * 10^(16 - X) is in [1e16, 1e17)
+_SCALE = np.array([1e16, 1e20, 1e19, 1e18, 1e17, 1e16, 1e16])
+_SCALE_HI = _SCALE * 134217729.0 - (_SCALE * 134217729.0 - _SCALE)  # Veltkamp split at 2^27 + 1
+_SCALE_LO = _SCALE - _SCALE_HI
+_FRAME = np.frombuffer(b"-0.000d.dddddddddddddddd,", dtype=np.uint8)
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables for the four 4-digit groups of a cell's 16 fraction digits.
+
+    The first holds, for each g in 0..9999, its 4 ASCII digits as one uint32
+    in memory order. The second holds, at 10000 * j + g, the index (1..16) of
+    the last nonzero of fraction digits 4j+1..4j+4 when they are g's digits,
+    and 0 when g is 0.
+    """
+    digits = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0..9999, thousands first
+    quads = (digits.T + 48).astype(np.uint8, order="C").view(np.uint32).ravel()
+    last = np.max((digits > 0) * np.arange(1, 5)[:, None], axis=0)
+    return quads, np.where(last > 0, last + 4 * np.arange(4)[:, None], 0).ravel()
+
+
+_QUADS, _LAST_DIGIT = _digit_tables()
+_GROUP_BASE = 10000 * np.arange(4)[:, None]
+
+
+def _keep_masks() -> np.ndarray:
+    """The frame bytes a cell shows, as 0xff or 0, by key L + 17 * (i + 7 * sign).
+
+    L is the index (0..16) of its last nonzero digit after the first. A
+    cell of decades 1..5 shows `-` if negative; for X < 0 it shows `0.`,
+    -X-1 zeros, then its digits without the frame's `.`; for X = 0 its first
+    digit, then `.` and digits 1..L when L > 0. A cell of decade 0 or 6
+    keeps every byte.
+    """
+    pos = np.arange(len(_FRAME))
+    sign, i, last = (axis[..., None] for axis in np.ix_(range(2), range(7), range(17)))
+    x = i - 5
+    keep = (
+        (pos == 0) & (sign == 1)
+        | (pos >= 1) & (pos < 2 - x) & (x < 0)
+        | (pos == 6)
+        | (pos == 7) & (x == 0) & (last > 0)
+        | (pos >= 8) & (pos - 7 <= last)
+        | (pos == 24)
+        | ~_FAST[i]
+    )
+    return np.where(keep, 255, 0).astype(np.uint8).reshape(-1, len(_FRAME))
+
+
+_KEEP = _keep_masks()
+
+
+def _csv_cells(v: np.ndarray, frames: np.ndarray) -> str:
+    """The cells v as `%.17g` text, each followed by the separator its frame row ends in."""
+    a = np.abs(v)
+    i = np.searchsorted(_DECADES, a, "right")
+    fast = _FAST[i]
+    a = np.where(fast, a, 1.0)  # other cells take a value that no cast below warns on
+    # y = a * 10^(16 - X) exactly, as hi + lo (Dekker's product)
+    big = a * 134217729.0
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    b_hi = _SCALE_HI[i]
+    b_lo = _SCALE_LO[i]
+    hi = a * _SCALE[i]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # hi >= 2^53 is an even integer, so rounding lo half to even rounds y half to even.
+    # No double below 10^(X+1) is within 8 of its last digit, so y < 10^17 - 8 and
+    # the 17 digits never carry into an 18th.
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    groups = np.empty((4, len(v)), np.int64)  # fraction digits 1-4, 5-8, 9-12, 13-16
+    for j in (3, 2, 1, 0):
+        rest = digits // 10000
+        np.subtract(digits, rest * 10000, out=groups[j])
+        digits = rest
+    frame = np.empty((len(v), len(_FRAME)), np.uint8)
+    frame.reshape(-1, *frames.shape)[...] = frames
+    frame[:, 6] = digits + 48
+    frame[:, 8:24] = np.ascontiguousarray(_QUADS[groups].T).view(np.uint8)
+    last = np.maximum.reduce(_LAST_DIGIT[groups + _GROUP_BASE], axis=0)
+    frame &= np.take(_KEEP, last + 17 * i + 119 * np.signbit(v), axis=0)  # a third of _KEEP[...]'s time
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % value for value in v[slow].tolist()]  # at most 24 bytes each
+        frame[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(len(slow), 24)
+    return frame.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_lines(rows: np.ndarray) -> str:
-    """The rows as CSV lines of `%.17g` cells, the whole block formatted by one `%`."""
+    """The rows as CSV lines of `%.17g` cells, formatted CSV_CELLS cells at a time."""
     n, k = rows.shape
-    return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(rows.ravel().tolist())
+    frames = np.tile(_FRAME, (k, 1))  # one row's frames: the last ends the line
+    frames[-1, -1] = ord("\n")
+    step = max(1, CSV_CELLS // k)
+    return "".join([_csv_cells(rows[start:start + step].ravel(), frames) for start in range(0, n, step)])
 
 
 def _figure_csv(which: str, grid: int):
@@ -110,7 +210,9 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
                 pass
             raise
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        # strerror, not str(exc): that would name the temp file, not `out`
+        reason = exc.strerror if exc.strerror is not None else str(exc)
+        print(f"error: cannot write {out}: {reason}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

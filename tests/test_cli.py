@@ -1,9 +1,12 @@
 import dataclasses
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,10 +106,12 @@ def test_figures_chunks_give_the_unchunked_bytes(capsys, monkeypatch, grid):
     assert all(len(out.splitlines()) == grid + 1 for _, out, _ in whole)
 
 
+# any double, or one near the figure range, where most cells take the array path
+_CELLS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(1e-5, 20.0)
 _ROW_BLOCKS = st.integers(4, 6).flatmap(
-    lambda k: st.lists(
-        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=k, max_size=k), max_size=20
-    ).map(lambda rows: np.array(rows, dtype=float).reshape(-1, k))
+    lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=20).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, k)
+    )
 )
 
 
@@ -124,6 +129,80 @@ def test_csv_lines_match_the_per_cell_formatter_on_edge_cells():
         assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
     for k in (4, 6):
         assert cli._csv_lines(np.empty((0, k))) == oracles.csv_lines_per_cell(np.empty((0, k))) == ""
+
+
+def _assert_same_lines(got, want):
+    """got == want, shown by the first differing lines: a diff of the whole text would take minutes."""
+    assert [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:3] == []
+    assert got.count("\n") == want.count("\n")
+
+
+def _assert_cells_match(values, k=4):
+    """`_csv_lines` on the values, k to a row (padded with the first), equals the per-cell oracle."""
+    values = np.asarray(values, dtype=float)
+    rows = np.resize(values, (-(-len(values) // k), k))
+    _assert_same_lines(cli._csv_lines(rows), oracles.csv_lines_per_cell(rows))
+
+
+def test_csv_decades_are_exact():
+    # each threshold double is at or above its power of ten, so counting the ones
+    # at or below |v| gives v's decimal exponent with no correction
+    for i, threshold in enumerate(cli._DECADES.tolist()):
+        assert Fraction(threshold) >= Fraction(10) ** (i - 4)
+        assert Fraction(np.nextafter(threshold, 0.0)) < Fraction(10) ** (i - 4)
+
+
+@pytest.mark.parametrize("x", range(-4, 1))
+def test_csv_lines_round_exact_ties_half_to_even(x):
+    # y = j / 2^e * 10^(16 - x) ends in exactly .5 when j is odd and e = 17 - x
+    e = 17 - x
+    low, high = math.ceil(10.0**x * 2**e), math.floor(10.0 ** (x + 1) * 2**e)
+    j = np.random.default_rng(100 + e).integers(low // 2, high // 2, 4000) * 2 + 1
+    ties = j / 2.0**e
+    assert all((Fraction(t) * 10 ** (16 - x)).denominator == 2 for t in ties[:200].tolist())
+    assert ((ties >= 10.0**x) & (ties < 10.0 ** (x + 1))).all()
+    for values in (ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, 20.0)):
+        _assert_cells_match(values)
+
+
+def test_csv_lines_match_around_powers_of_ten():
+    # the ulps on both sides of 1e-5 ... 10, into the neighbouring decade and to 10 itself
+    values = []
+    for k in range(-5, 2):
+        value = below = float(f"1e{k}")
+        for _ in range(12):
+            values += [value, below]
+            value, below = np.nextafter(value, 100.0), np.nextafter(below, 0.0)
+    values = np.array(values)
+    _assert_cells_match(np.concatenate([values, -values]), k=5)
+
+
+def test_csv_lines_match_on_seeded_values_across_the_fast_decades(monkeypatch):
+    values = 10.0 ** np.random.default_rng(2024).uniform(-5.0, math.log10(20.0), 100_000)
+    values = values[values < 20.0]
+    _assert_cells_match(values, k=5)
+    monkeypatch.setattr(cli, "CSV_CELLS", 7)  # sub-blocks of one row
+    _assert_cells_match(values[:5000], k=6)
+
+
+@pytest.mark.parametrize("grid", [4097, 5000])
+@pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
+def test_figures_bytes_match_the_per_cell_formatter_across_chunks(capsys, which, grid):
+    code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", str(grid)])
+    assert code == 0
+    rows = cli._figure_rows(which, np.arange(grid) / (grid - 1))
+    _assert_same_lines(out, ",".join(cli.FIGURE_HEADERS[which]) + "\n" + oracles.csv_lines_per_cell(rows))
+
+
+def test_csv_lines_peak_memory_stays_near_the_text():
+    rows = cli._figure_rows("1a", np.arange(cli.FIGURE_CHUNK) / (cli.FIGURE_CHUNK - 1))
+    tracemalloc.start()
+    try:
+        text = cli._csv_lines(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), (peak, len(text))
 
 
 def test_figures_failure_midway_leaves_no_file(tmp_path, monkeypatch):
@@ -162,7 +241,9 @@ def test_figures_unwritable_out_exits_3(tmp_path, capsys):
     target = tmp_path / "missing" / "fig.csv"
     code = main(["figures", "--which", "2a", "--grid", "3", "--out", str(target)])
     assert code == 3
-    assert "cannot write" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
+    assert ".tmp" not in err
 
 
 @pytest.mark.parametrize("argv, header", [
