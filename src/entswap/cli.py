@@ -43,6 +43,16 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+def _schmidt_report(amps: np.ndarray) -> measures.MeasureReport:
+    """The report of rho_A for two-qubit states in Schmidt form, from real amplitudes as rows (4, N).
+
+    Each state is zero outside one sector, |00>/|11> or |01>/|10>, so its
+    rho_A is diagonal, with populations |x00|^2 + |x01|^2 and |x10|^2 + |x11|^2.
+    """
+    sq = np.square(amps)
+    return measures._diagonal_report(sq[0::2] + sq[1::2])
+
+
 def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
@@ -54,10 +64,8 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     elif which == "2b":
         p = 1.0 - x
         # the initial one-qubit state is diagonal: its populations, as rows, are its spectrum
-        populations = np.stack([p, 1.0 - p])
-        initial = measures._report(populations, populations, (populations * populations).sum(axis=0))
-        psi_plus = swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")]
-        final = measures._pure_report(psi_plus.reshape(len(x), 2, 2))
+        initial = measures._diagonal_report(np.stack([p, 1.0 - p]))
+        final = _schmidt_report(swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")].T)
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
     else:
         raise ValueError(f"unknown figure {which!r}")
@@ -308,8 +316,8 @@ def _json_floats(values: list[float]) -> list:
 def cmd_swap(args: argparse.Namespace) -> int:
     outcomes = swap.bbm_outcomes(args.p, args.q)
     posts = [o.post_state.amplitudes for o in outcomes if o.post_state is not None]
-    amps = np.vstack([states._pair_amplitudes([args.p, args.q]), *posts]).reshape(-1, 2, 2)
-    rep = measures._pure_report(amps)  # one report for both source pairs and every branch
+    amps = np.vstack([states._pair_amplitudes([args.p, args.q]), *posts]).real  # every amplitude is real
+    rep = _schmidt_report(amps.T)  # one report for both source pairs and every branch
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     # the leaves in the template's order; each shown value is followed by its `_full` value
     floats = [args.p, args.q]

@@ -54,15 +54,17 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     draws stream in chunks of SHOT_CHUNK, and each chunk is counted under
     the cumulative boundaries, checked once per run, rather than labelled
     draw by draw (`rng._tally`, the counting form of `rng.categorical`).
-    Memory stays bounded, with no chunk's draws alive while the next is
-    drawn, and identical configs give identical results bit for bit.
+    Every chunk's draws are written into one buffer, allocated once per
+    run, so memory stays bounded and no chunk maps fresh pages; identical
+    configs give identical results bit for bit.
     """
     probs = swap.outcome_probabilities(cfg.p, cfg.q)
     boundaries = rng._boundaries([probs[label] for label in BELL_LABELS])
     tally = np.zeros(len(BELL_LABELS), dtype=np.int64)
+    buffer = np.empty(min(SHOT_CHUNK, cfg.shots))  # every chunk's draws, in turn
     for start in range(0, cfg.shots, SHOT_CHUNK):
         count = min(SHOT_CHUNK, cfg.shots - start)
-        tally += rng._tally(rng.uniforms(cfg.seed, start, count), boundaries)
+        tally += rng._tally(rng.uniforms(cfg.seed, start, count, out=buffer[:count]), boundaries)
     counts = {label: int(c) for label, c in zip(BELL_LABELS, tally)}
     empirical = {label: counts[label] / cfg.shots for label in BELL_LABELS}
     return EnsembleResult(counts=counts, empirical_freq=empirical, analytic_prob=probs)

@@ -109,6 +109,18 @@ def _report(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> Mea
     )
 
 
+def _diagonal_report(populations: np.ndarray) -> MeasureReport:
+    """The report of each diagonal density matrix in a stack, from its populations (d, N).
+
+    A diagonal matrix's spectrum is its diagonal and its purity the sum of
+    its squared populations, so no eigensolver runs. On a diagonal matrix
+    the closed 2x2 spectrum returns the diagonal sorted, and the entropy's
+    two-term sum does not depend on the order, so for d = 2 this has the
+    bits of `_pure_report` on Schmidt-form states.
+    """
+    return _report(populations, populations, _row_sums(populations * populations))
+
+
 def _stack_report(m: np.ndarray) -> MeasureReport:
     """The report of each matrix in a checked stack (N, d, d) with unit traces."""
     lam = hermitian_eigenvalues(m)

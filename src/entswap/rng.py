@@ -29,16 +29,21 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = 2.0**-53
 
 
-def uniforms(seed: int, start: int, count: int) -> np.ndarray:
+def uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draws [start, start + count) as doubles in [0, 1), vectorized.
 
     The words are mixed in place in one uint64 buffer; the output's own
     memory is the scratch for the shifts, so a call allocates two arrays.
+    As with numpy's `out=`, a given float64 array of shape (count,)
+    receives the draws and is returned, and only the words are new.
     """
+    if out is None:
+        out = np.empty(count, dtype=np.float64)
+    elif out.shape != (count,) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape ({count},)")
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(GOLDEN)  # wraps mod 2**64
     z += np.uint64(seed & MASK64)
-    out = np.empty(count, dtype=np.float64)
     t = out.view(np.uint64)
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t

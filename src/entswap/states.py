@@ -28,8 +28,8 @@ class PureState:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims) or math.prod(dims) != amps.size:
             raise ValueError(f"dims {dims} do not match amplitude count {amps.size}")
-        with np.errstate(over="ignore"):  # huge finite entries give an inf norm, rejected below
-            norm = float(np.linalg.norm(amps))
+        # Python floats: a huge finite entry squares to inf with no warning, rejected below
+        norm = math.sqrt(sum([x * x for x in amps.view(float).tolist()]))
         # a NaN or inf entry makes the norm NaN or inf, so it fails here
         if not abs(norm - 1.0) <= NORM_TOL:
             if not np.isfinite(amps).all():

@@ -59,13 +59,23 @@ def _post_amplitudes(p, q) -> np.ndarray:
     """Normalized AB amplitudes of the four branches, shape (..., 4, 4), rows in BELL_LABELS order.
 
     The row of a branch with zero normalization is NaN: it has no post state.
+    Every entry is written and divided in place in one array that holds the
+    weights' index innermost, so each step runs over whole rows of them; the
+    result is that array's transposed view.
     """
-    a, b, c, d, n_phi, n_psi = np.sqrt(_products(p, q))
-    zero = np.zeros_like(a)
-    amps = np.array([[a, zero, zero, b], [a, zero, zero, -b], [zero, c, d, zero], [zero, c, -d, zero]])
+    roots = np.sqrt(_products(p, q))  # a, b, c, d, N_phi, N_psi
+    a, b, c, d = roots[:4]
+    amps = np.zeros((4, 4) + roots.shape[1:])
+    amps[0, 0] = amps[1, 0] = a
+    amps[0, 3] = b
+    amps[1, 3] = -b
+    amps[2, 1] = amps[3, 1] = c
+    amps[2, 2] = d
+    amps[3, 2] = -d
     with np.errstate(invalid="ignore"):  # 0/0 where a branch normalization vanishes
-        amps = amps / np.array([n_phi, n_phi, n_psi, n_psi])[:, None]
-    return np.moveaxis(amps, (0, 1), (-2, -1))
+        amps[:2] /= roots[4]
+        amps[2:] /= roots[5]
+    return amps.transpose(*range(2, amps.ndim), 0, 1)
 
 
 def _branches(p, q) -> tuple[np.ndarray, np.ndarray]:

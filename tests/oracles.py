@@ -446,7 +446,10 @@ def _shown(name: str, value: float | None) -> dict:
 def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -> str:
     """The `swap` stdout at (p, q): a dict of plain Python values through json.dumps(indent=2).
 
-    The reference the CLI's cached templates are held to byte for byte.
+    The reference the CLI's cached templates are held to byte for byte. It
+    reports every state through the pure-state kernel `measures._pure_report`
+    (Gram matrix and spectrum), where the CLI reports the Schmidt-form states
+    from their populations, so equal bytes check that route independently.
     """
     outcomes = swap.bbm_outcomes(p, q)
     posts = [o.post_state.amplitudes for o in outcomes if o.post_state is not None]

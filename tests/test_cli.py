@@ -705,8 +705,9 @@ def test_swap_document_bytes_are_pinned(capsys, p, q, golden):
 
 
 def test_figures_and_swap_bytes_match_an_eigvalsh_spectrum(capsys, monkeypatch):
-    # every rho_A that figures and swap reduce is diagonal, where the closed
-    # 2x2 spectrum is the sorted diagonal exactly, as LAPACK's is; both runs
+    # every rho_A that figures and swap report is diagonal, so they report it
+    # from its populations; the same states through the pure-state kernel, with
+    # LAPACK's spectrum (the sorted diagonal exactly, on a diagonal matrix),
     # take the same log2, so the bytes agree on every numpy
     weights = ("0", "1", "0.5", "0.3", "5e-324")
     argvs = [["figures", "--which", which, "--grid", str(grid)]
@@ -716,15 +717,19 @@ def test_figures_and_swap_bytes_match_an_eigvalsh_spectrum(capsys, monkeypatch):
     def outputs():
         return [run_main(capsys, argv)[:2] for argv in argvs]
 
-    closed_form = outputs()
+    from_populations = outputs()
     calls = []
 
     def eigvalsh_planes(re, im):
         calls.append(re.shape)
         return oracles.eigvalsh_eigenvalues((re + 1j * im).transpose(2, 0, 1))
 
+    def through_the_kernel(amps):
+        return measures._pure_report(amps.T.reshape(-1, 2, 2))
+
     monkeypatch.setattr(measures, "_gram_eigenvalues", eigvalsh_planes)
-    assert outputs() == closed_form
+    monkeypatch.setattr(cli, "_schmidt_report", through_the_kernel)
+    assert outputs() == from_populations
     # one kernel call per figure 2b chunk and per swap document
     assert len(calls) == 2 + len(weights) ** 2
     assert {shape[:2] for shape in calls} == {(2, 2)}
@@ -766,14 +771,17 @@ def test_swap_bytes_match_the_reference_builder(capsys, p, q, shots, seed):
 
 
 def test_swap_writes_nan_and_infinity_as_json_does(capsys, monkeypatch):
-    real_report = measures._pure_report
+    # the CLI reports from the populations, the reference builder through the
+    # pure-state kernel: both are poisoned alike
+    def poison(real_report):
+        def poisoned(states):
+            rep = real_report(states)
+            return dataclasses.replace(rep, s_vn=np.full_like(rep.s_vn, np.nan),
+                                       p_vn=np.full_like(rep.p_vn, -np.inf))
+        return poisoned
 
-    def poisoned(psi):
-        rep = real_report(psi)
-        return dataclasses.replace(rep, s_vn=np.full_like(rep.s_vn, np.nan),
-                                   p_vn=np.full_like(rep.p_vn, -np.inf))
-
-    monkeypatch.setattr(measures, "_pure_report", poisoned)
+    for name in ("_diagonal_report", "_pure_report"):
+        monkeypatch.setattr(measures, name, poison(getattr(measures, name)))
     for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, -5)):
         code, out, _ = run_main(capsys, _swap_argv(p, q, shots, seed))
         assert (code, out) == (0, oracles.swap_document(p, q, shots, seed))

@@ -175,10 +175,37 @@ def _counts_one_draw_at_a_time(cfg):
 
 def test_run_ensemble_chunks_match_the_draws_one_at_a_time(monkeypatch):
     monkeypatch.setattr(experiment, "SHOT_CHUNK", 7)
+    real_uniforms = rng.uniforms
+    outs = []
+
+    def spy(seed, start, count, out=None):
+        outs.append(out)
+        return real_uniforms(seed, start, count, out=out)
+
+    monkeypatch.setattr(rng, "uniforms", spy)
     for p, q in ((0.3, 0.6), (0.0, 1.0)):
         for shots in (1, 7, 8, 50):
+            outs.clear()
             cfg = RunConfig(p=p, q=q, shots=shots, seed=9)
             assert run_ensemble(cfg).counts == _counts_one_draw_at_a_time(cfg)
+            # every chunk's draws are written into the start of one buffer
+            assert [len(out) for out in outs] == [min(7, shots - start) for start in range(0, shots, 7)]
+            buffer = outs[0].base
+            assert buffer is not None and len(buffer) == min(7, shots)
+            assert all(out.base is buffer and out.ctypes.data == buffer.ctypes.data for out in outs)
+
+
+def test_uniforms_into_out_match_a_new_array():
+    expected = rng.uniforms(17, 5, 100)
+    out = np.full(100, np.nan)
+    assert rng.uniforms(17, 5, 100, out=out) is out
+    assert np.array_equal(oracles.bits(out), oracles.bits(expected))
+    strided = np.empty(200)[::2]
+    assert rng.uniforms(17, 5, 100, out=strided) is strided
+    assert np.array_equal(oracles.bits(strided), oracles.bits(expected))
+    for bad in (np.empty(99), np.empty(100, dtype=np.float32), np.empty(100, dtype=np.int64), np.empty((100, 1))):
+        with pytest.raises(ValueError, match="out must be"):
+            rng.uniforms(17, 5, 100, out=bad)
 
 
 def test_run_ensemble_bit_identical_reruns():

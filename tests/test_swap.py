@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from entswap import cli, measures, states, swap
 from entswap.linalg import DensityMatrix
 from entswap.measures import report, svn
 from entswap.states import BELL_LABELS
@@ -290,3 +291,32 @@ def test_probabilities_follow_the_initial_predictability_by_an_independent_route
                 worst_line = max(worst_line, abs(reference["psi+"][0] - psi), abs(reference["psi-"][0] - psi))
                 worst_branches = max(worst_branches, abs(probs[2] - psi), abs(probs[3] - psi))
     assert worst_line < 1e-12 and worst_off < 1e-12 and worst_branches < 1e-12, (worst_line, worst_off, worst_branches)
+
+
+# weights where a branch dies or an amplitude underflows, next to any weight in [0, 1]
+schmidt_weights = st.sampled_from([0.0, 1.0, 0.5, 5e-324, 1e-300]) | st.floats(0.0, 1.0)
+# the Schmidt sector of each branch row: phi keeps |00>, |11>, psi keeps |01>, |10>
+BRANCH_SECTORS = np.array([[1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0]], dtype=bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(schmidt_weights, schmidt_weights), min_size=1, max_size=8))
+def test_swap_states_are_in_schmidt_form_and_report_from_their_populations(drawn):
+    p, q = np.array(drawn).T
+    posts = swap._post_amplitudes(p, q)
+    pairs = states._pair_amplitudes(np.concatenate([p, q]))
+    live = ~np.isnan(posts).any(axis=-1)
+    assert np.isnan(posts[~live]).all()  # a branch with zero normalization has no state
+    rows = np.concatenate([posts[live], pairs])
+    sectors = np.concatenate([np.broadcast_to(BRANCH_SECTORS, posts.shape)[live],
+                              np.broadcast_to(BRANCH_SECTORS[0], pairs.shape)])
+    # exactly +0.0 outside the sector, so rho_A is diagonal and its spectrum is its populations
+    assert (oracles.bits(rows[~sectors]) == 0).all()
+    psi = rows.reshape(-1, 2, 2)
+    kernel = measures._pure_report(psi)
+    # one term of each population is an exact zero, so any order of summing gives these bits
+    populations = (psi * psi).sum(axis=2).T
+    for diagonal in (measures._diagonal_report(populations), cli._schmidt_report(rows.T)):
+        assert diagonal.dim == kernel.dim == 2
+        for field in ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum"):
+            assert oracles.bits(getattr(diagonal, field)).tolist() == oracles.bits(getattr(kernel, field)).tolist(), field
