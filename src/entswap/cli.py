@@ -43,16 +43,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _schmidt_report(amps: np.ndarray) -> measures.MeasureReport:
-    """The report of rho_A for two-qubit states in Schmidt form, from real amplitudes as rows (4, N).
-
-    Each state is zero outside one sector, |00>/|11> or |01>/|10>, so its
-    rho_A is diagonal, with populations |x00|^2 + |x01|^2 and |x10|^2 + |x11|^2.
-    """
-    sq = np.square(amps)
-    return measures._diagonal_report(sq[0::2] + sq[1::2])
-
-
 def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
@@ -63,9 +53,9 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
     elif which == "2b":
         p = 1.0 - x
-        # the initial one-qubit state is diagonal: its populations, as rows, are its spectrum
+        # both rho_A are diagonal: their populations (p, 1 - p) and psi+'s (c, d) are their spectra
         initial = measures._diagonal_report(np.stack([p, 1.0 - p]))
-        final = _schmidt_report(swap._post_amplitudes(p, x)[:, states.BELL_LABELS.index("psi+")].T)
+        final = measures._diagonal_report(swap._spectrum(p, x)[2:])
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
     else:
         raise ValueError(f"unknown figure {which!r}")
@@ -315,9 +305,13 @@ def _json_floats(values: list[float]) -> list:
 
 def cmd_swap(args: argparse.Namespace) -> int:
     outcomes = swap.bbm_outcomes(args.p, args.q)
-    posts = [o.post_state.amplitudes for o in outcomes if o.post_state is not None]
-    amps = np.vstack([states._pair_amplitudes([args.p, args.q]), *posts]).real  # every amplitude is real
-    rep = _schmidt_report(amps.T)  # one report for both source pairs and every branch
+    live = tuple(o.post_state is not None for o in outcomes)
+    # every state is in Schmidt form, so rho_A is diagonal and its populations are its
+    # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a branch
+    a, b, c, d = swap._spectrum(args.p, args.q)
+    populations = [(args.p, 1.0 - args.p), (args.q, 1.0 - args.q)]
+    populations += [pair for pair, alive in zip([(a, b), (a, b), (c, d), (c, d)], live) if alive]
+    rep = measures._diagonal_report(np.array(populations).T)  # one report for every state
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     # the leaves in the template's order; each shown value is followed by its `_full` value
     floats = [args.p, args.q]
@@ -335,7 +329,6 @@ def cmd_swap(args: argparse.Namespace) -> int:
         result = run_ensemble(RunConfig(args.p, args.q, args.shots, args.seed))
         leaves += (args.shots, args.seed, *result.counts.values())
         leaves += _json_floats([*result.empirical_freq.values(), float(max(result.freq_error().values()))])
-    live = tuple(o.post_state is not None for o in outcomes)
     text = _swap_template(live, args.shots is not None) % tuple(leaves)
     return _emit([text], args.out)
 

@@ -55,6 +55,19 @@ def _products(p, q):
     return pq, uv, pv, uq, pq + uv, pv + uq
 
 
+def _spectrum(p, q) -> np.ndarray:
+    """Branch eigenvalues a, b = pq, (1-p)(1-q) over N_phi^2 and c, d = (1-p)q, p(1-q) over N_psi^2.
+
+    Stacked on a new first axis and unchecked: NaN where a normalization vanishes.
+    """
+    pq, uv, pv, uq, n2_phi, n2_psi = _products(p, q)
+    spectrum = np.array([pq, uv, uq, pv])
+    with np.errstate(invalid="ignore"):  # 0/0 where a branch normalization vanishes
+        spectrum[:2] /= n2_phi
+        spectrum[2:] /= n2_psi
+    return spectrum
+
+
 def _post_amplitudes(p, q) -> np.ndarray:
     """Normalized AB amplitudes of the four branches, shape (..., 4, 4), rows in BELL_LABELS order.
 
@@ -105,28 +118,22 @@ def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
 
 
 def swap_spectrum(p, q) -> SwapSpectrum:
-    """Branch eigenvalues a, b = pq, (1-p)(1-q) over N_phi^2 and c, d likewise over N_psi^2.
+    """The branch eigenvalues of `_spectrum` at validated weights.
 
-    Division is by the squared branch normalization: that is what makes
-    each pair sum to one and reproduces the known entropy values; dividing
-    by the bare normalization would do neither. Raises UndefinedBranchError
-    if a branch normalization vanishes at any of the weights.
+    Raises UndefinedBranchError if a branch normalization vanishes at any of them.
     """
     p = require_weight(p, "p")
     q = require_weight(q, "q")
-    pq, uv, pv, uq, n2_phi, n2_psi = _products(p, q)
-    if np.any(n2_phi == 0.0) or np.any(n2_psi == 0.0):
+    a, b, c, d = _spectrum(p, q)
+    if np.isnan(a).any() or np.isnan(c).any():
         raise UndefinedBranchError(f"branch normalization vanishes at p={p}, q={q}")
-    return SwapSpectrum(a=pq / n2_phi, b=uv / n2_phi, c=uq / n2_psi, d=pv / n2_psi)
+    return SwapSpectrum(a=a, b=b, c=c, d=d)
 
 
 def post_entropies(p, q):
     """Entanglement entropy of the phi- and psi-branch post states, in bits."""
     s = swap_spectrum(p, q)
-    return (
-        measures._entropy(np.stack([s.a, s.b])),
-        measures._entropy(np.stack([s.c, s.d])),
-    )
+    return measures._entropy(np.stack([s.a, s.b])), measures._entropy(np.stack([s.c, s.d]))
 
 
 def special_case_probs(q):

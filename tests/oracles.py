@@ -18,7 +18,7 @@ from entswap import measures, rng, swap
 from entswap.cli import VERIFY_MAX_DIM
 from entswap.experiment import RunConfig, run_ensemble
 from entswap.linalg import hermitian_eigenvalues
-from entswap.states import BELL_LABELS, PureState, _pair_amplitudes, schmidt_pair
+from entswap.states import BELL_LABELS, PureState, schmidt_pair
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -446,15 +446,21 @@ def _shown(name: str, value: float | None) -> dict:
 def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -> str:
     """The `swap` stdout at (p, q): a dict of plain Python values through json.dumps(indent=2).
 
-    The reference the CLI's cached templates are held to byte for byte. It
-    reports every state through the pure-state kernel `measures._pure_report`
-    (Gram matrix and spectrum), where the CLI reports the Schmidt-form states
-    from their populations, so equal bytes check that route independently.
+    The reference the CLI's cached templates are held to byte for byte. Every
+    reported state is in Schmidt form, so its rho_A is diagonal: the source
+    pairs' populations are (w, 1 - w), and each live branch's are its closed-form
+    eigenvalues, written here in Python floats with the operations and operand
+    order of `swap._products`, so they have its bits without calling it. They
+    go to the population report `measures._diagonal_report`, as in the CLI.
     """
     outcomes = swap.bbm_outcomes(p, q)
-    posts = [o.post_state.amplitudes for o in outcomes if o.post_state is not None]
-    amps = np.vstack([_pair_amplitudes([p, q]), *posts]).reshape(-1, 2, 2)
-    rep = measures._pure_report(amps)
+    u, v = 1.0 - p, 1.0 - q
+    pq, uv, pv, uq = p * q, u * v, p * v, u * q
+    # a branch whose normalization is 0.0 has no post state and is never read
+    n2_phi, n2_psi = (pq + uv) or math.nan, (pv + uq) or math.nan
+    spectra = [(pq / n2_phi, uv / n2_phi)] * 2 + [(uq / n2_psi, pv / n2_psi)] * 2
+    populations = [(p, u), (q, v)] + [s for s, o in zip(spectra, outcomes) if o.post_state is not None]
+    rep = measures._diagonal_report(np.array(populations).T)
     pair_p, pair_q = rep.s_vn[:2].tolist()
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     entries = []

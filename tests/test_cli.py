@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import cli, measures, states, swap
+from entswap import cli, linalg, measures, states, swap
 from entswap.cli import main
 from entswap.linalg import DensityMatrix
 
@@ -48,13 +48,21 @@ def test_figures_grid_covers_unit_interval(capsys):
 
 
 def test_figures_cells_round_trip_exactly(capsys):
-    code, out, _ = run_main(capsys, ["figures", "--which", "1a", "--grid", "21"])
-    assert code == 0
-    for line in out.splitlines()[1:]:
-        cells = [float(cell) for cell in line.split(",")]
-        p = cells[0]
-        for q, value in zip(cli.FIGURE_Q_SET, cells[1:]):
-            assert value == swap.post_entropies(p, q)[0]
+    for which in ("1a", "1b", "2b"):
+        code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", "21"])
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            cells = [float(cell) for cell in line.split(",")]
+            x = cells[0]
+            if which == "2b":  # svn_psi is the psi branch's entropy on the line p = 1 - q
+                # at x = 0 and 1 the phi branch has no state, so post_entropies is undefined,
+                # and the psi branch is a product state
+                expected = swap.post_entropies(1.0 - x, x)[1] if 0.0 < x < 1.0 else 0.0
+                assert oracles.bits(cells[3]) == oracles.bits(expected), (which, x)
+                continue
+            pick = 0 if which == "1a" else 1
+            for q, value in zip(cli.FIGURE_Q_SET, cells[1:]):
+                assert oracles.bits(value) == oracles.bits(swap.post_entropies(x, q)[pick]), (which, x, q)
 
 
 @pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
@@ -572,9 +580,9 @@ SWAP_HALF_HALF = """\
   "q": 0.5,
   "initial": {
     "svn_pair_p": 1.0,
-    "svn_pair_p_full": 0.9999999999999999,
+    "svn_pair_p_full": 1.0,
     "svn_pair_q": 1.0,
-    "svn_pair_q_full": 0.9999999999999999
+    "svn_pair_q_full": 1.0
   },
   "outcomes": [
     {
@@ -704,35 +712,28 @@ def test_swap_document_bytes_are_pinned(capsys, p, q, golden):
     assert run_main(capsys, ["swap", "--p", p, "--q", q]) == (0, golden, "")
 
 
-def test_figures_and_swap_bytes_match_an_eigvalsh_spectrum(capsys, monkeypatch):
-    # every rho_A that figures and swap report is diagonal, so they report it
-    # from its populations; the same states through the pure-state kernel, with
-    # LAPACK's spectrum (the sorted diagonal exactly, on a diagonal matrix),
-    # take the same log2, so the bytes agree on every numpy
+def test_figures_and_swap_run_no_eigensolver(capsys, monkeypatch):
+    # every state that figures and swap report is in Schmidt form, so each rho_A is
+    # diagonal and is reported from its populations: no spectrum is ever solved for
     weights = ("0", "1", "0.5", "0.3", "5e-324")
     argvs = [["figures", "--which", which, "--grid", str(grid)]
              for which in ("1a", "1b", "2a", "2b") for grid in (11, 1001)]
-    argvs += [["swap", "--p", p, "--q", q] for p in weights for q in weights]
+    argvs += [["swap", "--p", p, "--q", q, *shots] for p in weights for q in weights
+              for shots in ([], ["--shots", "7"])]
 
     def outputs():
         return [run_main(capsys, argv)[:2] for argv in argvs]
 
-    from_populations = outputs()
-    calls = []
+    expected = outputs()
 
-    def eigvalsh_planes(re, im):
-        calls.append(re.shape)
-        return oracles.eigvalsh_eigenvalues((re + 1j * im).transpose(2, 0, 1))
+    def no_eigensolver(*args):
+        raise AssertionError("an eigensolver ran")
 
-    def through_the_kernel(amps):
-        return measures._pure_report(amps.T.reshape(-1, 2, 2))
-
-    monkeypatch.setattr(measures, "_gram_eigenvalues", eigvalsh_planes)
-    monkeypatch.setattr(cli, "_schmidt_report", through_the_kernel)
-    assert outputs() == from_populations
-    # one kernel call per figure 2b chunk and per swap document
-    assert len(calls) == 2 + len(weights) ** 2
-    assert {shape[:2] for shape in calls} == {(2, 2)}
+    for module, name in ((measures, "_gram_eigenvalues"), (measures, "hermitian_eigenvalues"),
+                         (measures, "_qubit_eigenvalues"), (linalg, "hermitian_eigenvalues"),
+                         (linalg, "_qubit_eigenvalues"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, no_eigensolver)
+    assert outputs() == expected
 
 
 def test_swap_empirical_block(capsys):
@@ -770,18 +771,54 @@ def test_swap_bytes_match_the_reference_builder(capsys, p, q, shots, seed):
     assert run_main(capsys, argv) == (0, oracles.swap_document(p, q, shots, seed), "")
 
 
-def test_swap_writes_nan_and_infinity_as_json_does(capsys, monkeypatch):
-    # the CLI reports from the populations, the reference builder through the
-    # pure-state kernel: both are poisoned alike
-    def poison(real_report):
-        def poisoned(states):
-            rep = real_report(states)
-            return dataclasses.replace(rep, s_vn=np.full_like(rep.s_vn, np.nan),
-                                       p_vn=np.full_like(rep.p_vn, -np.inf))
-        return poisoned
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=swap_weights, q=swap_weights)
+def test_swap_branch_entropies_are_post_entropies_bit_for_bit(capsys, p, q):
+    try:
+        s_phi, s_psi = swap.post_entropies(p, q)
+    except swap.UndefinedBranchError:
+        return  # a branch normalization vanishes: swap_spectrum is not defined here
+    code, out, _ = run_main(capsys, _swap_argv(p, q, None, 7))
+    assert code == 0
+    for entry, s_vn in zip(json.loads(out)["outcomes"], (s_phi, s_phi, s_psi, s_psi)):
+        if entry["post_state"] is not None:
+            assert oracles.bits(entry["svn_full"]) == oracles.bits(s_vn), entry["label"]
 
-    for name in ("_diagonal_report", "_pure_report"):
-        monkeypatch.setattr(measures, name, poison(getattr(measures, name)))
+
+# weights where a branch dies or a population underflows, and interior weights
+KERNEL_WEIGHTS = (0.0, 1.0, 0.5, 5e-324, 1e-300, 0.125, 0.3, 1 / 3, 0.6, 0.9)
+
+
+def test_swap_measures_match_the_pure_state_kernel_of_the_printed_states(capsys):
+    # a route that shares no population or spectrum with the CLI's: each printed
+    # post state, and each source pair, through the Gram matrix and its eigenvalues
+    fields = {"svn_full": "s_vn", "pvn_full": "p_vn", "cre_full": "c_re"}
+    for p in KERNEL_WEIGHTS:
+        for q in KERNEL_WEIGHTS:
+            code, out, _ = run_main(capsys, _swap_argv(p, q, None, 7))
+            assert code == 0
+            doc = json.loads(out)
+            pairs = measures._pure_report(np.stack([states.schmidt_pair(w).amplitudes.reshape(2, 2) for w in (p, q)]))
+            for name, s_vn in zip(("svn_pair_p_full", "svn_pair_q_full"), pairs.s_vn):
+                assert abs(doc["initial"][name] - s_vn) <= 1e-12, (p, q, name)
+            for entry in doc["outcomes"]:
+                if entry["post_state"] is None:
+                    continue
+                re, im = np.array(entry["post_state"]).T
+                rep = measures._pure_report((re + 1j * im).reshape(1, 2, 2))
+                for key, field in fields.items():
+                    assert abs(entry[key] - getattr(rep, field)[0]) <= 1e-12, (p, q, entry["label"], key)
+
+
+def test_swap_writes_nan_and_infinity_as_json_does(capsys, monkeypatch):
+    # the CLI and the reference builder both report through the population report
+    real_report = measures._diagonal_report
+
+    def poisoned(populations):
+        rep = real_report(populations)
+        return dataclasses.replace(rep, s_vn=np.full_like(rep.s_vn, np.nan), p_vn=np.full_like(rep.p_vn, -np.inf))
+
+    monkeypatch.setattr(measures, "_diagonal_report", poisoned)
     for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, -5)):
         code, out, _ = run_main(capsys, _swap_argv(p, q, shots, seed))
         assert (code, out) == (0, oracles.swap_document(p, q, shots, seed))
