@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -46,8 +47,9 @@ EXIT_IO = 3
 def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
-        pick = 0 if which == "1a" else 1
-        columns = [x, swap.post_entropies(x[:, None], np.array(FIGURE_Q_SET))[pick]]
+        # every q in FIGURE_Q_SET is inside (0, 1), so both branches are defined at every p
+        spectrum = swap._spectrum(x[:, None], np.array(FIGURE_Q_SET))
+        columns = [x, measures._entropy(spectrum[:2] if which == "1a" else spectrum[2:])]
     elif which == "2a":
         pr_phi, pr_psi = swap.special_case_probs(x)
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
@@ -64,8 +66,8 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
 
 # `%.17g` of a cell with 1e-4 <= |v| < 10 is fixed notation: decimal exponent X in
 # [-4, 0], 17 digits, trailing zeros dropped. `_csv_cells` writes such a cell with
-# array arithmetic into a frame with room for every digit, sign and zero, then drops
-# the frame bytes the cell does not show; every other cell is written by `%` itself.
+# array arithmetic as three 8-byte words, whose bytes the cell does not show are NUL,
+# and every other cell as the placeholder `%`, which `'%.17g' %` then replaces.
 CSV_CELLS = 2048  # cells per sub-block of `_csv_lines`: bounds its temporaries
 # i = how many of these are <= |v|. Each double is at or above its power of ten,
 # so i = X + 5 exactly for the cells above; i is 0 or 6 for the rest, NaN included.
@@ -75,56 +77,48 @@ _FAST = np.array([False, True, True, True, True, True, False])
 _SCALE = np.array([1e16, 1e20, 1e19, 1e18, 1e17, 1e16, 1e16])
 _SCALE_HI = _SCALE * 134217729.0 - (_SCALE * 134217729.0 - _SCALE)  # Veltkamp split at 2^27 + 1
 _SCALE_LO = _SCALE - _SCALE_HI
-_FRAME = np.frombuffer(b"-0.000d.dddddddddddddddd,", dtype=np.uint8)
 
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables for the four 4-digit groups of a cell's 16 fraction digits.
+def _quad_table() -> np.ndarray:
+    """The 4 ASCII digits of each g in 0..9999 as one uint32 in memory order.
 
-    The first holds, for each g in 0..9999, its 4 ASCII digits as one uint32
-    in memory order. The second holds, at 10000 * j + g, the index (1..16) of
-    the last nonzero of fraction digits 4j+1..4j+4 when they are g's digits,
-    and 0 when g is 0.
+    At 10000 + g the same, with the zeros after g's last nonzero digit as
+    NUL: the digits of a 4-digit group that no nonzero digit follows.
     """
-    digits = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0..9999, thousands first
-    quads = (digits.T + 48).astype(np.uint8, order="C").view(np.uint32).ravel()
-    last = np.max((digits > 0) * np.arange(1, 5)[:, None], axis=0)
-    return quads, np.where(last > 0, last + 4 * np.arange(4)[:, None], 0).ravel()
+    quads = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):  # byte j is digit j of g, thousands first
+        quads[..., j] = np.arange(ord("0"), ord("0") + 10).reshape((10,) + (1,) * (3 - j))
+    shown = quads[1] > ord("0")
+    for j in (2, 1, 0):
+        shown[..., j] |= shown[..., j + 1]
+    quads[1] *= shown
+    return quads.view(np.uint32).ravel()
 
 
-_QUADS, _LAST_DIGIT = _digit_tables()
-_GROUP_BASE = 10000 * np.arange(4)[:, None]
+def _prefix_table() -> np.ndarray:
+    """A cell's first word, by key 4 * (10 * i + lead digit) + 2 * sign + (any other digit shown).
 
-
-def _keep_masks() -> np.ndarray:
-    """The frame bytes a cell shows, as 0xff or 0, by key L + 17 * (i + 7 * sign).
-
-    L is the index (0..16) of its last nonzero digit after the first. A
-    cell of decades 1..5 shows `-` if negative; for X < 0 it shows `0.`,
-    -X-1 zeros, then its digits without the frame's `.`; for X = 0 its first
-    digit, then `.` and digits 1..L when L > 0. A cell of decade 0 or 6
-    keeps every byte.
+    Its bytes are `,`, the separator before the cell, then for a cell of
+    decades 1..5 `-` if negative, and for X < 0 `0.`, -X-1 zeros and the
+    lead digit, for X = 0 the lead digit and a `.` when a digit follows;
+    for a cell of decade 0 or 6 the placeholder `%`. NUL pads it to 8.
     """
-    pos = np.arange(len(_FRAME))
-    sign, i, last = (axis[..., None] for axis in np.ix_(range(2), range(7), range(17)))
-    x = i - 5
-    keep = (
-        (pos == 0) & (sign == 1)
-        | (pos >= 1) & (pos < 2 - x) & (x < 0)
-        | (pos == 6)
-        | (pos == 7) & (x == 0) & (last > 0)
-        | (pos >= 8) & (pos - 7 <= last)
-        | (pos == 24)
-        | ~_FAST[i]
-    )
-    return np.where(keep, 255, 0).astype(np.uint8).reshape(-1, len(_FRAME))
+    prefixes = []
+    decades = enumerate(_FAST.tolist())
+    for (i, fast), lead, sign, dot in itertools.product(decades, "0123456789", ("", "-"), ("", ".")):
+        x = i - 5
+        body = sign + ("0." + "0" * (-x - 1) + lead if x < 0 else lead + dot) if fast else "%"
+        prefixes.append(("," + body).ljust(8, "\0"))
+    return np.frombuffer("".join(prefixes).encode("ascii"), np.uint64)
 
 
-_KEEP = _keep_masks()
+_QUADS = _quad_table()
+_PREFIX = _prefix_table()
 
 
-def _csv_cells(v: np.ndarray, frames: np.ndarray) -> str:
-    """The cells v as `%.17g` text, each followed by the separator its frame row ends in."""
+def _csv_cells(v: np.ndarray, k: int) -> list[str]:
+    """The cells v, k to a line, as CSV lines of `%.17g` text in pieces."""
+    n = len(v)
     a = np.abs(v)
     i = np.searchsorted(_DECADES, a, "right")
     fast = _FAST[i]
@@ -139,33 +133,40 @@ def _csv_cells(v: np.ndarray, frames: np.ndarray) -> str:
     lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     # hi >= 2^53 is an even integer, so rounding lo half to even rounds y half to even.
     # No double below 10^(X+1) is within 8 of its last digit, so y < 10^17 - 8 and
-    # the 17 digits never carry into an 18th.
+    # the 17 digits never carry into an 18th. Other cells take y = 10^16: no fraction digit.
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    groups = np.empty((4, len(v)), np.int64)  # fraction digits 1-4, 5-8, 9-12, 13-16
+    # each cell is three words: separator and prefix, then fraction digits 1-8 and 9-16
+    buf = bytearray(24 * n + 8)  # zeroed: the last word holds only the last line's end
+    words = np.frombuffer(buf, np.uint64)[:-1].reshape(n, 3)
+    quads = words[:, 1:].view(np.uint32)
+    hidden = np.full(n, 10000)  # 10000 where no later group has a nonzero digit
     for j in (3, 2, 1, 0):
         rest = digits // 10000
-        np.subtract(digits, rest * 10000, out=groups[j])
+        group = digits - rest * 10000
+        quads[:, j] = _QUADS[group + hidden]
+        hidden *= group == 0
         digits = rest
-    frame = np.empty((len(v), len(_FRAME)), np.uint8)
-    frame.reshape(-1, *frames.shape)[...] = frames
-    frame[:, 6] = digits + 48
-    frame[:, 8:24] = np.ascontiguousarray(_QUADS[groups].T).view(np.uint8)
-    last = np.maximum.reduce(_LAST_DIGIT[groups + _GROUP_BASE], axis=0)
-    frame &= np.take(_KEEP, last + 17 * i + 119 * np.signbit(v), axis=0)  # a third of _KEEP[...]'s time
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = ["%.17g" % value for value in v[slow].tolist()]  # at most 24 bytes each
-        frame[slow, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(len(slow), 24)
-    return frame.tobytes().translate(None, b"\0").decode("ascii")
+    words[:, 0] = _PREFIX[i * 40 + digits * 4 + np.signbit(v) * 2 + (hidden == 0)]
+    np.frombuffer(buf, np.uint8)[::24 * k] = ord("\n")  # a line's first separator ends the line before
+    buf[0] = 0  # which the first line has not
+    text = buf.translate(None, b"\0").decode("ascii")
+    pieces, start = [], 0
+    for value in v[~fast].tolist():  # str.index finds each `%` by memchr; str.split was 7x slower
+        end = text.index("%", start)
+        pieces += (text[start:end], "%.17g" % value)
+        start = end + 1
+    pieces.append(text[start:])
+    return pieces
 
 
 def _csv_lines(rows: np.ndarray) -> str:
     """The rows as CSV lines of `%.17g` cells, formatted CSV_CELLS cells at a time."""
     n, k = rows.shape
-    frames = np.tile(_FRAME, (k, 1))  # one row's frames: the last ends the line
-    frames[-1, -1] = ord("\n")
     step = max(1, CSV_CELLS // k)
-    return "".join([_csv_cells(rows[start:start + step].ravel(), frames) for start in range(0, n, step)])
+    pieces = []
+    for start in range(0, n, step):
+        pieces += _csv_cells(rows[start:start + step].ravel(), k)
+    return "".join(pieces)
 
 
 def _figure_csv(which: str, grid: int):

@@ -77,6 +77,18 @@ def _purity(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, sq.reshape(len(sq) ** 2, sq.shape[-1]))
 
 
+def _tail(s: np.ndarray, s_diag: np.ndarray, purity: np.ndarray, diag_purity: np.ndarray,
+          d: int) -> MeasureReport:
+    """Every quantifier and both sums from the entropies and purities of rho and of its diagonal part."""
+    c_hs = purity - diag_purity
+    s_l = 1.0 - purity
+    p_l = _linear_predictability(diag_purity, d)
+    c_re = s_diag - s
+    p_vn = math.log2(d) - s_diag
+    return MeasureReport(c_re=c_re, p_vn=p_vn, s_vn=s, vn_sum=c_re + p_vn + s,
+                         c_hs=c_hs, p_l=p_l, s_l=s_l, l_sum=c_hs + p_l + s_l, dim=d)
+
+
 def _report(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> MeasureReport:
     """Every quantifier of each state in a stack, from its diagonal, spectrum and purity.
 
@@ -87,38 +99,25 @@ def _report(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> Mea
     the order numpy's `sum` adds a row of d, so the bits are those of the
     same tail over (N, d) columns.
     """
-    d = len(populations)
-    s = _entropy(lam)
     s_diag = _entropy(_sorted_rows(populations))  # the diagonal part's spectrum is its diagonal
-    diag_purity = _row_sums(populations * populations)
-    c_hs = purity - diag_purity
-    s_l = 1.0 - purity
-    p_l = _linear_predictability(diag_purity, d)
-    c_re = s_diag - s
-    p_vn = math.log2(d) - s_diag
-    return MeasureReport(
-        c_re=c_re,
-        p_vn=p_vn,
-        s_vn=s,
-        vn_sum=c_re + p_vn + s,
-        c_hs=c_hs,
-        p_l=p_l,
-        s_l=s_l,
-        l_sum=c_hs + p_l + s_l,
-        dim=d,
-    )
+    return _tail(_entropy(lam), s_diag, purity, _row_sums(populations * populations), len(populations))
 
 
 def _diagonal_report(populations: np.ndarray) -> MeasureReport:
-    """The report of each diagonal density matrix in a stack, from its populations (d, N).
+    """The report of each diagonal qubit density matrix in a stack, from its populations (2, N).
 
-    A diagonal matrix's spectrum is its diagonal and its purity the sum of
-    its squared populations, so no eigensolver runs. On a diagonal matrix
-    the closed 2x2 spectrum returns the diagonal sorted, and the entropy's
-    two-term sum does not depend on the order, so for d = 2 this has the
-    bits of `_pure_report` on Schmidt-form states.
+    A diagonal matrix is its own diagonal part: its spectrum is its
+    populations and its purity the sum of their squares, so one entropy and
+    one sum of squares serve both, and no eigensolver runs. The bits are
+    `_report`'s on the same matrices: for d = 2, its only use, `_report`
+    sorts the populations first, but min and max only select values and the
+    entropy's and the purity's two-term sums do not depend on the order. The
+    closed 2x2 spectrum returns a diagonal matrix's diagonal sorted, so these
+    are also the bits of `_pure_report` on Schmidt-form states.
     """
-    return _report(populations, populations, _row_sums(populations * populations))
+    s = _entropy(populations)
+    purity = _row_sums(populations * populations)
+    return _tail(s, s, purity, purity, len(populations))
 
 
 def _stack_report(m: np.ndarray) -> MeasureReport:

@@ -48,21 +48,25 @@ def test_figures_grid_covers_unit_interval(capsys):
 
 
 def test_figures_cells_round_trip_exactly(capsys):
-    for which in ("1a", "1b", "2b"):
-        code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", "21"])
+    # 1a and 1b at the default grid: every entropy cell is post_entropies' value, bit for bit
+    x = np.arange(cli.DEFAULT_GRID) / (cli.DEFAULT_GRID - 1)
+    expected = swap.post_entropies(x[:, None], np.array(cli.FIGURE_Q_SET))
+    for which, entropies in zip(("1a", "1b"), expected):
+        code, out, _ = run_main(capsys, ["figures", "--which", which])
         assert code == 0
-        for line in out.splitlines()[1:]:
-            cells = [float(cell) for cell in line.split(",")]
-            x = cells[0]
-            if which == "2b":  # svn_psi is the psi branch's entropy on the line p = 1 - q
-                # at x = 0 and 1 the phi branch has no state, so post_entropies is undefined,
-                # and the psi branch is a product state
-                expected = swap.post_entropies(1.0 - x, x)[1] if 0.0 < x < 1.0 else 0.0
-                assert oracles.bits(cells[3]) == oracles.bits(expected), (which, x)
-                continue
-            pick = 0 if which == "1a" else 1
-            for q, value in zip(cli.FIGURE_Q_SET, cells[1:]):
-                assert oracles.bits(value) == oracles.bits(swap.post_entropies(x, q)[pick]), (which, x, q)
+        cells = np.array([[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]])
+        assert oracles.bits(cells[:, 0]).tolist() == oracles.bits(x).tolist(), which
+        assert oracles.bits(cells[:, 1:]).tolist() == oracles.bits(entropies).tolist(), which
+    code, out, _ = run_main(capsys, ["figures", "--which", "2b", "--grid", "21"])
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        cells = [float(cell) for cell in line.split(",")]
+        x = cells[0]
+        # svn_psi is the psi branch's entropy on the line p = 1 - q; at x = 0 and 1 the
+        # phi branch has no state, so post_entropies is undefined, and the psi branch is
+        # a product state
+        expected = swap.post_entropies(1.0 - x, x)[1] if 0.0 < x < 1.0 else 0.0
+        assert oracles.bits(cells[3]) == oracles.bits(expected), x
 
 
 @pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
@@ -137,6 +141,54 @@ def test_csv_lines_match_the_per_cell_formatter_on_edge_cells():
         assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
     for k in (4, 6):
         assert cli._csv_lines(np.empty((0, k))) == oracles.csv_lines_per_cell(np.empty((0, k))) == ""
+
+
+def _cell_showing(x: int, sign: str, digits: str, rng) -> float:
+    """A double whose `%.17g` text has decimal exponent x, the given sign and 17 digits.
+
+    `digits` is a pattern with `?` for a free digit and `+` for a nonzero
+    one. Free digits are drawn until the text of the nearest double is the
+    pattern's own, trailing zeros dropped; a cell's text cannot be forced,
+    because most 17-digit decimals have no double that prints them.
+    """
+    for _ in range(10_000):
+        drawn = "".join(str(rng.integers(0 if d == "?" else 1, 10)) if d in "?+" else d for d in digits)
+        if x < 0:
+            text = "0." + "0" * (-x - 1) + drawn.rstrip("0")
+        else:
+            fraction = drawn[1:].rstrip("0")
+            text = drawn[0] + ("." + fraction if fraction else "")
+        value = float(sign + text)
+        if "%.17g" % value == sign + text:
+            return value
+    raise AssertionError(f"no double prints as {digits} at 10^{x}")
+
+
+def _formatter_edge_cells() -> np.ndarray:
+    """Cells of every fast decade and both signs with every pattern of zero 4-digit groups
+    and with their last nonzero digit at each of the 16 fraction digits."""
+    rng = np.random.default_rng(17)
+    patterns = []
+    for zero in range(16):  # bit j set: fraction digits 4j+1..4j+4 are all zero
+        groups = ["0000" if zero >> j & 1 else "??+?" for j in range(4)]
+        patterns.append("+" + "".join(groups))
+    for last in range(1, 17):  # the last nonzero digit is fraction digit `last`
+        patterns.append("+" + "?" * (last - 1) + "+" + "0" * (16 - last))
+    cells = [_cell_showing(x, sign, digits, rng)
+             for x in range(-4, 1) for sign in ("", "-") for digits in patterns]
+    # a lead digit and no other, so X = 0 writes no `.`
+    cells += [float(sign + lead) for sign in ("", "-") for lead in "123456789"]
+    return np.array(cells)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_csv_lines_match_the_per_cell_formatter_on_digit_patterns(monkeypatch, k):
+    cells = _formatter_edge_cells()
+    # each cell once in every column, so each separator follows every pattern
+    rows = np.stack([np.roll(cells, -column) for column in range(k)], axis=1)
+    assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
+    monkeypatch.setattr(cli, "CSV_CELLS", k)  # one line per sub-block
+    assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
 
 
 def _assert_same_lines(got, want):

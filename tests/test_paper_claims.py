@@ -12,9 +12,13 @@ import math
 import numpy as np
 
 import oracles
+from entswap.cli import main
+from entswap.states import schmidt_pair
 
 GRID = 101
 TOL = 1e-12
+# phi- and psi- are phi+ and psi+ with the sign of their |11> and |10> amplitude turned
+TURNED = {"phi-": 3, "psi-": 2}
 
 
 def _entropy(values) -> float:
@@ -43,33 +47,88 @@ def _reduced(amplitudes: np.ndarray, dims, keep) -> np.ndarray:
     return oracles.partial_trace_loops(np.outer(amplitudes, amplitudes.conj()), dims, keep)
 
 
+def _shared_family_state(branches, plus: str, minus: str):
+    """The post state of `plus`, after checking that `minus` leaves A in the same state.
+
+    The two differ only in the sign of one amplitude, and the amplitude with
+    the other A index and the same B index is zero, so no term of Tr_B of the
+    projector changes sign: one reduction serves both branches.
+    """
+    post, turned = branches[plus][1], branches[minus][1]
+    if post is None:
+        assert turned is None, minus
+        return None
+    expected = post.copy()
+    expected[TURNED[minus]] *= -1.0
+    assert np.array_equal(turned, expected), (plus, minus)
+    assert post[TURNED[minus] ^ 2] == 0.0, plus  # index 2a + b: ^ 2 turns a
+    return post
+
+
 def test_predictability_is_consumed_where_entanglement_increases():
     # claim (ii): where a Bell-measurement branch leaves A and B more entangled than
     # a source pair was, the one-qubit predictability has dropped by what the
     # entanglement gained, von Neumann and linear alike, and the coherence is unchanged
     weights = np.arange(GRID) / (GRID - 1)
+    pairs = [schmidt_pair(w).amplitudes for w in weights]  # each source pair built once per weight
     # the source pairs' one-qubit states, A of the first pair and B of the second, by weight
-    pair_a, pair_b = ([_quantifiers(_reduced(oracles.composite_state(w, w).amplitudes, (2, 2, 2, 2), [k]))
-                       for w in weights] for k in (0, 3))
+    initial = []
+    for w, pair in zip(weights, pairs):
+        both = oracles.kron(pair, pair)  # `composite_state(w, w)` with the pair built once
+        initial.append([_quantifiers(_reduced(both, (2, 2, 2, 2), [k])) for k in (0, 3)])
     gained = lost = 0
     for i, p in enumerate(weights):
         for j, q in enumerate(weights):
-            composite = oracles.composite_state(p, q).amplitudes
-            for label, (_, post) in oracles.project_bbm(composite).items():
+            branches = oracles.project_bbm(oracles.kron(pairs[i], pairs[j]))  # `composite_state(p, q)`
+            for plus, minus in (("phi+", "phi-"), ("psi+", "psi-")):
+                post = _shared_family_state(branches, plus, minus)
                 if post is None:
                     continue
                 final = _quantifiers(_reduced(post, (2, 2), [0]))
-                for init in (pair_a[i], pair_b[j]):
-                    ds = final["s_vn"] - init["s_vn"]
-                    gained += ds > TOL
-                    lost += ds < -TOL
-                    if ds <= TOL:
-                        continue
-                    where = (p, q, label)
-                    assert final["p_vn"] < init["p_vn"], where
-                    assert abs((final["p_vn"] - init["p_vn"]) + ds) <= TOL, where
-                    assert abs((final["p_l"] - init["p_l"]) + (final["s_l"] - init["s_l"])) <= TOL, where
-                    assert abs(final["c_re"] - init["c_re"]) <= TOL, where
-                    assert abs(final["c_hs"] - init["c_hs"]) <= TOL, where
+                for label in (plus, minus):
+                    for init in (initial[i][0], initial[j][1]):
+                        ds = final["s_vn"] - init["s_vn"]
+                        gained += ds > TOL
+                        lost += ds < -TOL
+                        if ds <= TOL:
+                            continue
+                        where = (p, q, label)
+                        assert final["p_vn"] < init["p_vn"], where
+                        assert abs((final["p_vn"] - init["p_vn"]) + ds) <= TOL, where
+                        assert abs((final["p_l"] - init["p_l"]) + (final["s_l"] - init["s_l"])) <= TOL, where
+                        assert abs(final["c_re"] - init["c_re"]) <= TOL, where
+                        assert abs(final["c_hs"] - init["c_hs"]) <= TOL, where
     # both signs occur on the grid, so the claim is tested where it holds and not vacuously
     assert gained > 0 and lost > 0, (gained, lost)
+
+
+def _relative_entropy_of_coherence(rho: np.ndarray) -> float:
+    """C_re = D(rho || diag rho) = Tr rho log2 rho - Tr rho log2 diag(rho), term by term."""
+    lam = oracles.jacobi_eigenvalues(rho)
+    return sum(t * math.log2(t) for t in lam if t > 0.0) - sum(
+        rho[i, i].real * math.log2(rho[i, i].real) for i in range(2) if rho[i, i].real > 0.0)
+
+
+def test_triality_holds_before_and_after_the_measurement_along_figure_2b(capsys):
+    # claim (iii): C_re + P_vn + S_vn = 1 for the prepared one-qubit state and for the
+    # psi+ branch's, checked on the p = 1 - q line where figure 2b prints both
+    assert main(["figures", "--which", "2b", "--grid", str(GRID)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "q,svn_initial,pvn_initial,svn_psi,pvn_final_psi"
+    assert len(lines) == GRID + 1
+    for line in lines[1:]:
+        q, svn_initial, pvn_initial, svn_psi, pvn_final_psi = (float(cell) for cell in line.split(","))
+        p = 1.0 - q
+        composite = oracles.composite_state(p, q).amplitudes
+        probability, post = oracles.project_bbm(composite)["psi+"]
+        assert probability > 0.0, q  # p(1-q) + (1-p)q > 0 on the whole line
+        # A of the first pair before the measurement, A of the psi+ branch after it
+        for rho, (s_vn, p_vn) in ((_reduced(composite, (2, 2, 2, 2), [0]), (svn_initial, pvn_initial)),
+                                  (_reduced(post, (2, 2), [0]), (svn_psi, pvn_final_psi))):
+            oracle_s = _entropy(oracles.jacobi_eigenvalues(rho))
+            oracle_p = 1.0 - _entropy(rho.diagonal().real)
+            c_re = _relative_entropy_of_coherence(rho)
+            assert abs(s_vn - oracle_s) <= TOL, (q, s_vn, oracle_s)
+            assert abs(p_vn - oracle_p) <= TOL, (q, p_vn, oracle_p)
+            assert abs(c_re + oracle_p + oracle_s - 1.0) <= TOL, (q, c_re)
+            assert abs(c_re + p_vn + s_vn - 1.0) <= TOL, (q, c_re)
