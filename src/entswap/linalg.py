@@ -26,11 +26,27 @@ def _check_hermitian(a: np.ndarray, ndims: tuple[int, ...]) -> None:
     """Raise unless `a` has ndim in `ndims` and is square, finite and Hermitian within 1e-12."""
     if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix with ndim in {ndims}, got shape {a.shape}")
-    # a NaN or inf entry makes the deviation NaN or inf, so it fails here
-    if not np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) <= HERMITICITY_TOL:
+    with np.errstate(invalid="ignore"):  # a NaN or inf entry gives a NaN or inf deviation, which fails
+        deviation = np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not deviation <= HERMITICITY_TOL:
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
         raise NonHermitianError("matrix is not Hermitian within 1e-12")
+
+
+def _check_density(m: np.ndarray, ndims: tuple[int, ...]) -> None:
+    """Raise unless each matrix of `m` (..., d, d) is square, finite, Hermitian and of unit trace."""
+    _check_hermitian(m, ndims)
+    if not (abs(m.trace(axis1=-2, axis2=-1) - 1.0) <= TRACE_TOL).all():
+        raise ValueError("every trace must be 1 within 1e-12")
+
+
+def _check_dims(dims, size: int) -> tuple[int, ...]:
+    """`dims` as a tuple of ints; raise unless they are positive and their product is `size`."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims) or math.prod(dims) != size:
+        raise ValueError(f"subsystem dims {dims} do not factor dimension {size}")
+    return dims
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +58,8 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        _check_hermitian(m, (2,))
-        if not dims or any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
-            raise ValueError(f"subsystem dims {dims} do not factor dimension {m.shape[0]}")
-        tr = complex(m.trace())
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1 within 1e-12, got {tr}")
+        _check_density(m, (2,))
+        dims = _check_dims(self.dims, m.shape[0])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -79,20 +90,28 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, or of each matrix in a stack.
 
-    `m` is one (n, n) matrix, giving shape (n,), or a stack (N, n, n),
-    giving shape (N, n). The solve reads only the lower triangle, as LAPACK
-    does: a matrix Hermitian within 1e-12 is solved as the Hermitian matrix
-    its lower triangle defines. A 2x2 spectrum is a closed form, computed elementwise:
-    it is exact on a diagonal matrix and otherwise accurate to about 1e-16
-    times the matrix norm. Larger matrices go to LAPACK through
-    `np.linalg.eigvalsh`; a LAPACK failure to converge raises numpy's
-    `LinAlgError`. A stack gives each matrix the bits a solve on its own gives.
+    `m` is one (n, n) matrix, giving shape (n,), or a stack (N, n, n), giving
+    shape (N, n), finite and Hermitian within 1e-12: `_eigenvalues` solves it.
     """
     a = np.asarray(m, dtype=complex)
     _check_hermitian(a, (2, 3))
-    if a.shape[-1] != 2:
-        return np.linalg.eigvalsh(a)
-    return np.moveaxis(_qubit_eigenvalues(a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]), 0, -1)
+    planes = np.moveaxis(a, (-2, -1), (0, 1))
+    return np.moveaxis(_eigenvalues(planes.real, planes.imag), 0, -1)
+
+
+def _eigenvalues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, rows (k, ...), of the Hermitian matrices held as planes re, im (k, k, ...).
+
+    Only the lower triangle is read. A 2x2 spectrum is a closed form with
+    contiguous rows, exact on a diagonal matrix and else within about 1e-16
+    times its norm; larger ones go to `np.linalg.eigvalsh`, which may raise
+    `LinAlgError`. Each matrix gets the bits of a solve on its own.
+    """
+    if len(re) == 2:
+        return _qubit_eigenvalues(re[0, 0], re[1, 1], re[1, 0] + 1j * im[1, 0])
+    m = np.empty(re.shape[2:] + re.shape[:2], dtype=complex)
+    m.real, m.imag = np.moveaxis(re, (0, 1), (-2, -1)), np.moveaxis(im, (0, 1), (-2, -1))
+    return np.moveaxis(np.linalg.eigvalsh(m), -1, 0)
 
 
 def _qubit_eigenvalues(d0, d1, b) -> np.ndarray:

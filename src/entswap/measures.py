@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TRACE_TOL, DensityMatrix, _qubit_eigenvalues, _row_sums, hermitian_eigenvalues
+from .linalg import DensityMatrix, _check_density, _eigenvalues, _row_sums
 
 EIG_CLAMP = 1e-12  # eigenvalues with |lam| below this count as exact zeros
 EIG_NEG_TOL = 1e-10  # most negative eigenvalue tolerated on a density matrix
@@ -120,46 +120,23 @@ def _diagonal_report(populations: np.ndarray) -> MeasureReport:
     return _tail(s, s, purity, purity, len(populations))
 
 
-def _stack_report(m: np.ndarray) -> MeasureReport:
-    """The report of each matrix in a checked stack (N, d, d) with unit traces."""
-    lam = hermitian_eigenvalues(m)
-    planes = m.transpose(1, 2, 0)
-    purity = _purity(planes.real, planes.imag)
-    return _report(np.diagonal(m, axis1=1, axis2=2).real.T, lam.T, purity)
-
-
 def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
     """All quantifiers at once.
 
     `rho` is one DensityMatrix, giving floats, or a stack of density
-    matrices shaped (N, d, d), giving arrays of length N. A stack must have
-    finite entries, unit traces and Hermitian matrices; a DensityMatrix was
-    checked when it was built.
+    matrices shaped (N, d, d), giving arrays of length N. A stack is checked
+    here as a DensityMatrix is checked when it is built: finite, Hermitian
+    matrices with unit traces. A DensityMatrix is not checked again.
     """
-    if isinstance(rho, DensityMatrix):
-        one = _stack_report(rho.matrix[None])
-        return MeasureReport(**{k: v if k == "dim" else float(v[0]) for k, v in vars(one).items()})
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    if not (np.abs(np.trace(m, axis1=1, axis2=2) - 1.0) <= TRACE_TOL).all():
-        raise ValueError("every trace must be 1 within 1e-12")
-    return _stack_report(m)
-
-
-def _gram_eigenvalues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (N, k) of the Hermitian matrices held as planes re, im (k, k, N).
-
-    Only the lower triangle is read, as `hermitian_eigenvalues` reads it:
-    the closed 2x2 form for k = 2, LAPACK `eigvalsh` for k >= 3. The
-    closed form writes rows (2, N), returned transposed, so the report
-    reads them back as contiguous rows.
-    """
-    if len(re) == 2:
-        return _qubit_eigenvalues(re[0, 0], re[1, 1], re[1, 0] + 1j * im[1, 0]).T
-    m = np.empty((re.shape[2], len(re), len(re)), dtype=complex)
-    m.real, m.imag = re.transpose(2, 0, 1), im.transpose(2, 0, 1)
-    return np.linalg.eigvalsh(m)
+    one = isinstance(rho, DensityMatrix)
+    m = rho.matrix[None] if one else np.asarray(rho, dtype=complex)
+    if not one:
+        _check_density(m, (3,))
+    re, im = m.real.transpose(1, 2, 0), m.imag.transpose(1, 2, 0)
+    rep = _report(np.diagonal(re).T, _eigenvalues(re, im), _purity(re, im))
+    if one:
+        rep = MeasureReport(**{k: v if k == "dim" else float(v[0]) for k, v in vars(rep).items()})
+    return rep
 
 
 def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +185,7 @@ def _pure_report(psi: np.ndarray) -> MeasureReport:
     else:
         mod2 = planes[:, :, 0] ** 2 + planes[:, :, 1] ** 2
         populations = functools.reduce(np.add, mod2.swapaxes(0, 1))
-    return _report(populations, _gram_eigenvalues(re, im).T, _purity(re, im))
+    return _report(populations, _eigenvalues(re, im), _purity(re, im))
 
 
 def svn(rho: DensityMatrix) -> float:

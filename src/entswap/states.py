@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .linalg import DensityMatrix, _row_sums, partial_trace
+from .linalg import DensityMatrix, _check_dims, _row_sums, partial_trace
 
 NORM_TOL = 1e-12
 
@@ -25,9 +25,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims) or math.prod(dims) != amps.size:
-            raise ValueError(f"dims {dims} do not match amplitude count {amps.size}")
+        dims = _check_dims(self.dims, amps.size)
         # Python floats: a huge finite entry squares to inf with no warning, rejected below
         norm = math.sqrt(sum([x * x for x in amps.view(float).tolist()]))
         # a NaN or inf entry makes the norm NaN or inf, so it fails here

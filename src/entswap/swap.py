@@ -68,15 +68,21 @@ def _spectrum(p, q) -> np.ndarray:
     return spectrum
 
 
-def _post_amplitudes(p, q) -> np.ndarray:
+def _probabilities(products) -> np.ndarray:
+    """Branch probabilities (4, ...) in BELL_LABELS order: halves of `_products`' N_phi^2 and N_psi^2."""
+    *_, n2_phi, n2_psi = products
+    return 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi])
+
+
+def _post_amplitudes(products) -> np.ndarray:
     """Normalized AB amplitudes of the four branches, shape (..., 4, 4), rows in BELL_LABELS order.
 
-    The row of a branch with zero normalization is NaN: it has no post state.
-    Every entry is written and divided in place in one array that holds the
-    weights' index innermost, so each step runs over whole rows of them; the
-    result is that array's transposed view.
+    From the six `_products`. A branch with zero normalization has a NaN row:
+    it has no post state. Every entry is written and divided in place in one
+    array that holds the weights' index innermost, so each step runs over
+    whole rows of them; the result is that array's transposed view.
     """
-    roots = np.sqrt(_products(p, q))  # a, b, c, d, N_phi, N_psi
+    roots = np.sqrt(products)  # a, b, c, d, N_phi, N_psi
     a, b, c, d = roots[:4]
     amps = np.zeros((4, 4) + roots.shape[1:])
     amps[0, 0] = amps[1, 0] = a
@@ -98,13 +104,13 @@ def _branches(p, q) -> tuple[np.ndarray, np.ndarray]:
     post state, whatever its amplitude row holds: 0.5 * n2 underflows to 0.0
     when n2 is the smallest subnormal, so the probability, not n2, decides.
     """
-    *_, n2_phi, n2_psi = _products(p, q)
-    return 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi]), _post_amplitudes(p, q)
+    products = _products(p, q)
+    return _probabilities(products), _post_amplitudes(products)
 
 
 def outcome_probabilities(p: float, q: float) -> dict[str, float]:
     """Analytic probability of each Bell outcome, keyed in BELL_LABELS order."""
-    probs, _ = _branches(require_weight(p, "p"), require_weight(q, "q"))
+    probs = _probabilities(_products(require_weight(p, "p"), require_weight(q, "q")))
     return dict(zip(BELL_LABELS, probs))
 
 

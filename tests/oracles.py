@@ -8,6 +8,7 @@ one random draw at a time, math-module arithmetic on one number at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -68,20 +69,23 @@ def _flat_index(keep_code: int, traced_code: int, dims, keep, traced) -> int:
     return flat
 
 
+@functools.cache
+def _trace_index(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """index[ik][it]: the composite index of kept digit code ik and traced digit code it."""
+    traced = [i for i in range(len(dims)) if i not in keep]
+    dk = math.prod(dims[i] for i in keep)
+    dt = math.prod(dims[i] for i in traced)
+    return tuple(tuple(_flat_index(ik, it, dims, keep, traced) for it in range(dt)) for ik in range(dk))
+
+
 def partial_trace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace by explicit index summation, no reshapes."""
-    dims = list(dims)
-    keep = sorted(keep)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    dk = int(np.prod([dims[i] for i in keep]))
-    dt = int(np.prod([dims[i] for i in traced])) if traced else 1
-    out = np.zeros((dk, dk), dtype=complex)
-    for ik in range(dk):
-        for jk in range(dk):
+    index = _trace_index(tuple(dims), tuple(sorted(keep)))
+    out = np.zeros((len(index), len(index)), dtype=complex)
+    for ik, rows in enumerate(index):
+        for jk, cols in enumerate(index):
             acc = 0.0 + 0.0j
-            for it in range(dt):
-                row = _flat_index(ik, it, dims, keep, traced)
-                col = _flat_index(jk, it, dims, keep, traced)
+            for row, col in zip(rows, cols):
                 acc += mat[row, col]
             out[ik, jk] = acc
     return out

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from entswap.linalg import DensityMatrix, NonHermitianError, _row_sums, hermitian_eigenvalues, partial_trace
+from entswap.states import PureState
 from oracles import kron
 
 
@@ -70,14 +73,21 @@ def test_density_matrix_rejects_bad_trace():
 
 def test_density_matrix_rejects_non_finite():
     for m in ([[np.nan, 0.0], [0.0, 0.5]], [[0.5, np.inf], [np.inf, 0.5]], [[np.inf, 0], [0, -np.inf]]):
-        # inf - inf in the Hermiticity deviation is the expected NaN here
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        # inf - inf in the Hermiticity deviation is NaN, and it is refused without a RuntimeWarning
+        with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(np.array(m), (2,))
 
 
 def test_density_matrix_rejects_bad_dims():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2, dtype=complex) / 2, (3,))
+    # a PureState of the same size is refused by the same check, in the same words
+    for dims in ((), (3,), (2, 3), (4, 0), (-2, -2), (1, 2, 3)):
+        message = re.escape(f"subsystem dims {dims} do not factor dimension 4")
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
+        with pytest.raises(ValueError, match=message):
+            PureState(np.array([1.0, 0.0, 0.0, 0.0]), dims)
 
 
 def test_partial_trace_product_state_factorizes():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import measures, states, swap
-from entswap.linalg import DensityMatrix, hermitian_eigenvalues
+from entswap import linalg, measures, states, swap
+from entswap.linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues
 from entswap.measures import report, svn
 from entswap.states import PureState, haar_states
 from oracles import VERIFY_DIMS
@@ -227,10 +227,29 @@ def test_report_rejects_malformed_stacks():
     with pytest.raises(ValueError):
         report(good * 2.0)  # trace 2
     for entry in ((1, 0, 0), (1, 0, 1)):
-        bad = good.copy()
-        bad[entry] = np.nan
-        with pytest.raises(ValueError):
-            report(bad)
+        for value in (np.nan, np.inf):
+            bad = good.copy()
+            bad[entry] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                report(bad)
+    skew = good.copy()
+    skew[1, 1, 0] = 0.25  # unit traces, finite, but not Hermitian
+    with pytest.raises(NonHermitianError):
+        report(skew)
+
+
+def test_report_of_a_density_matrix_does_not_check_it_again(monkeypatch):
+    rho = haar_state(3, 2, seed=23).reduced({0})
+    expected = report(rho)
+
+    def refuse(*args):
+        raise AssertionError("a density matrix was checked again")
+
+    for module, name in ((linalg, "_check_hermitian"), (linalg, "_check_density"), (measures, "_check_density")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="checked again"):
+        report(rho.matrix[None])  # a bare stack is checked, so the patch is on report's path
+    assert report(rho) == expected
 
 
 FIELDS = ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum")
@@ -238,8 +257,8 @@ VN_FIELDS = ("c_re", "p_vn", "s_vn", "vn_sum")
 
 
 def kernel_spectrum(monkeypatch, psi):
-    """The report of `measures._pure_report` and the spectrum it takes through `_gram_eigenvalues`."""
-    real_eigenvalues = measures._gram_eigenvalues
+    """The report of `measures._pure_report` and the spectrum (N, k) it takes through `_eigenvalues`."""
+    real_eigenvalues = measures._eigenvalues
     seen = []
 
     def spy(re, im):
@@ -247,10 +266,10 @@ def kernel_spectrum(monkeypatch, psi):
         return seen[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(measures, "_gram_eigenvalues", spy)
+        patch.setattr(measures, "_eigenvalues", spy)
         rep = measures._pure_report(psi)
     (lam,) = seen
-    return rep, lam
+    return rep, lam.T
 
 
 @pytest.mark.parametrize("da, db", [(da, db) for da, db in VERIFY_DIMS if db < da])
@@ -279,7 +298,7 @@ def swap_stacks():
     """The 2x2 amplitude stacks `swap` reduces: Schmidt pairs and live branches on a weight grid."""
     w = np.linspace(0.0, 1.0, 41)
     yield np.sqrt(np.stack([w, 0 * w, 0 * w, 1.0 - w], axis=1)).reshape(-1, 2, 2)
-    amps = swap._post_amplitudes(*(a.ravel() for a in np.meshgrid(w, w))).reshape(-1, 4)
+    amps = swap._post_amplitudes(swap._products(*(a.ravel() for a in np.meshgrid(w, w)))).reshape(-1, 4)
     yield amps[np.isfinite(amps).all(axis=1)].reshape(-1, 2, 2)
 
 
@@ -318,7 +337,8 @@ def test_pure_report_on_a_stack_matches_each_state_alone_bit_for_bit(da, db):
 def test_pure_report_takes_a_real_strided_stack():
     # figure 2b hands the kernel a column of the real branch amplitudes, a strided view
     x = np.linspace(0.0, 1.0, 101)
-    psi = swap._post_amplitudes(1.0 - x, x)[:, states.BELL_LABELS.index("psi+")].reshape(len(x), 2, 2)
+    amps = swap._post_amplitudes(swap._products(1.0 - x, x))
+    psi = amps[:, states.BELL_LABELS.index("psi+")].reshape(len(x), 2, 2)
     assert psi.dtype == float and not psi.flags.c_contiguous
     kernel, copied = measures._pure_report(psi), measures._pure_report(psi.astype(complex))
     for field in FIELDS:

@@ -303,7 +303,7 @@ BRANCH_SECTORS = np.array([[1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0
 @given(st.lists(st.tuples(schmidt_weights, schmidt_weights), min_size=1, max_size=8))
 def test_swap_states_are_in_schmidt_form_and_report_from_their_populations(drawn):
     p, q = np.array(drawn).T
-    posts = swap._post_amplitudes(p, q)
+    posts = swap._post_amplitudes(swap._products(p, q))
     pairs = states._pair_amplitudes(np.concatenate([p, q]))
     live = ~np.isnan(posts).any(axis=-1)
     assert np.isnan(posts[~live]).all()  # a branch with zero normalization has no state
