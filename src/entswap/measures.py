@@ -139,53 +139,96 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
     return rep
 
 
+def _amplitude_planes(da: int, db: int, n: int) -> np.ndarray:
+    """Empty amplitude planes (da, db, 2, n) in the memory layout `_plane_report` reads best.
+
+    The memory runs over the smaller side first, the side of the Gram
+    matrix (a when db >= da, else b), then real and imaginary part, then
+    the other side, then the states. So each operand of `_gram` is one
+    contiguous block, which numpy reads with no iteration buffers, and
+    every row planes[a, b, part] is contiguous.
+    """
+    if db >= da:
+        return np.empty((da, 2, db, n)).transpose(0, 2, 1, 3)
+    return np.empty((db, 2, da, n)).transpose(2, 0, 1, 3)
+
+
 def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Planes re, im (k, k, N) of G[i, l] = sum_j x[i, j] x[l, j]* for amplitude planes x (k, m, 2, N).
 
-    The sum runs over j one term at a time, into the output in place; each
-    term's products are added before it is accumulated, as in einsum's
-    complex product, so G has the bits of psi psi^H by einsum.
+    Each term's two products are added before it is accumulated, as in
+    einsum's complex product, and the sum runs over j one term at a time
+    from 0.0, so G has the bits of psi psi^H by einsum. Only the lower
+    triangle is summed. The upper one is its mirror, re[l, i] = re[i, l]
+    and im[l, i] = -im[i, l]: exact but for the sign of a zero imaginary
+    part, which the eigensolvers (lower triangle) and the purity (squares)
+    never see. A diagonal term's imaginary part is x - x = +0.0.
     """
-    k, _, _, n = x.shape
-    re, im = np.zeros((k, k, n)), np.zeros((k, k, n))
-    term, part = np.empty((k, k, n)), np.empty((k, k, n))
-    for r, i in x.transpose(1, 2, 0, 3):
-        rc, ic = r[:, None], i[:, None]
-        np.multiply(rc, r, term)
-        term += np.multiply(ic, i, part)
-        re += term
-        np.multiply(ic, r, term)
-        term -= np.multiply(rc, i, part)
-        im += term
+    k, m, _, n = x.shape
+    y = x.transpose(0, 2, 1, 3)  # y[i] (2, m, N): the real parts of all m terms, then the imaginary parts
+    re, im = np.empty((k, k, n)), np.zeros((k, k, n))
+    terms = np.empty((2, m, n))
+
+    def accumulate(out: np.ndarray) -> None:
+        """out = ((0.0 + t_0) + t_1) + ... over the rows t_j of terms[0]."""
+        np.add(terms[0, 0], 0.0, out=out)
+        for t in terms[0, 1:]:
+            out += t
+
+    for i in range(k):
+        for l in range(i + 1):
+            np.multiply(y[i], y[l], out=terms)
+            np.add(terms[0], terms[1], out=terms[0])
+            accumulate(re[i, l])
+            if l < i:
+                np.multiply(y[i, 1], y[l, 0], out=terms[0])
+                np.multiply(y[i, 0], y[l, 1], out=terms[1])
+                np.subtract(terms[0], terms[1], out=terms[0])
+                accumulate(im[i, l])
+                re[l, i] = re[i, l]
+                np.negative(im[i, l], out=im[l, i])
     return re, im
 
 
 def _pure_report(psi: np.ndarray) -> MeasureReport:
     """The report of rho_A for each pure state in a stack of amplitude matrices psi[N, dA, dB].
 
-    The work is done on real planes with the state index innermost. rho_A
-    and rho_B share their purity and their nonzero eigenvalues, the squared
-    Schmidt coefficients, so only the smaller Gram matrix of psi is formed:
-    rho_A = psi psi^H when dB >= dA, rho_B = psi^T psi* otherwise. rho_A's
-    populations are the row sums of |psi|^2. A real or strided stack is
-    read as it is, with no complex copy. The states must be normalized:
-    there is no trace check here. Non-finite amplitudes raise ValueError.
+    psi is copied into the real planes of `_plane_report`, which does the
+    work. A real or strided stack is read as it is, with no complex copy.
     """
     psi = np.asarray(psi)
     n, da, db = psi.shape
-    planes = np.empty((da, db, 2, n))
+    planes = _amplitude_planes(da, db, n)
     planes[:, :, 0] = psi.real.transpose(1, 2, 0)
     planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
+    return _plane_report(planes)
+
+
+def _plane_report(planes: np.ndarray) -> MeasureReport:
+    """The report of rho_A for each pure state held as amplitude planes (dA, dB, 2, N).
+
+    planes[a, b, 0] and planes[a, b, 1] are the real and imaginary parts of
+    amplitude (a, b) of every state, in any memory layout; that of
+    `_amplitude_planes` is read fastest. rho_A and rho_B share their purity
+    and their nonzero eigenvalues, the squared Schmidt coefficients, so
+    only the smaller Gram matrix is formed: rho_A = psi psi^H when
+    dB >= dA, rho_B = psi^T psi* otherwise. rho_A's populations are the row
+    sums of |psi|^2. The states must be normalized: there is no trace check
+    here. Non-finite amplitudes raise ValueError.
+    """
     if not np.isfinite(planes).all():
         raise ValueError("amplitudes must be finite")
+    da, db = planes.shape[:2]
     re, im = _gram(planes if db >= da else planes.swapaxes(0, 1))
+    lam, purity = _eigenvalues(re, im), _purity(re, im)
     # rho_A's diagonal as rows (dA, N): |psi[a, b]|^2 summed in order b = 0, 1, ...
     if db >= da:
         populations = np.diagonal(re).T  # G is rho_A
-    else:
-        mod2 = planes[:, :, 0] ** 2 + planes[:, :, 1] ** 2
-        populations = functools.reduce(np.add, mod2.swapaxes(0, 1))
-    return _report(populations, _eigenvalues(re, im), _purity(re, im))
+    del re, im  # freed before the populations and the tail allocate: the chunk's peak sets its size
+    if db < da:
+        populations = np.stack([functools.reduce(np.add, [x[0] ** 2 + x[1] ** 2 for x in row])
+                                for row in planes])
+    return _report(populations, lam, purity)
 
 
 def svn(rho: DensityMatrix) -> float:

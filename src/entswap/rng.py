@@ -63,16 +63,23 @@ def complex_normals(seed: int, start: int, count: int) -> np.ndarray:
 
     Radius from the exponential law of |z|^2 and a uniform phase is exactly
     the polar form of a complex Gaussian, so normalized batches are Haar
-    directions. r*cos(2*pi*u) and r*sin(2*pi*u) go straight into the two
-    halves of the output: the bits of r * exp(2j*pi*u) wherever numpy's
-    complex exp is cos + i sin (a test pins it), without its temporaries.
+    directions. r*cos(2*pi*u) and r*sin(2*pi*u) go into the two halves of
+    the output: the bits of r * exp(2j*pi*u) wherever numpy's complex exp
+    is cos + i sin (a test pins it), without its temporaries. Each buffer is
+    dropped as soon as it is spent, so the call never holds more than twice
+    the output's bytes, which is what `uniforms` needs for the draws.
     """
     u = uniforms(seed, start, 2 * count)
     r = np.sqrt(-np.log1p(-u[0::2]))  # 1 - u > 0 because u < 1
     theta = u[1::2] * (2.0 * np.pi)
+    del u
+    x, y = np.cos(theta), np.sin(theta)
+    del theta
+    x *= r
+    y *= r
+    del r
     z = np.empty(count, dtype=complex)
-    np.multiply(r, np.cos(theta), out=z.real)
-    np.multiply(r, np.sin(theta), out=z.imag)
+    z.real, z.imag = x, y
     return z
 
 

@@ -373,15 +373,15 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize("field", ["vn_sum", "l_sum"])
 def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field):
-    real_kernel = measures._pure_report
+    real_kernel = measures._plane_report
 
-    def poisoned(psi):
-        rep = real_kernel(psi)
+    def poisoned(planes):
+        rep = real_kernel(planes)
         values = getattr(rep, field).copy()
         values[len(values) // 2] = np.nan
         return dataclasses.replace(rep, **{field: values})
 
-    monkeypatch.setattr(measures, "_pure_report", poisoned)
+    monkeypatch.setattr(measures, "_plane_report", poisoned)
     code, out, _ = run_main(capsys, ["verify", "--trials", str(cli.VERIFY_CHUNK + 5)])
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -399,8 +399,9 @@ def test_verify_fails_on_an_eigensolver_that_ignores_coherences(capsys, monkeypa
 
     monkeypatch.setattr(measures, "_eigenvalues", sorted_diagonal)
     code, _, _ = run_main(capsys, ["verify", "--trials", "2000", "--dims", "3,2"])
-    if calls != [2, 2]:  # pytest.fail is no AssertionError, so a solver that never ran fails this test
-        pytest.fail(f"the sorted-diagonal solver ran on {calls}, not on two qubit chunks")
+    chunks = [2] * -(-2000 // cli.VERIFY_CHUNK)  # one qubit spectrum per chunk
+    if calls != chunks:  # pytest.fail is no AssertionError, so a solver that never ran fails this test
+        pytest.fail(f"the sorted-diagonal solver ran on {calls}, not on {chunks}")
     assert code == 1
 
 
@@ -420,15 +421,17 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
         rho = np.einsum("ab,cb->ac", psi, psi.conj())
         ref_svn.append(measures.report(DensityMatrix(rho, (da,))).s_vn)
 
-    real_kernel = measures._pure_report
+    real_kernel = measures._plane_report
     seen = []
 
-    def spy(psi):
-        rep = real_kernel(psi)
+    def spy(planes):
+        rep = real_kernel(planes)
+        psi = np.empty((planes.shape[-1], da, db), dtype=complex)  # the states the kernel saw, exactly
+        psi.real, psi.imag = planes[:, :, 0].transpose(2, 0, 1), planes[:, :, 1].transpose(2, 0, 1)
         seen.append((psi, rep))
         return rep
 
-    monkeypatch.setattr(measures, "_pure_report", spy)
+    monkeypatch.setattr(measures, "_plane_report", spy)
     for trials in (chunk - 1, chunk + 1, last):
         seen.clear()
         argv = ["verify", "--trials", str(trials), "--dims", f"{da},{db}", "--seed", str(seed)]
@@ -446,6 +449,22 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
         assert np.abs(s_vn - ref_svn[:trials]).max() <= 1e-14
         assert doc["max_vn_residual"] == max(ref_vn[:trials])
         assert doc["max_linear_residual"] == max(ref_l[:trials])
+
+
+def test_verify_chunk_memory_stays_within_a_few_planes():
+    # one chunk as `verify` runs it: drawn into planes and reported, with no complex copy
+    def chunk():
+        return measures._plane_report(states._haar_planes(3, 2, 5, cli.VERIFY_CHUNK))
+
+    chunk()  # first-call allocations are not the chunk's
+    tracemalloc.start()
+    try:
+        chunk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    planes_bytes = 3 * 2 * 2 * cli.VERIFY_CHUNK * 8
+    assert peak <= 3.0 * planes_bytes, (peak, planes_bytes)
 
 
 @pytest.mark.parametrize("dims", [f"{da},{db}" for da in range(2, cli.VERIFY_MAX_DIM // 2 + 1)

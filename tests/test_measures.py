@@ -345,6 +345,16 @@ def test_pure_report_takes_a_real_strided_stack():
         assert np.array_equal(getattr(kernel, field), getattr(copied, field))
 
 
+@pytest.mark.parametrize("da, db", VERIFY_DIMS)
+def test_plane_report_keeps_its_bits_in_any_planes_layout(da, db):
+    # verify's planes run over the Gram side first; a C-ordered copy must report the same bits
+    planes = states._haar_planes(da, db, seed=70, count=700)
+    assert not planes.flags.c_contiguous
+    kernel, copied = measures._plane_report(planes), measures._plane_report(np.ascontiguousarray(planes))
+    for field in FIELDS:
+        assert np.array_equal(oracles.bits(getattr(kernel, field)), oracles.bits(getattr(copied, field))), field
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0.5)])
 def test_pure_report_rejects_non_finite_amplitudes(bad):
     for da, db in ((2, 2), (3, 2), (2, 3), (3, 3)):

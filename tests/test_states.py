@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import states
+from entswap import cli, states
 from entswap.states import BELL_LABELS, PureState, haar_states, schmidt_pair
 from oracles import bell_state, composite_state, fidelity
 
@@ -156,6 +156,16 @@ def test_haar_states_normalized_and_deterministic():
 def test_haar_states_keep_the_bits_of_the_norm_division(da, db):
     batch = haar_states(da, db, seed=71, count=4096, start=37)
     assert np.array_equal(oracles.bits(batch), oracles.bits(oracles.haar_states_norm(da, db, 71, 4096, start=37)))
+
+
+@pytest.mark.parametrize("count", [cli.VERIFY_CHUNK - 1, cli.VERIFY_CHUNK + 1])
+@pytest.mark.parametrize("da, db", oracles.VERIFY_DIMS)
+def test_haar_planes_are_the_haar_states_bit_for_bit(da, db, count):
+    planes = states._haar_planes(da, db, 71, count, start=37)
+    psi = haar_states(da, db, 71, count, start=37).reshape(count, da, db)
+    assert planes.shape == (da, db, 2, count)
+    assert np.array_equal(oracles.bits(planes[:, :, 0]), oracles.bits(psi.real.transpose(1, 2, 0)))
+    assert np.array_equal(oracles.bits(planes[:, :, 1]), oracles.bits(psi.imag.transpose(1, 2, 0)))
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (3, 2), (5, 3), (4, 4)])
