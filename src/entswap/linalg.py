@@ -71,31 +71,18 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     `keep` is any nonempty collection of subsystem indices; the kept
     subsystems stay in their original order.
     """
-    kept = _kept(keep, len(rho.dims))
-    return rho if len(kept) == len(rho.dims) else _trace_out(rho.matrix, rho.dims, kept)
-
-
-def _kept(keep, n: int) -> list[int]:
-    """The subsystem indices in `keep`, sorted; raise unless they are some of 0, ..., n - 1."""
+    n = len(rho.dims)
     kept = sorted({int(k) for k in keep})
     if not kept:
         raise ValueError("keep must name at least one subsystem")
     if kept[0] < 0 or kept[-1] >= n:
         raise ValueError(f"keep indices {kept} out of range for {n} subsystems")
-    return kept
-
-
-def _trace_out(matrix: np.ndarray, dims: tuple[int, ...], kept: list[int]) -> DensityMatrix:
-    """The reduction of `matrix` over `dims` onto the subsystems `kept`, checked once as a DensityMatrix.
-
-    `matrix` itself is not checked, so a caller that knows it is a density
-    matrix pays for one check of the small result only.
-    """
-    n = len(dims)
+    if len(kept) == n:
+        return rho
     # a traced subsystem's column label repeats its row label, so einsum sums its diagonal
     cols = [n + i if i in kept else i for i in range(n)]
-    t = np.einsum(matrix.reshape(dims * 2), [*range(n), *cols], kept + [n + i for i in kept])
-    dims = tuple(dims[i] for i in kept)
+    t = np.einsum(rho.matrix.reshape(rho.dims * 2), [*range(n), *cols], kept + [n + i for i in kept])
+    dims = tuple(rho.dims[i] for i in kept)
     d = math.prod(dims)
     return DensityMatrix(t.reshape(d, d), dims)
 

@@ -113,7 +113,7 @@ def _diagonal_report(populations: np.ndarray) -> MeasureReport:
     sorts the populations first, but min and max only select values and the
     entropy's and the purity's two-term sums do not depend on the order. The
     closed 2x2 spectrum returns a diagonal matrix's diagonal sorted, so these
-    are also the bits of `_pure_report` on Schmidt-form states.
+    are also the bits of `_plane_report` on Schmidt-form states.
     """
     s = _entropy(populations)
     purity = _row_sums(populations * populations)
@@ -188,20 +188,6 @@ def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 re[l, i] = re[i, l]
                 np.negative(im[i, l], out=im[l, i])
     return re, im
-
-
-def _pure_report(psi: np.ndarray) -> MeasureReport:
-    """The report of rho_A for each pure state in a stack of amplitude matrices psi[N, dA, dB].
-
-    psi is copied into the real planes of `_plane_report`, which does the
-    work. A real or strided stack is read as it is, with no complex copy.
-    """
-    psi = np.asarray(psi)
-    n, da, db = psi.shape
-    planes = _amplitude_planes(da, db, n)
-    planes[:, :, 0] = psi.real.transpose(1, 2, 0)
-    planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
-    return _plane_report(planes)
 
 
 def _plane_report(planes: np.ndarray) -> MeasureReport:

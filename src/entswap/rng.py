@@ -54,8 +54,11 @@ def uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -
     np.right_shift(z, np.uint64(31), out=t)
     z ^= t
     z >>= np.uint64(11)
-    # exact: z < 2**53 converts without rounding, and int64 converts faster than uint64
-    return np.multiply(z.view(np.int64), _DOUBLE_SCALE, out=out)
+    # exact: z < 2**53 converts without rounding, and int64 converts faster than uint64;
+    # a cast into `out` and then an in-place scale need no conversion buffer
+    np.copyto(out, z.view(np.int64))
+    out *= _DOUBLE_SCALE
+    return out
 
 
 def complex_normals(seed: int, start: int, count: int) -> np.ndarray:

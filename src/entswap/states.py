@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .linalg import DensityMatrix, _check_dims, _kept, _row_sums, _trace_out
+from .linalg import _check_dims, _row_sums
 from .measures import _amplitude_planes
 
 NORM_TOL = 1e-12
@@ -37,11 +37,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
-
-    def reduced(self, keep) -> DensityMatrix:
-        # a normalized state's outer product is a density matrix: only the reduction is checked
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return _trace_out(rho, self.dims, _kept(keep, len(self.dims)))
 
 
 def require_weight(value, name: str = "weight"):

@@ -18,7 +18,7 @@ import numpy as np
 from entswap import measures, rng, swap
 from entswap.cli import VERIFY_MAX_DIM
 from entswap.experiment import RunConfig, run_ensemble
-from entswap.linalg import hermitian_eigenvalues
+from entswap.linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
 from entswap.states import BELL_LABELS, PureState, schmidt_pair
 
 _SQRT2 = np.sqrt(2.0)
@@ -76,6 +76,31 @@ def _trace_index(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[tuple[in
     dk = math.prod(dims[i] for i in keep)
     dt = math.prod(dims[i] for i in traced)
     return tuple(tuple(_flat_index(ik, it, dims, keep, traced) for it in range(dt)) for ik in range(dk))
+
+
+def reduced(state: PureState, keep) -> DensityMatrix:
+    """The reduction of a pure state onto the subsystems `keep`, by the package's `partial_trace`."""
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    return partial_trace(DensityMatrix(rho, state.dims), keep)
+
+
+def reduced_stack(psi: np.ndarray) -> np.ndarray:
+    """rho_A = psi psi^H of each pure state in a stack of amplitude matrices psi[N, dA, dB], by one einsum."""
+    return np.einsum("nab,ncb->nac", psi, psi.conj())
+
+
+def pure_report(psi: np.ndarray) -> measures.MeasureReport:
+    """The report of rho_A for each pure state in psi[N, dA, dB], by `measures._plane_report`.
+
+    psi is copied into the kernel's real amplitude planes; a real or strided
+    stack is read as it is, with no complex copy.
+    """
+    psi = np.asarray(psi)
+    n, da, db = psi.shape
+    planes = measures._amplitude_planes(da, db, n)
+    planes[:, :, 0] = psi.real.transpose(1, 2, 0)
+    planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
+    return measures._plane_report(planes)
 
 
 def partial_trace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -235,14 +260,14 @@ def report_columns(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray)
 def pure_report_einsum(psi: np.ndarray) -> measures.MeasureReport:
     """The report of rho_A for each pure state in psi[N, dA, dB], by complex einsum reductions.
 
-    The kernel `measures._pure_report` replaced, kept as its reference:
-    rho_A by one einsum, the spectrum from the smaller of rho_A and rho_B
+    The kernel `measures._plane_report` replaced, kept as its reference:
+    rho_A by `reduced_stack`, the spectrum from the smaller of rho_A and rho_B
     through `hermitian_eigenvalues`, every other quantifier from rho_A's
     entries: C_hs from the squared moduli off the diagonal, S_l from Tr(rho_A^2).
     """
     psi = np.asarray(psi, dtype=complex)
     n, da, db = psi.shape
-    rho_a = np.einsum("nab,ncb->nac", psi, psi.conj())
+    rho_a = reduced_stack(psi)
     smaller = np.einsum("nab,nac->nbc", psi, psi.conj()) if db < da else rho_a
     s = entropy_columns(hermitian_eigenvalues(smaller))
     populations = np.diagonal(rho_a, axis1=1, axis2=2).real

@@ -23,8 +23,8 @@ def _verdict(num: int, name: str, ok: bool) -> bool:
 def test_criterion_1_worked_example_goldens():
     probs = swap.outcome_probabilities(0.1, 0.75)
     s_phi, s_psi = swap.post_entropies(0.1, 0.75)
-    s_xi = measures.svn(states.schmidt_pair(0.1).reduced({0}))
-    s_eta = measures.svn(states.schmidt_pair(0.75).reduced({0}))
+    s_xi = measures.svn(oracles.reduced(states.schmidt_pair(0.1), {0}))
+    s_eta = measures.svn(oracles.reduced(states.schmidt_pair(0.75), {0}))
     prob_ok = (
         abs(probs["phi+"] - 0.15) < 1e-12
         and abs(probs["phi-"] - 0.15) < 1e-12
@@ -71,11 +71,8 @@ def test_criterion_4_complementarity_sums_on_random_states():
     for da, db in ((2, 2), (3, 2)):
         vn_target = math.log2(da)
         l_target = (da - 1) / da
-        reduced = np.stack([
-            states.PureState(row, (da, db)).reduced({0}).matrix
-            for row in states.haar_states(da, db, 7, 10_000)
-        ])
-        rep = measures.report(reduced)
+        psi = states.haar_states(da, db, 7, 10_000).reshape(-1, da, db)
+        rep = measures.report(oracles.reduced_stack(psi))
         # np.max propagates NaN, which Python's max would drop
         worst_vn = np.max([worst_vn, np.max(np.abs(rep.vn_sum - vn_target))])
         worst_l = np.max([worst_l, np.max(np.abs(rep.l_sum - l_target))])
@@ -131,16 +128,16 @@ def test_criterion_6_entropy_stationarity():
 
 def test_criterion_7_triality_through_the_protocol():
     grid = [i / 100 for i in range(101)]
-    reduced = []
+    pairs, posts = [], []
     for p in grid:
         for q in grid:
-            reduced += [np.diag([w, 1.0 - w]).astype(complex) for w in (p, q)]
-            reduced += [
-                outcome.post_state.reduced({0}).matrix
+            pairs += [np.diag([w, 1.0 - w]).astype(complex) for w in (p, q)]
+            posts += [
+                outcome.post_state.amplitudes.reshape(2, 2)
                 for outcome in swap.bbm_outcomes(p, q)
                 if outcome.post_state is not None
             ]
-    rep = measures.report(np.stack(reduced))
+    rep = measures.report(np.concatenate([np.stack(pairs), oracles.reduced_stack(np.stack(posts))]))
     # np.max propagates NaN, which a fold with Python's max would drop
     worst_sum = np.max(np.abs(rep.p_vn + rep.s_vn - 1.0))
     worst_cre = np.max(rep.c_re)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import oracles
 from entswap import cli, linalg, measures, states, swap
 from entswap.cli import main
-from entswap.linalg import DensityMatrix
 
 
 def run_main(capsys, argv):
@@ -411,15 +410,14 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
     last = 2 * chunk + 7
     # reference: one N = 1 kernel call per state, state by state, and the
     # entropy of the same state through a checked rho_A and its own spectrum
-    ref_psi, ref_vn, ref_l, ref_svn = [], [], [], []
-    for row in states.haar_states(da, db, seed, last):
-        psi = row.reshape(da, db)
-        rep = measures._pure_report(psi[None])
-        ref_psi.append(psi)
+    # (a checked stack gives each matrix the bits it gets alone)
+    ref_psi = states.haar_states(da, db, seed, last).reshape(last, da, db)
+    ref_vn, ref_l = [], []
+    for psi in ref_psi:
+        rep = oracles.pure_report(psi[None])
         ref_vn.append(abs(rep.vn_sum[0] - math.log2(da)))
         ref_l.append(abs(rep.l_sum[0] - (da - 1) / da))
-        rho = np.einsum("ab,cb->ac", psi, psi.conj())
-        ref_svn.append(measures.report(DensityMatrix(rho, (da,))).s_vn)
+    ref_svn = measures.report(oracles.reduced_stack(ref_psi)).s_vn
 
     real_kernel = measures._plane_report
     seen = []
@@ -872,14 +870,14 @@ def test_swap_measures_match_the_pure_state_kernel_of_the_printed_states(capsys)
             code, out, _ = run_main(capsys, _swap_argv(p, q, None, 7))
             assert code == 0
             doc = json.loads(out)
-            pairs = measures._pure_report(np.stack([states.schmidt_pair(w).amplitudes.reshape(2, 2) for w in (p, q)]))
+            pairs = oracles.pure_report(np.stack([states.schmidt_pair(w).amplitudes.reshape(2, 2) for w in (p, q)]))
             for name, s_vn in zip(("svn_pair_p_full", "svn_pair_q_full"), pairs.s_vn):
                 assert abs(doc["initial"][name] - s_vn) <= 1e-12, (p, q, name)
             for entry in doc["outcomes"]:
                 if entry["post_state"] is None:
                     continue
                 re, im = np.array(entry["post_state"]).T
-                rep = measures._pure_report((re + 1j * im).reshape(1, 2, 2))
+                rep = oracles.pure_report((re + 1j * im).reshape(1, 2, 2))
                 for key, field in fields.items():
                     assert abs(entry[key] - getattr(rep, field)[0]) <= 1e-12, (p, q, entry["label"], key)
 

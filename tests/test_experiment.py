@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,20 @@ def test_uniforms_into_out_match_a_new_array():
     for bad in (np.empty(99), np.empty(100, dtype=np.float32), np.empty(100, dtype=np.int64), np.empty((100, 1))):
         with pytest.raises(ValueError, match="out must be"):
             rng.uniforms(17, 5, 100, out=bad)
+
+
+@pytest.mark.parametrize("count", [24_576, 65_536])
+def test_uniforms_allocate_no_more_than_the_words_and_the_draws(count):
+    # a 2048-state verify chunk at 3,2 and one shot chunk: the uint64 words and
+    # the float64 output, with no conversion buffer between them
+    rng.uniforms(3, 5, count)  # first-call allocations are not the draw's
+    tracemalloc.start()
+    try:
+        rng.uniforms(3, 5, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * count + 4096, peak
 
 
 def test_run_ensemble_bit_identical_reruns():

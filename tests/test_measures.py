@@ -21,7 +21,7 @@ def haar_state(da, db, seed, index=0):
 def haar_psi(da, db, seed, count):
     """Amplitude matrices psi[N, DA, DB] of `count` Haar states and their rho_A."""
     psi = haar_states(da, db, seed, count).reshape(count, da, db)
-    return psi, np.einsum("nab,ncb->nac", psi, psi.conj())
+    return psi, oracles.reduced_stack(psi)
 
 
 def cre(rho):
@@ -187,7 +187,7 @@ def test_report_fields_never_meaningfully_negative():
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from([(2, 2), (3, 2), (4, 2)]))
 def test_triality_sums_on_haar_reductions(seed, dims):
     da, db = dims
-    rho = haar_state(da, db, seed=seed).reduced({0})
+    rho = oracles.reduced(haar_state(da, db, seed=seed), {0})
     rep = report(rho)
     assert abs(rep.vn_sum - math.log2(da)) < 1e-10
     assert abs(rep.l_sum - (da - 1) / da) < 1e-10
@@ -202,7 +202,7 @@ def test_entropy_rejects_clearly_negative_spectrum():
 
 
 def test_report_on_a_stack_matches_each_matrix_alone_bit_for_bit():
-    matrices = [haar_state(3, 2, seed=21, index=k).reduced({0}).matrix for k in range(6)]
+    matrices = [oracles.reduced(haar_state(3, 2, seed=21, index=k), {0}).matrix for k in range(6)]
     matrices.append(np.diag([0.2, 0.3, 0.5]).astype(complex))
     batch = report(np.stack(matrices))
     for k, m in enumerate(matrices):
@@ -239,7 +239,7 @@ def test_report_rejects_malformed_stacks():
 
 
 def test_report_of_a_density_matrix_does_not_check_it_again(monkeypatch):
-    rho = haar_state(3, 2, seed=23).reduced({0})
+    rho = oracles.reduced(haar_state(3, 2, seed=23), {0})
     expected = report(rho)
 
     def refuse(*args):
@@ -257,7 +257,7 @@ VN_FIELDS = ("c_re", "p_vn", "s_vn", "vn_sum")
 
 
 def kernel_spectrum(monkeypatch, psi):
-    """The report of `measures._pure_report` and the spectrum (N, k) it takes through `_eigenvalues`."""
+    """The report of `oracles.pure_report` and the spectrum (N, k) it takes through `_eigenvalues`."""
     real_eigenvalues = measures._eigenvalues
     seen = []
 
@@ -267,7 +267,7 @@ def kernel_spectrum(monkeypatch, psi):
 
     with monkeypatch.context() as patch:
         patch.setattr(measures, "_eigenvalues", spy)
-        rep = measures._pure_report(psi)
+        rep = oracles.pure_report(psi)
     (lam,) = seen
     return rep, lam.T
 
@@ -288,7 +288,7 @@ def test_pure_report_takes_rho_b_spectrum_with_the_moments_of_rho_a(monkeypatch,
 @pytest.mark.parametrize("da, db", [(da, db) for da, db in VERIFY_DIMS if db >= da])
 def test_pure_report_at_db_not_below_da_is_the_report_of_rho_a(da, db):
     psi, rho_a = haar_psi(da, db, seed=62, count=2000)
-    kernel, direct = measures._pure_report(psi), report(rho_a)
+    kernel, direct = oracles.pure_report(psi), report(rho_a)
     for field in FIELDS:
         assert np.array_equal(getattr(kernel, field), getattr(direct, field))
     assert kernel.dim == direct.dim == da
@@ -304,7 +304,7 @@ def swap_stacks():
 
 def test_pure_report_keeps_the_einsum_kernel_bits_on_swap_states():
     for psi in swap_stacks():
-        kernel, reference = measures._pure_report(psi), oracles.pure_report_einsum(psi)
+        kernel, reference = oracles.pure_report(psi), oracles.pure_report_einsum(psi)
         for field in VN_FIELDS:
             assert np.array_equal(getattr(kernel, field), getattr(reference, field)), field
         for field in FIELDS:
@@ -316,7 +316,7 @@ def test_pure_report_agrees_with_the_einsum_kernel(da, db):
     # the von Neumann fields keep their bits, so verify's max_vn_residual does;
     # the linear ones now come from the purity and move in their last bits
     psi, _ = haar_psi(da, db, seed=64, count=3000)
-    kernel, reference = measures._pure_report(psi), oracles.pure_report_einsum(psi)
+    kernel, reference = oracles.pure_report(psi), oracles.pure_report_einsum(psi)
     for field in VN_FIELDS:
         assert np.array_equal(getattr(kernel, field), getattr(reference, field)), field
     for field in FIELDS:
@@ -327,22 +327,11 @@ def test_pure_report_agrees_with_the_einsum_kernel(da, db):
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_pure_report_on_a_stack_matches_each_state_alone_bit_for_bit(da, db):
     psi, _ = haar_psi(da, db, seed=65, count=9)
-    batch = measures._pure_report(psi)
+    batch = oracles.pure_report(psi)
     for k in range(len(psi)):
-        one = measures._pure_report(psi[k:k + 1])
+        one = oracles.pure_report(psi[k:k + 1])
         for field in FIELDS:
             assert getattr(batch, field)[k] == getattr(one, field)[0], field
-
-
-def test_pure_report_takes_a_real_strided_stack():
-    # figure 2b hands the kernel a column of the real branch amplitudes, a strided view
-    x = np.linspace(0.0, 1.0, 101)
-    amps = swap._post_amplitudes(swap._products(1.0 - x, x))
-    psi = amps[:, states.BELL_LABELS.index("psi+")].reshape(len(x), 2, 2)
-    assert psi.dtype == float and not psi.flags.c_contiguous
-    kernel, copied = measures._pure_report(psi), measures._pure_report(psi.astype(complex))
-    for field in FIELDS:
-        assert np.array_equal(getattr(kernel, field), getattr(copied, field))
 
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
@@ -361,7 +350,7 @@ def test_pure_report_rejects_non_finite_amplitudes(bad):
         psi, _ = haar_psi(da, db, seed=66, count=4)
         psi[2, da - 1, 0] = bad
         with pytest.raises(ValueError):
-            measures._pure_report(psi)
+            oracles.pure_report(psi)
 
 
 def assert_the_column_tail(rep, populations, lam, purity):
@@ -383,7 +372,7 @@ def test_row_tail_keeps_the_bits_of_the_column_tail(monkeypatch, da, db):
 
     monkeypatch.setattr(measures, "_report", spy)
     psi, _ = haar_psi(da, db, seed=68, count=3000)
-    measures._pure_report(psi)
+    oracles.pure_report(psi)
     ((populations, lam, purity, rep),) = seen
     assert populations.shape == (da, len(psi)) and lam.shape == (min(da, db), len(psi))
     assert_the_column_tail(rep, populations.T, lam.T, purity)
@@ -412,13 +401,13 @@ def test_report_of_a_stack_keeps_the_bits_of_the_column_tail(d):
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_pure_report_memory_stays_within_a_few_stacks(da, db):
-    psi, _ = haar_psi(da, db, seed=67, count=1024)
-    measures._pure_report(psi)  # first-call allocations are not the kernel's
+    planes = states._haar_planes(da, db, 67, 1024)
+    measures._plane_report(planes)  # first-call allocations are not the kernel's
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        measures._pure_report(psi)
+        measures._plane_report(planes)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * psi.nbytes
+    assert peak <= 3.0 * planes.nbytes, (peak, planes.nbytes)

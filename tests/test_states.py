@@ -68,7 +68,7 @@ def test_schmidt_pair_rejects_bad_weight():
 def test_schmidt_pair_reductions_are_diagonal(w):
     pair = schmidt_pair(w)
     for side in (0, 1):
-        red = pair.reduced({side}).matrix
+        red = oracles.reduced(pair, {side}).matrix
         assert abs(red[0, 0].real - w) < 1e-12
         assert abs(red[1, 1].real - (1.0 - w)) < 1e-12
         assert abs(red[0, 1]) < 1e-15
@@ -83,7 +83,7 @@ def test_bell_states_orthonormal():
 
 def test_bell_states_maximally_mixed_reductions():
     for label in BELL_LABELS:
-        red = bell_state(label).reduced({0}).matrix
+        red = oracles.reduced(bell_state(label), {0}).matrix
         assert np.abs(red - np.eye(2) / 2).max() < 1e-12
 
 
