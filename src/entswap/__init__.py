@@ -13,7 +13,6 @@ from .states import BELL_LABELS, PureState, haar_states, schmidt_pair
 from .swap import (
     BBMOutcome,
     SwapSpectrum,
-    UndefinedBranchError,
     bbm_outcomes,
     outcome_probabilities,
     post_entropies,
@@ -24,10 +23,10 @@ from .swap import (
 
 __all__ = [
     "BBMOutcome", "BELL_LABELS", "DensityMatrix", "EnsembleResult", "MeasureReport",
-    "NonHermitianError", "PureState", "RunConfig", "SwapSpectrum", "UndefinedBranchError",
-    "bbm_outcomes", "haar_states", "hermitian_eigenvalues", "outcome_probabilities",
-    "partial_trace", "post_entropies", "predictability_probability", "report", "run_ensemble",
-    "schmidt_pair", "special_case_probs", "svn", "swap_spectrum",
+    "NonHermitianError", "PureState", "RunConfig", "SwapSpectrum", "bbm_outcomes",
+    "haar_states", "hermitian_eigenvalues", "outcome_probabilities", "partial_trace",
+    "post_entropies", "predictability_probability", "report", "run_ensemble", "schmidt_pair",
+    "special_case_probs", "svn", "swap_spectrum",
 ]
 
 __version__ = "0.1.0"

@@ -47,9 +47,11 @@ EXIT_IO = 3
 def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
-        # every q in FIGURE_Q_SET is inside (0, 1), so both branches are defined at every p
-        spectrum = swap._spectrum(x[:, None], np.array(FIGURE_Q_SET))
-        columns = [x, measures._entropy(spectrum[:2] if which == "1a" else spectrum[2:])]
+        # every q in FIGURE_Q_SET is inside (0, 1), so both families are live at every p;
+        # 1a divides phi's products, 1b psi's, and neither is held past the division
+        family = 0 if which == "1a" else 1
+        spectrum = swap._family(*swap._products(x[:, None], np.array(FIGURE_Q_SET))[family])
+        columns = [x, measures._entropy(spectrum)]
     elif which == "2a":
         pr_phi, pr_psi = swap.special_case_probs(x)
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
@@ -57,7 +59,7 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
         p = 1.0 - x
         # both rho_A are diagonal: their populations (p, 1 - p) and psi+'s (c, d) are their spectra
         initial = measures._diagonal_report(np.stack([p, 1.0 - p]))
-        final = measures._diagonal_report(swap._spectrum(p, x)[2:])
+        final = measures._diagonal_report(swap._family(*swap._products(p, x)[1]))
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
     else:
         raise ValueError(f"unknown figure {which!r}")
@@ -308,22 +310,22 @@ def cmd_swap(args: argparse.Namespace) -> int:
     outcomes = swap.bbm_outcomes(args.p, args.q)
     live = tuple(o.post_state is not None for o in outcomes)
     # every state is in Schmidt form, so rho_A is diagonal and its populations are its
-    # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a branch
+    # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a branch;
+    # a dead family's are NaN, and so are its report entries, which no leaf reads
     a, b, c, d = swap._spectrum(args.p, args.q)
-    populations = [(args.p, 1.0 - args.p), (args.q, 1.0 - args.q)]
-    populations += [pair for pair, alive in zip([(a, b), (a, b), (c, d), (c, d)], live) if alive]
+    populations = [(args.p, 1.0 - args.p), (args.q, 1.0 - args.q), (a, b), (a, b), (c, d), (c, d)]
     rep = measures._diagonal_report(np.array(populations).T)  # one report for every state
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     # the leaves in the template's order; each shown value is followed by its `_full` value
     floats = [args.p, args.q]
     for value in rep.s_vn[:2].tolist():
         floats += (round(value, 4), value)
-    for o in outcomes:
+    for o, values in zip(outcomes, branch_measures):
         probability = float(o.probability)
         floats += (round(probability, 4), probability)
         if o.post_state is not None:
             floats += o.post_state.amplitudes.view(float).tolist()
-            for value in next(branch_measures):
+            for value in values:
                 floats += (round(value, 4), value)
     leaves = _json_floats(floats)
     if args.shots is not None:

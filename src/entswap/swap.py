@@ -9,16 +9,13 @@ call on numbers is the same computation on a single element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
 from .states import BELL_LABELS, PureState, require_weight
-
-
-class UndefinedBranchError(ValueError):
-    """A measurement branch has zero normalization at the requested weights."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,60 +46,67 @@ class SwapSpectrum:
 
 
 def _products(p, q):
-    """pq, (1-p)(1-q), p(1-q), (1-p)q and the squared branch norms N_phi^2 and N_psi^2 they sum to."""
+    """Unnormalized rho_A eigenvalues of each branch family: phi's pq, (1-p)(1-q), psi's (1-p)q, p(1-q)."""
     u, v = 1.0 - p, 1.0 - q
-    pq, uv, pv, uq = p * q, u * v, p * v, u * q
-    return pq, uv, pv, uq, pq + uv, pv + uq
+    return (p * q, u * v), (u * q, p * v)
+
+
+def _norm2(s, t):
+    """The squared norm s + t of a branch family of unnormalized eigenvalues s and t, NaN where it is dead.
+
+    The one liveness rule: a family is dead exactly when its probability
+    0.5 * (s + t) is 0.0, as it is also where s + t is the smallest
+    subnormal. What is divided by a dead family's norm is NaN, and no
+    division is 0/0, so nothing warns.
+    """
+    n2 = s + t
+    return np.where(0.5 * n2 > 0.0, n2, np.nan)
+
+
+def _family(s, t) -> np.ndarray:
+    """One family of `_products` over its sum: its eigenvalues, stacked (2, ...), NaN where it is dead."""
+    return np.array([s, t]) / _norm2(s, t)
 
 
 def _spectrum(p, q) -> np.ndarray:
-    """Branch eigenvalues a, b = pq, (1-p)(1-q) over N_phi^2 and c, d = (1-p)q, p(1-q) over N_psi^2.
-
-    Stacked on a new first axis and unchecked: NaN where a normalization vanishes.
-    """
-    pq, uv, pv, uq, n2_phi, n2_psi = _products(p, q)
-    spectrum = np.array([pq, uv, uq, pv])
-    with np.errstate(invalid="ignore"):  # 0/0 where a branch normalization vanishes
-        spectrum[:2] /= n2_phi
-        spectrum[2:] /= n2_psi
-    return spectrum
+    """Branch eigenvalues a, b of phi and c, d of psi, stacked (4, ...) and unchecked: each `_family`."""
+    phi, psi = _products(p, q)
+    return np.concatenate([_family(*phi), _family(*psi)])
 
 
 def _probabilities(products) -> np.ndarray:
-    """Branch probabilities (4, ...) in BELL_LABELS order: halves of `_products`' N_phi^2 and N_psi^2."""
-    *_, n2_phi, n2_psi = products
+    """Branch probabilities (4, ...) in BELL_LABELS order: half the sum of each family of `_products`."""
+    (pq, uv), (uq, pv) = products
+    n2_phi, n2_psi = pq + uv, uq + pv
     return 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi])
 
 
 def _post_amplitudes(products) -> np.ndarray:
     """Normalized AB amplitudes of the four branches, shape (..., 4, 4), rows in BELL_LABELS order.
 
-    From the six `_products`. A branch with zero normalization has a NaN row:
-    it has no post state. Every entry is written and divided in place in one
+    From the two families of `_products`. A dead family's rows are NaN: it
+    has no post state. Every entry is written and divided in place in one
     array that holds the weights' index innermost, so each step runs over
     whole rows of them; the result is that array's transposed view.
     """
-    roots = np.sqrt(products)  # a, b, c, d, N_phi, N_psi
-    a, b, c, d = roots[:4]
-    amps = np.zeros((4, 4) + roots.shape[1:])
+    phi, psi = products
+    a, b, d, c = np.sqrt([*phi, *psi])
+    amps = np.zeros((4, 4) + a.shape)
     amps[0, 0] = amps[1, 0] = a
     amps[0, 3] = b
     amps[1, 3] = -b
     amps[2, 1] = amps[3, 1] = c
     amps[2, 2] = d
     amps[3, 2] = -d
-    with np.errstate(invalid="ignore"):  # 0/0 where a branch normalization vanishes
-        amps[:2] /= roots[4]
-        amps[2:] /= roots[5]
+    amps[:2] /= np.sqrt(_norm2(*phi))
+    amps[2:] /= np.sqrt(_norm2(*psi))
     return amps.transpose(*range(2, amps.ndim), 0, 1)
 
 
 def _branches(p, q) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities (4,) and normalized AB amplitudes (4, 4) of the branches at numbers p and q.
 
-    Both are in BELL_LABELS order. A branch whose probability is 0.0 has no
-    post state, whatever its amplitude row holds: 0.5 * n2 underflows to 0.0
-    when n2 is the smallest subnormal, so the probability, not n2, decides.
+    Both are in BELL_LABELS order. A dead family's amplitude rows are NaN.
     """
     products = _products(p, q)
     return _probabilities(products), _post_amplitudes(products)
@@ -118,26 +122,20 @@ def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     """The four measurement branches with their conditional AB states."""
     probs, amps = _branches(require_weight(p, "p"), require_weight(q, "q"))
     return [
-        BBMOutcome(label, prob, PureState(row, (2, 2)) if prob > 0.0 else None)
+        # a dead branch's row is NaN (`_norm2`): it has no post state
+        BBMOutcome(label, prob, None if math.isnan(row[0]) else PureState(row, (2, 2)))
         for label, prob, row in zip(BELL_LABELS, probs, amps)
     ]
 
 
 def swap_spectrum(p, q) -> SwapSpectrum:
-    """The branch eigenvalues of `_spectrum` at validated weights.
-
-    Raises UndefinedBranchError if a branch normalization vanishes at any of them.
-    """
-    p = require_weight(p, "p")
-    q = require_weight(q, "q")
-    a, b, c, d = _spectrum(p, q)
-    if np.isnan(a).any() or np.isnan(c).any():
-        raise UndefinedBranchError(f"branch normalization vanishes at p={p}, q={q}")
+    """The branch eigenvalues of `_spectrum` at validated weights: NaN where a family is dead."""
+    a, b, c, d = _spectrum(require_weight(p, "p"), require_weight(q, "q"))
     return SwapSpectrum(a=a, b=b, c=c, d=d)
 
 
 def post_entropies(p, q):
-    """Entanglement entropy of the phi- and psi-branch post states, in bits."""
+    """Entanglement entropy of the phi- and psi-branch post states, in bits: NaN where a family is dead."""
     s = swap_spectrum(p, q)
     return measures._entropy(np.stack([s.a, s.b])), measures._entropy(np.stack([s.c, s.d]))
 

@@ -481,20 +481,21 @@ def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -
     eigenvalues, written here in Python floats with the operations and operand
     order of `swap._products`, so they have its bits without calling it. They
     go to the population report `measures._diagonal_report`, as in the CLI.
+    Which branches are live it decides itself, by the probability 0.5 * n2,
+    so a package that keeps a dead branch's state or drops a live one differs.
     """
     outcomes = swap.bbm_outcomes(p, q)
     u, v = 1.0 - p, 1.0 - q
     pq, uv, pv, uq = p * q, u * v, p * v, u * q
-    # a branch whose normalization is 0.0 has no post state and is never read
-    n2_phi, n2_psi = (pq + uv) or math.nan, (pv + uq) or math.nan
-    spectra = [(pq / n2_phi, uv / n2_phi)] * 2 + [(uq / n2_psi, pv / n2_psi)] * 2
-    populations = [(p, u), (q, v)] + [s for s, o in zip(spectra, outcomes) if o.post_state is not None]
+    # (s, t, n2) of each branch, live when its probability 0.5 * n2 is not 0.0
+    families = [(pq, uv, pq + uv)] * 2 + [(uq, pv, pv + uq)] * 2
+    lives = [0.5 * n2 > 0.0 for _, _, n2 in families]
+    populations = [(p, u), (q, v)] + [(s / n2, t / n2) for (s, t, n2), live in zip(families, lives) if live]
     rep = measures._diagonal_report(np.array(populations).T)
     pair_p, pair_q = rep.s_vn[:2].tolist()
     branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
     entries = []
-    for o in outcomes:
-        live = o.post_state is not None
+    for o, live in zip(outcomes, lives):
         s_vn, p_vn, c_re = next(branch_measures) if live else (None, None, None)
         entries.append({
             "label": o.label,

@@ -61,11 +61,8 @@ def test_figures_cells_round_trip_exactly(capsys):
     for line in out.splitlines()[1:]:
         cells = [float(cell) for cell in line.split(",")]
         x = cells[0]
-        # svn_psi is the psi branch's entropy on the line p = 1 - q; at x = 0 and 1 the
-        # phi branch has no state, so post_entropies is undefined, and the psi branch is
-        # a product state
-        expected = swap.post_entropies(1.0 - x, x)[1] if 0.0 < x < 1.0 else 0.0
-        assert oracles.bits(cells[3]) == oracles.bits(expected), x
+        # svn_psi is the psi branch's entropy on the line p = 1 - q, endpoints included
+        assert oracles.bits(cells[3]) == oracles.bits(swap.post_entropies(1.0 - x, x)[1]), x
 
 
 @pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
@@ -526,8 +523,14 @@ def test_swap_degenerate_branch_is_null(capsys):
     ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"), ("0.3", "0.6"),
 ])
 def test_swap_post_state_is_null_exactly_when_the_probability_is_zero(capsys, p, q):
-    for outcome in swap.bbm_outcomes(float(p), float(q)):
-        assert (outcome.post_state is None) == (outcome.probability == 0.0)
+    # and every route agrees, family by family: a dead family's spectrum and entropy are NaN
+    outcomes = swap.bbm_outcomes(float(p), float(q))
+    dead = [outcome.probability == 0.0 for outcome in outcomes]
+    assert [outcome.post_state is None for outcome in outcomes] == dead
+    s = swap.swap_spectrum(float(p), float(q))
+    assert np.isnan([s.a, s.b, s.c, s.d]).tolist() == dead  # a, b are phi's, c, d psi's
+    s_phi, s_psi = swap.post_entropies(float(p), float(q))
+    assert np.isnan([s_phi, s_phi, s_psi, s_psi]).tolist() == dead
     code, out, _ = run_main(capsys, ["swap", "--p", p, "--q", q])
     assert code == 0
     for entry in json.loads(out)["outcomes"]:
@@ -846,14 +849,13 @@ def test_swap_bytes_match_the_reference_builder(capsys, p, q, shots, seed):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(p=swap_weights, q=swap_weights)
 def test_swap_branch_entropies_are_post_entropies_bit_for_bit(capsys, p, q):
-    try:
-        s_phi, s_psi = swap.post_entropies(p, q)
-    except swap.UndefinedBranchError:
-        return  # a branch normalization vanishes: swap_spectrum is not defined here
+    s_phi, s_psi = swap.post_entropies(p, q)
     code, out, _ = run_main(capsys, _swap_argv(p, q, None, 7))
     assert code == 0
     for entry, s_vn in zip(json.loads(out)["outcomes"], (s_phi, s_phi, s_psi, s_psi)):
-        if entry["post_state"] is not None:
+        if entry["post_state"] is None:  # a dead family: no state, and a NaN entropy
+            assert entry["svn_full"] is None and math.isnan(s_vn), entry["label"]
+        else:
             assert oracles.bits(entry["svn_full"]) == oracles.bits(s_vn), entry["label"]
 
 

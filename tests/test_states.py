@@ -180,6 +180,40 @@ def test_haar_states_memory_stays_within_a_few_batches(da, db):
     assert peak <= 3.6 * batch.nbytes
 
 
+# the fixed-seed draws held to the Haar law's ensemble means: (dims, seed, states)
+HAAR_LAW_DRAWS = [((2, 2), 7, 10**4), ((3, 2), 7, 10**4), ((2, 5), 7, 10**5), ((5, 2), 8, 10**5)]
+# z = (sample mean - ensemble mean) / standard error. These draws read |z| <= 2.0, and
+# 30 to 40 other seeds per dims at most 2.6, while each wrong law tried reads beyond
+# the gate at every one of the dims: real Gaussian amplitudes |z| >= 24, a constant
+# radius >= 22, and a uniform radius (whose purity is near Haar's at 2,5 and 5,2)
+# >= 9.1, by its fourth moment there
+HAAR_LAW_Z = 4.0
+
+
+@pytest.mark.parametrize(("dims", "seed", "count"), HAAR_LAW_DRAWS)
+def test_haar_states_follow_the_haar_law(dims, seed, count):
+    da, db = dims
+    psi = haar_states(da, db, seed, count)
+    lam = oracles.eigvalsh_eigenvalues(oracles.reduced_stack(psi.reshape(count, da, db)))
+    m, n = sorted(dims)
+    kept = np.where(lam > 0.0, lam, 1.0)
+    statistics = {
+        # Lubkin, J. Math. Phys. 19, 1028 (1978): E Tr rho_A^2 = (dA + dB) / (dA dB + 1)
+        "purity": ((lam * lam).sum(axis=1), (da + db) / (da * db + 1)),
+        # Page, PRL 71, 1291 (1993): E S(rho_A) = sum_{k=n+1}^{mn} 1/k - (m-1)/(2n) nats, m <= n
+        "entropy": (-(kept * np.log(kept)).sum(axis=1),
+                    sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)),
+        # a uniform unit vector in C^d: E sum_i |psi_i|^4 = 2 / (d + 1)
+        "fourth moment": ((np.abs(psi) ** 4).sum(axis=1), 2.0 / (da * db + 1)),
+    }
+    # measured z, in the order of HAAR_LAW_DRAWS:
+    #   purity  +1.99 +1.13 +1.22 -1.94; entropy -2.00 -1.03 -1.24 +1.99;
+    #   fourth moment +0.58 +0.49 -0.07 +0.81
+    for name, (sample, mean) in statistics.items():
+        z = (sample.mean() - mean) / (sample.std(ddof=1) / math.sqrt(count))
+        assert abs(z) < HAAR_LAW_Z, (name, z)
+
+
 def test_haar_state_matches_batch_row():
     batch = haar_states(2, 2, seed=5, count=4)
     single = haar_states(2, 2, seed=5, count=1, start=3)[0]

@@ -12,7 +12,6 @@ from entswap.measures import report, svn
 from entswap.states import BELL_LABELS
 from entswap.swap import (
     SwapSpectrum,
-    UndefinedBranchError,
     bbm_outcomes,
     outcome_probabilities,
     post_entropies,
@@ -112,9 +111,22 @@ def test_swap_spectrum_pairs_sum_to_one(p, q):
 
 
 def test_swap_spectrum_undefined_at_incompatible_corners():
-    for p, q in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
-        with pytest.raises(UndefinedBranchError):
-            swap_spectrum(p, q)
+    # at each corner one family is dead, NaN, and the other a product state, exactly
+    corners = {
+        (0.0, 1.0): (None, (1.0, 0.0)),
+        (1.0, 0.0): (None, (0.0, 1.0)),
+        (0.0, 0.0): ((0.0, 1.0), None),
+        (1.0, 1.0): ((1.0, 0.0), None),
+    }
+    for (p, q), families in corners.items():
+        spectrum = swap_spectrum(p, q)
+        entropies = post_entropies(p, q)
+        for pair, family, entropy in zip(((spectrum.a, spectrum.b), (spectrum.c, spectrum.d)), families, entropies):
+            if family is None:
+                assert np.isnan(pair).all() and np.isnan(entropy), (p, q)
+            else:
+                assert oracles.bits(np.array(pair)).tolist() == oracles.bits(np.array(family)).tolist(), (p, q)
+                assert oracles.bits(entropy) == oracles.bits(0.0), (p, q)
 
 
 def test_post_entropies_worked_example():
@@ -246,16 +258,14 @@ def _rows(result):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(weights, weights), max_size=12))
 def test_array_calls_equal_the_scalar_calls_bit_for_bit(drawn):
-    endpoints = [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0)]
-    # both weights at an endpoint leave a branch undefined; (0, 0) still serves q alone
-    pairs = [(p, q) for p, q in endpoints + drawn if not (p in (0.0, 1.0) and q in (0.0, 1.0))]
-    p_arr, q_arr = np.array(pairs).T
-    q_all = np.array([q for _, q in endpoints + drawn])
+    # the corners leave a family dead: its NaN stays in its own elements
+    endpoints = [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 5e-324)]
+    p_arr, q_arr = np.array(endpoints + drawn).T
     for fn, args in (
         (swap_spectrum, (p_arr, q_arr)),
         (post_entropies, (p_arr, q_arr)),
-        (special_case_probs, (q_all,)),
-        (predictability_probability, (q_all,)),
+        (special_case_probs, (q_arr,)),
+        (predictability_probability, (q_arr,)),
     ):
         batch = _rows(fn(*args))
         for k in range(len(args[0])):
