@@ -230,7 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_l = 0.0
     for start in range(0, args.trials, VERIFY_CHUNK):
         count = min(VERIFY_CHUNK, args.trials - start)
-        rep = measures._plane_report(states._haar_planes(da, db, args.seed, count, start))
+        # the planes are freed when `_plane_gram`, their last reader, returns: the spectrum never sits beside them
+        rep = measures._gram_report(*measures._plane_gram(states._haar_planes(da, db, args.seed, count, start)))
         # np.maximum and np.max propagate NaN, where Python's max would drop it
         max_vn = float(np.maximum(max_vn, np.max(np.abs(rep.vn_sum - vn_target))))
         max_l = float(np.maximum(max_l, np.max(np.abs(rep.l_sum - l_target))))

@@ -40,11 +40,13 @@ class MeasureReport:
 
 def _entropy(lam: np.ndarray) -> np.ndarray:
     """Entropy in bits of each spectrum along the first axis of `lam` (k, ...)."""
-    lowest = lam.min(initial=0.0)
+    lowest = np.fmin.reduce(lam, axis=None, initial=0.0)  # fmin skips NaN: a dead column blinds no other
     if lowest < -EIG_NEG_TOL:
         raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
     kept = np.where(lam < EIG_CLAMP, 1.0, lam)  # tiny magnitudes count as exact zeros: 1*log2(1) = 0
-    return 0.0 - _row_sums(kept * np.log2(kept))  # 0.0 - x, not -x, so a zero entropy is +0.0
+    terms = np.log2(kept)
+    terms *= kept
+    return 0.0 - _row_sums(terms)  # 0.0 - x, not -x, so a zero entropy is +0.0
 
 
 def _sorted_rows(x: np.ndarray) -> np.ndarray:
@@ -113,7 +115,7 @@ def _diagonal_report(populations: np.ndarray) -> MeasureReport:
     sorts the populations first, but min and max only select values and the
     entropy's and the purity's two-term sums do not depend on the order. The
     closed 2x2 spectrum returns a diagonal matrix's diagonal sorted, so these
-    are also the bits of `_plane_report` on Schmidt-form states.
+    are also the bits of `_gram_report` on Schmidt-form states.
     """
     s = _entropy(populations)
     purity = _row_sums(populations * populations)
@@ -140,13 +142,14 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
 
 
 def _amplitude_planes(da: int, db: int, n: int) -> np.ndarray:
-    """Empty amplitude planes (da, db, 2, n) in the memory layout `_plane_report` reads best.
+    """Empty amplitude planes (da, db, 2, n) in the memory layout `_plane_gram` reads best.
 
     The memory runs over the smaller side first, the side of the Gram
     matrix (a when db >= da, else b), then real and imaginary part, then
-    the other side, then the states. So each operand of `_gram` is one
-    contiguous block, which numpy reads with no iteration buffers, and
-    every row planes[a, b, part] is contiguous.
+    the other side, then the states. So every row planes[a, b, part] is
+    contiguous, and numpy reads each operand of `_gram` and of the
+    populations' sums, the two rows of one amplitude, with no iteration
+    buffers.
     """
     if db >= da:
         return np.empty((da, 2, db, n)).transpose(0, 2, 1, 3)
@@ -158,63 +161,67 @@ def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each term's two products are added before it is accumulated, as in
     einsum's complex product, and the sum runs over j one term at a time
-    from 0.0, so G has the bits of psi psi^H by einsum. Only the lower
-    triangle is summed. The upper one is its mirror, re[l, i] = re[i, l]
-    and im[l, i] = -im[i, l]: exact but for the sign of a zero imaginary
-    part, which the eigensolvers (lower triangle) and the purity (squares)
-    never see. A diagonal term's imaginary part is x - x = +0.0.
+    from 0.0, so G has the bits of psi psi^H by einsum. Every term is formed
+    in one (2, N) buffer, so the sums hold only two rows beyond G. Only the
+    lower triangle is summed. The upper one is its mirror, re[l, i] =
+    re[i, l] and im[l, i] = -im[i, l]: exact but for the sign of a zero
+    imaginary part, which the eigensolvers (lower triangle) and the purity
+    (squares) never see. A diagonal term's imaginary part is x - x = +0.0.
     """
     k, m, _, n = x.shape
-    y = x.transpose(0, 2, 1, 3)  # y[i] (2, m, N): the real parts of all m terms, then the imaginary parts
-    re, im = np.empty((k, k, n)), np.zeros((k, k, n))
-    terms = np.empty((2, m, n))
-
-    def accumulate(out: np.ndarray) -> None:
-        """out = ((0.0 + t_0) + t_1) + ... over the rows t_j of terms[0]."""
-        np.add(terms[0, 0], 0.0, out=out)
-        for t in terms[0, 1:]:
-            out += t
-
+    re, im = np.zeros((k, k, n)), np.zeros((k, k, n))
+    term = np.empty((2, n))
     for i in range(k):
         for l in range(i + 1):
-            np.multiply(y[i], y[l], out=terms)
-            np.add(terms[0], terms[1], out=terms[0])
-            accumulate(re[i, l])
+            for j in range(m):
+                np.multiply(x[i, j], x[l, j], out=term)  # re_i re_l, im_i im_l
+                re[i, l] += np.add(term[0], term[1], out=term[0])
             if l < i:
-                np.multiply(y[i, 1], y[l, 0], out=terms[0])
-                np.multiply(y[i, 0], y[l, 1], out=terms[1])
-                np.subtract(terms[0], terms[1], out=terms[0])
-                accumulate(im[i, l])
+                for j in range(m):
+                    np.multiply(x[i, j, 1], x[l, j, 0], out=term[0])
+                    np.multiply(x[i, j, 0], x[l, j, 1], out=term[1])
+                    im[i, l] += np.subtract(term[0], term[1], out=term[0])
                 re[l, i] = re[i, l]
                 np.negative(im[i, l], out=im[l, i])
     return re, im
 
 
-def _plane_report(planes: np.ndarray) -> MeasureReport:
-    """The report of rho_A for each pure state held as amplitude planes (dA, dB, 2, N).
+def _plane_gram(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first stage of the report of rho_A for each pure state held as amplitude planes (dA, dB, 2, N).
 
     planes[a, b, 0] and planes[a, b, 1] are the real and imaginary parts of
     amplitude (a, b) of every state, in any memory layout; that of
-    `_amplitude_planes` is read fastest. rho_A and rho_B share their purity
-    and their nonzero eigenvalues, the squared Schmidt coefficients, so
-    only the smaller Gram matrix is formed: rho_A = psi psi^H when
-    dB >= dA, rho_B = psi^T psi* otherwise. rho_A's populations are the row
-    sums of |psi|^2. The states must be normalized: there is no trace check
-    here. Non-finite amplitudes raise ValueError.
+    `_amplitude_planes` is read fastest. This stage is the planes' last
+    read: it returns the planes re, im (k, k, N) of the smaller Gram matrix
+    and rho_A's populations (dA, N), and `_gram_report` takes the report
+    from them, so a caller that drops the planes between the two stages
+    never holds them beside the spectrum. rho_A and rho_B share their
+    purity and their nonzero eigenvalues, the squared Schmidt coefficients,
+    so only the smaller Gram matrix is formed: rho_A = psi psi^H when
+    dB >= dA, whose diagonal is then the populations, and rho_B =
+    psi^T psi* otherwise. Then the populations are the row sums of |psi|^2,
+    (x0^2 + x1^2) added over b = 0, 1, ...; starting them from 0.0 moves no
+    bit of a sum of squares. The states must be normalized: there is no
+    trace check here. Non-finite amplitudes raise ValueError.
     """
     if not np.isfinite(planes).all():
         raise ValueError("amplitudes must be finite")
-    da, db = planes.shape[:2]
+    da, db, _, n = planes.shape
     re, im = _gram(planes if db >= da else planes.swapaxes(0, 1))
-    lam, purity = _eigenvalues(re, im), _purity(re, im)
-    # rho_A's diagonal as rows (dA, N): |psi[a, b]|^2 summed in order b = 0, 1, ...
     if db >= da:
-        populations = np.diagonal(re).T  # G is rho_A
-    del re, im  # freed before the populations and the tail allocate: the chunk's peak sets its size
-    if db < da:
-        populations = np.stack([functools.reduce(np.add, [x[0] ** 2 + x[1] ** 2 for x in row])
-                                for row in planes])
-    return _report(populations, lam, purity)
+        return re, im, np.diagonal(re).T
+    # summed beside the Gram planes, so only the rows they fill and one term buffer are new
+    populations, term = np.zeros((da, n)), np.empty((2, n))
+    for row, out in zip(planes, populations):
+        for x in row:
+            np.multiply(x, x, out=term)
+            out += np.add(term[0], term[1], out=term[0])
+    return re, im, populations
+
+
+def _gram_report(re: np.ndarray, im: np.ndarray, populations: np.ndarray) -> MeasureReport:
+    """The second stage: the report from `_plane_gram`'s Gram planes re, im and rho_A's populations."""
+    return _report(populations, _eigenvalues(re, im), _purity(re, im))
 
 
 def svn(rho: DensityMatrix) -> float:

@@ -101,7 +101,7 @@ def _haar_planes(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) 
     planes[a, b, 0] and planes[a, b, 1] hold the real and imaginary parts of
     amplitude (a, b) of every state, each scaled straight from the draw into
     its contiguous row, so no normalized complex copy is made. The memory
-    is laid out by `measures._amplitude_planes`, as `_plane_report` reads it.
+    is laid out by `measures._amplitude_planes`, as `_plane_gram` reads it.
     """
     z, inv = _haar_draw(dim_a, dim_b, seed, count, start)
     planes = _amplitude_planes(dim_a, dim_b, count)

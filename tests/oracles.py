@@ -90,7 +90,7 @@ def reduced_stack(psi: np.ndarray) -> np.ndarray:
 
 
 def pure_report(psi: np.ndarray) -> measures.MeasureReport:
-    """The report of rho_A for each pure state in psi[N, dA, dB], by `measures._plane_report`.
+    """The report of rho_A for each pure state in psi[N, dA, dB], by `measures._plane_gram` and `_gram_report`.
 
     psi is copied into the kernel's real amplitude planes; a real or strided
     stack is read as it is, with no complex copy.
@@ -100,7 +100,7 @@ def pure_report(psi: np.ndarray) -> measures.MeasureReport:
     planes = measures._amplitude_planes(da, db, n)
     planes[:, :, 0] = psi.real.transpose(1, 2, 0)
     planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
-    return measures._plane_report(planes)
+    return measures._gram_report(*measures._plane_gram(planes))
 
 
 def partial_trace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -260,7 +260,7 @@ def report_columns(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray)
 def pure_report_einsum(psi: np.ndarray) -> measures.MeasureReport:
     """The report of rho_A for each pure state in psi[N, dA, dB], by complex einsum reductions.
 
-    The kernel `measures._plane_report` replaced, kept as its reference:
+    The kernel `measures._plane_gram` and `_gram_report` replaced, kept as its reference:
     rho_A by `reduced_stack`, the spectrum from the smaller of rho_A and rho_B
     through `hermitian_eigenvalues`, every other quantifier from rho_A's
     entries: C_hs from the squared moduli off the diagonal, S_l from Tr(rho_A^2).

@@ -369,15 +369,15 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize("field", ["vn_sum", "l_sum"])
 def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field):
-    real_kernel = measures._plane_report
+    real_report = measures._gram_report
 
-    def poisoned(planes):
-        rep = real_kernel(planes)
+    def poisoned(re, im, populations):
+        rep = real_report(re, im, populations)
         values = getattr(rep, field).copy()
         values[len(values) // 2] = np.nan
         return dataclasses.replace(rep, **{field: values})
 
-    monkeypatch.setattr(measures, "_plane_report", poisoned)
+    monkeypatch.setattr(measures, "_gram_report", poisoned)
     code, out, _ = run_main(capsys, ["verify", "--trials", str(cli.VERIFY_CHUNK + 5)])
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -416,23 +416,29 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
         ref_l.append(abs(rep.l_sum[0] - (da - 1) / da))
     ref_svn = measures.report(oracles.reduced_stack(ref_psi)).s_vn
 
-    real_kernel = measures._plane_report
-    seen = []
+    real_gram, real_report = measures._plane_gram, measures._gram_report
+    pending, seen = [], []
 
-    def spy(planes):
-        rep = real_kernel(planes)
+    def gram_spy(planes):
         psi = np.empty((planes.shape[-1], da, db), dtype=complex)  # the states the kernel saw, exactly
         psi.real, psi.imag = planes[:, :, 0].transpose(2, 0, 1), planes[:, :, 1].transpose(2, 0, 1)
-        seen.append((psi, rep))
+        pending.append(psi)
+        return real_gram(planes)
+
+    def report_spy(re, im, populations):
+        rep = real_report(re, im, populations)
+        seen.append((pending.pop(), rep))  # each report follows the Gram stage of its own chunk
         return rep
 
-    monkeypatch.setattr(measures, "_plane_report", spy)
+    monkeypatch.setattr(measures, "_plane_gram", gram_spy)
+    monkeypatch.setattr(measures, "_gram_report", report_spy)
     for trials in (chunk - 1, chunk + 1, last):
         seen.clear()
         argv = ["verify", "--trials", str(trials), "--dims", f"{da},{db}", "--seed", str(seed)]
         code, out, _ = run_main(capsys, argv)
         doc = json.loads(out)
         assert code == 0
+        assert not pending
         sizes = [len(psi) for psi, _ in seen]
         assert max(sizes) <= chunk and sum(sizes) == trials
         assert np.array_equal(np.concatenate([psi for psi, _ in seen]), ref_psi[:trials])
@@ -446,20 +452,37 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
         assert doc["max_linear_residual"] == max(ref_l[:trials])
 
 
-def test_verify_chunk_memory_stays_within_a_few_planes():
-    # one chunk as `verify` runs it: drawn into planes and reported, with no complex copy
-    def chunk():
-        return measures._plane_report(states._haar_planes(3, 2, 5, cli.VERIFY_CHUNK))
-
-    chunk()  # first-call allocations are not the chunk's
+def traced_peak(f) -> int:
+    """The tracemalloc peak of a second call of f, in bytes: first-call allocations are not f's."""
+    f()
     tracemalloc.start()
     try:
-        chunk()
-        peak = tracemalloc.get_traced_memory()[1]
+        f()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def verify_chunk(da, db):
+    """One chunk as `verify` runs it: drawn into planes, which die when `_plane_gram` returns."""
+    return measures._gram_report(*measures._plane_gram(states._haar_planes(da, db, 5, cli.VERIFY_CHUNK)))
+
+
+def test_verify_chunk_memory_stays_within_a_few_planes():
+    peak = traced_peak(lambda: verify_chunk(3, 2))
     planes_bytes = 3 * 2 * 2 * cli.VERIFY_CHUNK * 8
-    assert peak <= 3.0 * planes_bytes, (peak, planes_bytes)
+    assert peak <= 2.15 * planes_bytes, (peak, planes_bytes)  # 2.096 measured
+
+
+@pytest.mark.parametrize("da, db, over", [(3, 2, 0.0), (2, 3, 0.0), (3, 3, 0.0), (4, 4, 0.0), (5, 3, 0.0),
+                                          (8, 2, 0.0), (2, 8, 0.0), (2, 2, 0.29)])
+def test_verify_chunk_peaks_at_the_draw(da, db, over):
+    # no stage of the report holds more than the draw did, its complex rows beside the
+    # planes, but at 2,2 the report's eight rows beside the Gram planes outweigh them
+    # and set the peak (1.293x the draw measured)
+    draw = traced_peak(lambda: states._haar_planes(da, db, 5, cli.VERIFY_CHUNK))
+    chunk = traced_peak(lambda: verify_chunk(da, db))
+    assert chunk <= (1.0 + over) * draw + 4096, (chunk, draw)
 
 
 @pytest.mark.parametrize("dims", [f"{da},{db}" for da in range(2, cli.VERIFY_MAX_DIM // 2 + 1)

@@ -201,6 +201,16 @@ def test_entropy_rejects_clearly_negative_spectrum():
         _entropy(np.array([[0.5, 0.5], [-0.1, 1.1]]))
 
 
+def test_entropy_check_sees_past_a_nan_column():
+    # a dead branch family's NaN column must not blind the check for a live one
+    from entswap.measures import _entropy
+
+    with pytest.raises(ValueError):
+        _entropy(np.array([[-0.5, np.nan], [1.5, np.nan]]))
+    s = _entropy(np.array([[0.5, np.nan], [0.5, np.nan]]))
+    assert s[0] == 1.0 and np.isnan(s[1])
+
+
 def test_report_on_a_stack_matches_each_matrix_alone_bit_for_bit():
     matrices = [oracles.reduced(haar_state(3, 2, seed=21, index=k), {0}).matrix for k in range(6)]
     matrices.append(np.diag([0.2, 0.3, 0.5]).astype(complex))
@@ -339,7 +349,8 @@ def test_plane_report_keeps_its_bits_in_any_planes_layout(da, db):
     # verify's planes run over the Gram side first; a C-ordered copy must report the same bits
     planes = states._haar_planes(da, db, seed=70, count=700)
     assert not planes.flags.c_contiguous
-    kernel, copied = measures._plane_report(planes), measures._plane_report(np.ascontiguousarray(planes))
+    kernel = measures._gram_report(*measures._plane_gram(planes))
+    copied = measures._gram_report(*measures._plane_gram(np.ascontiguousarray(planes)))
     for field in FIELDS:
         assert np.array_equal(oracles.bits(getattr(kernel, field)), oracles.bits(getattr(copied, field))), field
 
@@ -402,12 +413,12 @@ def test_report_of_a_stack_keeps_the_bits_of_the_column_tail(d):
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_pure_report_memory_stays_within_a_few_stacks(da, db):
     planes = states._haar_planes(da, db, 67, 1024)
-    measures._plane_report(planes)  # first-call allocations are not the kernel's
+    measures._gram_report(*measures._plane_gram(planes))  # first-call allocations are not the kernel's
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        measures._plane_report(planes)
+        measures._gram_report(*measures._plane_gram(planes))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * planes.nbytes, (peak, planes.nbytes)
+    assert peak <= 2.8 * planes.nbytes, (peak, planes.nbytes)  # 2.776 measured at 2,2, at most 2.18 elsewhere
