@@ -230,8 +230,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_l = 0.0
     for start in range(0, args.trials, VERIFY_CHUNK):
         count = min(VERIFY_CHUNK, args.trials - start)
-        # the planes are freed when `_plane_gram`, their last reader, returns: the spectrum never sits beside them
-        rep = measures._gram_report(*measures._plane_gram(states._haar_planes(da, db, args.seed, count, start)))
+        # no name holds the states or the planes, so each dies when its last reader returns:
+        # the states when `_planes` does, the planes before the spectrum is taken
+        rep = measures._gram_report(*measures._plane_gram(measures._planes(
+            states.haar_states(da, db, args.seed, count, start).reshape(count, da, db))))
         # np.maximum and np.max propagate NaN, where Python's max would drop it
         max_vn = float(np.maximum(max_vn, np.max(np.abs(rep.vn_sum - vn_target))))
         max_l = float(np.maximum(max_l, np.max(np.abs(rep.l_sum - l_target))))

@@ -91,31 +91,17 @@ def _tail(s: np.ndarray, s_diag: np.ndarray, purity: np.ndarray, diag_purity: np
                          c_hs=c_hs, p_l=p_l, s_l=s_l, l_sum=c_hs + p_l + s_l, dim=d)
 
 
-def _report(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> MeasureReport:
-    """Every quantifier of each state in a stack, from its diagonal, spectrum and purity.
-
-    `populations` (d, N) holds the density matrices' diagonals as rows,
-    `lam` (k, N) their eigenvalues (zero eigenvalues may be omitted: the
-    entropy ignores them) and `purity` (N,) their Tr(rho^2). Every step
-    works on whole rows of N, in any layout; the sums over a column add in
-    the order numpy's `sum` adds a row of d, so the bits are those of the
-    same tail over (N, d) columns.
-    """
-    s_diag = _entropy(_sorted_rows(populations))  # the diagonal part's spectrum is its diagonal
-    return _tail(_entropy(lam), s_diag, purity, _row_sums(populations * populations), len(populations))
-
-
 def _diagonal_report(populations: np.ndarray) -> MeasureReport:
     """The report of each diagonal qubit density matrix in a stack, from its populations (2, N).
 
     A diagonal matrix is its own diagonal part: its spectrum is its
     populations and its purity the sum of their squares, so one entropy and
     one sum of squares serve both, and no eigensolver runs. The bits are
-    `_report`'s on the same matrices: for d = 2, its only use, `_report`
-    sorts the populations first, but min and max only select values and the
-    entropy's and the purity's two-term sums do not depend on the order. The
-    closed 2x2 spectrum returns a diagonal matrix's diagonal sorted, so these
-    are also the bits of `_gram_report` on Schmidt-form states.
+    `_gram_report`'s on the same matrices at d = 2, its only use: the closed
+    2x2 spectrum of a diagonal matrix is its diagonal sorted, and
+    `_gram_report` sorts the populations too, but min and max only select
+    values and the entropy's and the purity's two-term sums do not depend on
+    the order.
     """
     s = _entropy(populations)
     purity = _row_sums(populations * populations)
@@ -135,25 +121,32 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
     if not one:
         _check_density(m, (3,))
     re, im = m.real.transpose(1, 2, 0), m.imag.transpose(1, 2, 0)
-    rep = _report(np.diagonal(re).T, _eigenvalues(re, im), _purity(re, im))
+    rep = _gram_report(re, im, np.diagonal(re).T)
     if one:
         rep = MeasureReport(**{k: v if k == "dim" else float(v[0]) for k, v in vars(rep).items()})
     return rep
 
 
-def _amplitude_planes(da: int, db: int, n: int) -> np.ndarray:
-    """Empty amplitude planes (da, db, 2, n) in the memory layout `_plane_gram` reads best.
+def _planes(psi: np.ndarray) -> np.ndarray:
+    """The amplitudes of each pure state in psi[N, dA, dB] as real planes (dA, dB, 2, N).
 
-    The memory runs over the smaller side first, the side of the Gram
-    matrix (a when db >= da, else b), then real and imaginary part, then
-    the other side, then the states. So every row planes[a, b, part] is
-    contiguous, and numpy reads each operand of `_gram` and of the
-    populations' sums, the two rows of one amplitude, with no iteration
-    buffers.
+    planes[a, b, 0] and planes[a, b, 1] hold the real and imaginary parts of
+    amplitude (a, b) of every state, copied bit for bit from psi in any
+    layout, real or complex. The memory runs over the smaller side first,
+    the side of the Gram matrix (a when dB >= dA, else b), then real and
+    imaginary part, then the other side, then the states. So every row
+    planes[a, b, part] is contiguous, and numpy reads each operand of
+    `_gram` and of the populations' sums, the two rows of one amplitude,
+    with no iteration buffers.
     """
+    n, da, db = psi.shape
     if db >= da:
-        return np.empty((da, 2, db, n)).transpose(0, 2, 1, 3)
-    return np.empty((db, 2, da, n)).transpose(2, 0, 1, 3)
+        planes = np.empty((da, 2, db, n)).transpose(0, 2, 1, 3)
+    else:
+        planes = np.empty((db, 2, da, n)).transpose(2, 0, 1, 3)
+    planes[:, :, 0] = psi.real.transpose(1, 2, 0)
+    planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
+    return planes
 
 
 def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +184,7 @@ def _plane_gram(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     planes[a, b, 0] and planes[a, b, 1] are the real and imaginary parts of
     amplitude (a, b) of every state, in any memory layout; that of
-    `_amplitude_planes` is read fastest. This stage is the planes' last
+    `_planes` is read fastest. This stage is the planes' last
     read: it returns the planes re, im (k, k, N) of the smaller Gram matrix
     and rho_A's populations (dA, N), and `_gram_report` takes the report
     from them, so a caller that drops the planes between the two stages
@@ -220,8 +213,19 @@ def _plane_gram(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _gram_report(re: np.ndarray, im: np.ndarray, populations: np.ndarray) -> MeasureReport:
-    """The second stage: the report from `_plane_gram`'s Gram planes re, im and rho_A's populations."""
-    return _report(populations, _eigenvalues(re, im), _purity(re, im))
+    """Every quantifier of each density matrix held as planes re, im (k, k, N) and its diagonal (d, N).
+
+    The second stage after `_plane_gram`, and all of `report`. re, im may be
+    the smaller Gram matrix of a pure state (k <= d): it shares rho's purity
+    and nonzero eigenvalues, and the entropy ignores the zero ones. Every
+    step works on whole rows of N, in any layout; the sums over a column add
+    in the order numpy's `sum` adds a row of d, so the bits are those of the
+    same tail over (N, d) columns.
+    """
+    lam = _eigenvalues(re, im)
+    purity = _purity(re, im)
+    s_diag = _entropy(_sorted_rows(populations))  # the diagonal part's spectrum is its diagonal
+    return _tail(_entropy(lam), s_diag, purity, _row_sums(populations * populations), len(populations))
 
 
 def svn(rho: DensityMatrix) -> float:

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import rng as _rng
 from .linalg import _check_dims, _row_sums
-from .measures import _amplitude_planes
 
 NORM_TOL = 1e-12
 
@@ -51,6 +50,13 @@ def require_weight(value, name: str = "weight"):
     return w[()]
 
 
+def _one_weight(value, name: str):
+    """`require_weight` for a constructor that takes one number: an array raises ValueError."""
+    if np.ndim(value) != 0:
+        raise ValueError(f"{name} must be one number, got shape {np.shape(value)}")
+    return require_weight(value, name)
+
+
 def _pair_amplitudes(w) -> np.ndarray:
     """Amplitudes of sqrt(w)|00> + sqrt(1-w)|11> for each weight in `w`, shape (..., 4)."""
     w = np.asarray(w, dtype=float)
@@ -60,53 +66,29 @@ def _pair_amplitudes(w) -> np.ndarray:
 
 def schmidt_pair(w: float) -> PureState:
     """Two-qubit pair sqrt(w)|00> + sqrt(1-w)|11>."""
-    return PureState(_pair_amplitudes(require_weight(w)), (2, 2))
+    return PureState(_pair_amplitudes(_one_weight(w, "w")), (2, 2))
 
 
-def _haar_draw(dim_a: int, dim_b: int, seed: int, count: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unnormalized rows (count, d) of `haar_states` and their reciprocal norms (count,).
+def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """`count` Haar-random bipartite pure states as rows of an array, shape (count, dim_a*dim_b).
 
     State k consumes uniform draws [2*d*(start+k), 2*d*(start+k+1)) of the
     seed's stream, d = dim_a*dim_b, so batches of any size agree draw for
     draw. The squared norms are summed as `np.linalg.norm` sums them, from
     the complex product conj(z) * z: numpy may fuse that product's
-    multiply-add, so re*re + im*im need not give the same bits. The product
-    is formed in place, so the call holds at most twice the rows' bytes.
+    multiply-add, so re*re + im*im need not give the same bits. The rows are
+    then scaled in place by their reciprocal norms, as numpy divides complex
+    by real: the bits of z / np.linalg.norm(z, axis=1, keepdims=True). Every
+    step works in place, so the call holds at most twice the rows' bytes.
     """
     d = dim_a * dim_b
     z = _rng.complex_normals(seed, 2 * d * start, count * d).reshape(count, d)
     mod2 = z.conj()
     np.multiply(mod2, z, out=mod2)
-    norm2 = _row_sums(mod2.real.T)
+    inv = _row_sums(mod2.real.T)
     del mod2
-    return z, 1.0 / np.sqrt(norm2)
-
-
-def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -> np.ndarray:
-    """`count` Haar-random bipartite pure states as rows of an array.
-
-    The rows of `_haar_draw` scaled in place by their reciprocal norms, as
-    numpy divides complex by real: the bits of
-    z / np.linalg.norm(z, axis=1, keepdims=True).
-    """
-    z, inv = _haar_draw(dim_a, dim_b, seed, count, start)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     parts = z.view(np.float64)  # (count, 2d): each amplitude's real and imaginary part
     parts *= inv[:, None]
     return z
-
-
-def _haar_planes(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -> np.ndarray:
-    """The states of `haar_states` as real planes (dim_a, dim_b, 2, count), bit for bit.
-
-    planes[a, b, 0] and planes[a, b, 1] hold the real and imaginary parts of
-    amplitude (a, b) of every state, each scaled straight from the draw into
-    its contiguous row, so no normalized complex copy is made. The memory
-    is laid out by `measures._amplitude_planes`, as `_plane_gram` reads it.
-    """
-    z, inv = _haar_draw(dim_a, dim_b, seed, count, start)
-    planes = _amplitude_planes(dim_a, dim_b, count)
-    columns = z.T.reshape(dim_a, dim_b, count)  # amplitude (a, b) of every state, as a view
-    for a, b in np.ndindex(dim_a, dim_b):
-        np.multiply(columns[a, b].real, inv, out=planes[a, b, 0])
-        np.multiply(columns[a, b].imag, inv, out=planes[a, b, 1])
-    return planes

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .states import BELL_LABELS, PureState, require_weight
+from .states import BELL_LABELS, PureState, _one_weight, require_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +120,7 @@ def outcome_probabilities(p: float, q: float) -> dict[str, float]:
 
 def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     """The four measurement branches with their conditional AB states."""
-    probs, amps = _branches(require_weight(p, "p"), require_weight(q, "q"))
+    probs, amps = _branches(_one_weight(p, "p"), _one_weight(q, "q"))
     return [
         # a dead branch's row is NaN (`_norm2`): it has no post state
         BBMOutcome(label, prob, None if math.isnan(row[0]) else PureState(row, (2, 2)))

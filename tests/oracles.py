@@ -92,15 +92,10 @@ def reduced_stack(psi: np.ndarray) -> np.ndarray:
 def pure_report(psi: np.ndarray) -> measures.MeasureReport:
     """The report of rho_A for each pure state in psi[N, dA, dB], by `measures._plane_gram` and `_gram_report`.
 
-    psi is copied into the kernel's real amplitude planes; a real or strided
-    stack is read as it is, with no complex copy.
+    psi is copied into the kernel's real amplitude planes by `measures._planes`;
+    a real or strided stack is read as it is, with no complex copy.
     """
-    psi = np.asarray(psi)
-    n, da, db = psi.shape
-    planes = measures._amplitude_planes(da, db, n)
-    planes[:, :, 0] = psi.real.transpose(1, 2, 0)
-    planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
-    return measures._gram_report(*measures._plane_gram(planes))
+    return measures._gram_report(*measures._plane_gram(measures._planes(np.asarray(psi))))
 
 
 def partial_trace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:

@@ -464,8 +464,13 @@ def traced_peak(f) -> int:
 
 
 def verify_chunk(da, db):
-    """One chunk as `verify` runs it: drawn into planes, which die when `_plane_gram` returns."""
-    return measures._gram_report(*measures._plane_gram(states._haar_planes(da, db, 5, cli.VERIFY_CHUNK)))
+    """One chunk as `verify` runs it: the states die when `_planes` returns, the planes when `_plane_gram` does."""
+    return measures._gram_report(*measures._plane_gram(draw_planes(da, db)))
+
+
+def draw_planes(da, db):
+    """A chunk's draw as `verify` makes it: Haar states copied into planes, the states dead on return."""
+    return measures._planes(states.haar_states(da, db, 5, cli.VERIFY_CHUNK).reshape(cli.VERIFY_CHUNK, da, db))
 
 
 def test_verify_chunk_memory_stays_within_a_few_planes():
@@ -480,7 +485,7 @@ def test_verify_chunk_peaks_at_the_draw(da, db, over):
     # no stage of the report holds more than the draw did, its complex rows beside the
     # planes, but at 2,2 the report's eight rows beside the Gram planes outweigh them
     # and set the peak (1.293x the draw measured)
-    draw = traced_peak(lambda: states._haar_planes(da, db, 5, cli.VERIFY_CHUNK))
+    draw = traced_peak(lambda: draw_planes(da, db))
     chunk = traced_peak(lambda: verify_chunk(da, db))
     assert chunk <= (1.0 + over) * draw + 4096, (chunk, draw)
 

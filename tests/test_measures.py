@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import linalg, measures, states, swap
+from entswap import linalg, measures, swap
 from entswap.linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues
 from entswap.measures import report, svn
 from entswap.states import PureState, haar_states
@@ -347,7 +347,7 @@ def test_pure_report_on_a_stack_matches_each_state_alone_bit_for_bit(da, db):
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_plane_report_keeps_its_bits_in_any_planes_layout(da, db):
     # verify's planes run over the Gram side first; a C-ordered copy must report the same bits
-    planes = states._haar_planes(da, db, seed=70, count=700)
+    planes = measures._planes(haar_states(da, db, 70, 700).reshape(700, da, db))
     assert not planes.flags.c_contiguous
     kernel = measures._gram_report(*measures._plane_gram(planes))
     copied = measures._gram_report(*measures._plane_gram(np.ascontiguousarray(planes)))
@@ -374,17 +374,18 @@ def assert_the_column_tail(rep, populations, lam, purity):
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_row_tail_keeps_the_bits_of_the_column_tail(monkeypatch, da, db):
-    real_tail = measures._report
+    real_report = measures._gram_report
     seen = []
 
-    def spy(populations, lam, purity):
-        seen.append((populations, lam, purity, real_tail(populations, lam, purity)))
+    def spy(re, im, populations):
+        seen.append((re, im, populations, real_report(re, im, populations)))
         return seen[-1][-1]
 
-    monkeypatch.setattr(measures, "_report", spy)
+    monkeypatch.setattr(measures, "_gram_report", spy)
     psi, _ = haar_psi(da, db, seed=68, count=3000)
     oracles.pure_report(psi)
-    ((populations, lam, purity, rep),) = seen
+    ((re, im, populations, rep),) = seen
+    lam, purity = measures._eigenvalues(re, im), measures._purity(re, im)
     assert populations.shape == (da, len(psi)) and lam.shape == (min(da, db), len(psi))
     assert_the_column_tail(rep, populations.T, lam.T, purity)
 
@@ -412,7 +413,7 @@ def test_report_of_a_stack_keeps_the_bits_of_the_column_tail(d):
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_pure_report_memory_stays_within_a_few_stacks(da, db):
-    planes = states._haar_planes(da, db, 67, 1024)
+    planes = measures._planes(haar_states(da, db, 67, 1024).reshape(1024, da, db))
     measures._gram_report(*measures._plane_gram(planes))  # first-call allocations are not the kernel's
     tracemalloc.start()
     try:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import cli, states
+from entswap import cli, measures, states
 from entswap.states import BELL_LABELS, PureState, haar_states, schmidt_pair
 from oracles import bell_state, composite_state, fidelity
 
@@ -61,6 +61,11 @@ def test_schmidt_pair_rejects_bad_weight():
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             schmidt_pair(bad)
+    for bad in (np.array([0.3, 0.4]), [0.5], np.array([[0.5]])):
+        with pytest.raises(ValueError, match="w must be one number"):
+            schmidt_pair(bad)
+    # a 0-d array is one number
+    assert np.array_equal(schmidt_pair(np.array(0.3)).amplitudes, schmidt_pair(0.3).amplitudes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,11 +166,19 @@ def test_haar_states_keep_the_bits_of_the_norm_division(da, db):
 @pytest.mark.parametrize("count", [cli.VERIFY_CHUNK - 1, cli.VERIFY_CHUNK + 1])
 @pytest.mark.parametrize("da, db", oracles.VERIFY_DIMS)
 def test_haar_planes_are_the_haar_states_bit_for_bit(da, db, count):
-    planes = states._haar_planes(da, db, 71, count, start=37)
+    # `measures._planes` copies psi into contiguous rows, laid out Gram side first
     psi = haar_states(da, db, 71, count, start=37).reshape(count, da, db)
-    assert planes.shape == (da, db, 2, count)
-    assert np.array_equal(oracles.bits(planes[:, :, 0]), oracles.bits(psi.real.transpose(1, 2, 0)))
-    assert np.array_equal(oracles.bits(planes[:, :, 1]), oracles.bits(psi.imag.transpose(1, 2, 0)))
+    row = 8 * count
+    part = row * max(da, db)  # the other side runs inside real and imaginary part
+    side = 2 * part
+    strides = (side, row, part, 8) if db >= da else (row, side, part, 8)
+    # complex, real, a strided real view and a strided complex view
+    for x in (psi, psi.real.copy(), psi.real, np.repeat(psi, 2, axis=0)[::2]):
+        planes = measures._planes(x)
+        assert planes.shape == (da, db, 2, count)
+        assert planes.strides == strides  # every row planes[a, b, part] is contiguous
+        assert np.array_equal(oracles.bits(planes[:, :, 0]), oracles.bits(x.real.transpose(1, 2, 0)))
+        assert np.array_equal(oracles.bits(planes[:, :, 1]), oracles.bits(x.imag.transpose(1, 2, 0)))
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (3, 2), (5, 3), (4, 4)])

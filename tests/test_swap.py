@@ -235,6 +235,15 @@ def test_weight_validation_everywhere():
                lambda: special_case_probs(2.0), lambda: predictability_probability(-1.0)):
         with pytest.raises(ValueError):
             fn()
+    # bbm_outcomes takes one number per weight, and names the weight that is not
+    for bad in (np.array([0.3, 0.4]), [0.5], np.array([[0.5]])):
+        with pytest.raises(ValueError, match="p must be one number"):
+            bbm_outcomes(bad, 0.5)
+        with pytest.raises(ValueError, match="q must be one number"):
+            bbm_outcomes(0.5, bad)
+    zero_d = bbm_outcomes(np.array(0.3), np.array(0.6))
+    for a, b in zip(zero_d, bbm_outcomes(0.3, 0.6)):
+        assert a.probability == b.probability and np.array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
     for bad in (np.nan, -0.1, 1.5):
         weights_with_one_bad = np.array([0.2, bad, 0.7])
         for fn in (
