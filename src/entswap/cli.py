@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +67,10 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
 
 
 # `%.17g` of a cell with 1e-4 <= |v| < 10 is fixed notation: decimal exponent X in
-# [-4, 0], 17 digits, trailing zeros dropped. `_csv_cells` writes such a cell with
+# [-4, 0], 17 digits, trailing zeros dropped. `_csv_words` writes such a cell with
 # array arithmetic as three 8-byte words, whose bytes the cell does not show are NUL,
 # and every other cell as the placeholder `%`, which `'%.17g' %` then replaces.
-CSV_CELLS = 2048  # cells per sub-block of `_csv_lines`: bounds its temporaries
+CSV_CELLS = 2048  # cells per sub-block of `_csv_pieces`: bounds its temporaries and its text
 # i = how many of these are <= |v|. Each double is at or above its power of ten,
 # so i = X + 5 exactly for the cells above; i is 0 or 6 for the rest, NaN included.
 _DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
@@ -118,65 +118,104 @@ _QUADS = _quad_table()
 _PREFIX = _prefix_table()
 
 
-def _csv_cells(v: np.ndarray, k: int) -> list[str]:
-    """The cells v, k to a line, as CSV lines of `%.17g` text in pieces."""
-    n = len(v)
+def _csv_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first numeric stage: each cell's decade i, whether it is fast, and y, its 17 digits.
+
+    y = |v| * 10^(16 - X) rounded half to even, an integer in [1e16, 1e17).
+    Every step past the decade writes into an array it owns, so the stage
+    holds seven rows of v at most, and all but the three it returns die
+    when it does.
+    """
     a = np.abs(v)
     i = np.searchsorted(_DECADES, a, "right")
     fast = _FAST[i]
-    a = np.where(fast, a, 1.0)  # other cells take a value that no cast below warns on
-    # y = a * 10^(16 - X) exactly, as hi + lo (Dekker's product)
-    big = a * 134217729.0
-    a_hi = big - (big - a)
-    a_lo = a - a_hi
-    b_hi = _SCALE_HI[i]
-    b_lo = _SCALE_LO[i]
-    hi = a * _SCALE[i]
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    np.copyto(a, 1.0, where=~fast)  # other cells take a value that no cast below warns on
+    # y = a * 10^(16 - X) exactly, as hi + lo (Dekker's product): lo is
+    # ((a_hi b_hi - hi) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, added in that order
+    hi = _SCALE[i]
+    hi *= a
+    a_hi = a * 134217729.0  # big
+    t = a_hi - a
+    a_hi -= t  # big - (big - a)
+    a_lo = np.subtract(a, a_hi, out=a)
+    b = _SCALE_HI[i]
+    lo = a_hi * b
+    lo -= hi
+    np.multiply(a_lo, b, out=t)  # a_lo b_hi
+    np.take(_SCALE_LO, i, out=b)
+    a_hi *= b
+    lo += a_hi
+    lo += t
+    a_lo *= b
+    lo += a_lo
     # hi >= 2^53 is an even integer, so rounding lo half to even rounds y half to even.
     # No double below 10^(X+1) is within 8 of its last digit, so y < 10^17 - 8 and
     # the 17 digits never carry into an 18th. Other cells take y = 10^16: no fraction digit.
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    digits = a_hi.view(np.int64)  # the spent rows take the integers
+    np.copyto(digits, hi, casting="unsafe")
+    np.copyto(t.view(np.int64), np.rint(lo, out=lo), casting="unsafe")
+    digits += t.view(np.int64)
+    return i, fast, digits
+
+
+def _csv_words(v: np.ndarray, k: int) -> tuple[bytearray, np.ndarray]:
+    """The numeric stage of `_csv_cells`: the cells' words, NUL-padded, and which cells are fast.
+
+    Every array it computes dies when it returns, so none of them is held
+    beside the text that `_csv_cells` then builds from the words.
+    """
+    i, fast, digits = _csv_digits(v)
+    n = len(v)
     # each cell is three words: separator and prefix, then fraction digits 1-8 and 9-16
     buf = bytearray(24 * n + 8)  # zeroed: the last word holds only the last line's end
     words = np.frombuffer(buf, np.uint64)[:-1].reshape(n, 3)
     quads = words[:, 1:].view(np.uint32)
     hidden = np.full(n, 10000)  # 10000 where no later group has a nonzero digit
+    group = np.empty_like(digits)
     for j in (3, 2, 1, 0):
-        rest = digits // 10000
-        group = digits - rest * 10000
+        np.divmod(digits, 10000, out=(digits, group))
         quads[:, j] = _QUADS[group + hidden]
         hidden *= group == 0
-        digits = rest
-    words[:, 0] = _PREFIX[i * 40 + digits * 4 + np.signbit(v) * 2 + (hidden == 0)]
+    key = np.multiply(i, 40, out=i)  # the prefix key, summed over the spent decades
+    key += np.multiply(digits, 4, out=group)
+    key += np.signbit(v) * 2
+    key += hidden == 0
+    words[:, 0] = _PREFIX[key]
     np.frombuffer(buf, np.uint8)[::24 * k] = ord("\n")  # a line's first separator ends the line before
     buf[0] = 0  # which the first line has not
-    text = buf.translate(None, b"\0").decode("ascii")
-    pieces, start = [], 0
+    return buf, fast
+
+
+def _csv_cells(v: np.ndarray, k: int) -> Iterator[str]:
+    """The cells v, k to a line, as CSV lines of `%.17g` text in pieces: the text stage of `_csv_words`."""
+    buf, fast = _csv_words(v, k)
+    text = buf.translate(None, b"\0")
+    del buf  # the words are spent once their NULs are gone
+    text = text.decode("ascii")
+    start = 0
     for value in v[~fast].tolist():  # str.index finds each `%` by memchr; str.split was 7x slower
         end = text.index("%", start)
-        pieces += (text[start:end], "%.17g" % value)
+        yield text[start:end]
+        yield "%.17g" % value
         start = end + 1
-    pieces.append(text[start:])
-    return pieces
+    yield text[start:]
 
 
-def _csv_lines(rows: np.ndarray) -> str:
-    """The rows as CSV lines of `%.17g` cells, formatted CSV_CELLS cells at a time."""
+def _csv_pieces(rows: np.ndarray) -> Iterator[str]:
+    """The rows as CSV lines of `%.17g` cells in pieces, formatted CSV_CELLS cells at a time."""
     n, k = rows.shape
     step = max(1, CSV_CELLS // k)
-    pieces = []
     for start in range(0, n, step):
-        pieces += _csv_cells(rows[start:start + step].ravel(), k)
-    return "".join(pieces)
+        yield from _csv_cells(rows[start:start + step].ravel(), k)
 
 
-def _figure_csv(which: str, grid: int):
-    """CSV text of one figure: the header, then one piece per FIGURE_CHUNK rows."""
+def _figure_csv(which: str, grid: int) -> Iterator[str]:
+    """CSV text of one figure: the header, then each sub-block's pieces as they are formatted."""
     yield ",".join(FIGURE_HEADERS[which]) + "\n"
     for start in range(0, grid, FIGURE_CHUNK):
-        x = np.arange(start, min(start + FIGURE_CHUNK, grid)) / (grid - 1)
-        yield _csv_lines(_figure_rows(which, x))
+        # no name holds the sweep points or a chunk's text: each piece dies once written
+        yield from _csv_pieces(
+            _figure_rows(which, np.arange(start, min(start + FIGURE_CHUNK, grid)) / (grid - 1)))
 
 
 def _emit(pieces: Iterable[str], out: str | None) -> int:

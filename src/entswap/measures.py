@@ -46,6 +46,7 @@ def _entropy(lam: np.ndarray) -> np.ndarray:
     kept = np.where(lam < EIG_CLAMP, 1.0, lam)  # tiny magnitudes count as exact zeros: 1*log2(1) = 0
     terms = np.log2(kept)
     terms *= kept
+    del kept  # not held beside the terms through the row sums
     return 0.0 - _row_sums(terms)  # 0.0 - x, not -x, so a zero entropy is +0.0
 
 

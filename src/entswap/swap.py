@@ -65,7 +65,9 @@ def _norm2(s, t):
 
 def _family(s, t) -> np.ndarray:
     """One family of `_products` over its sum: its eigenvalues, stacked (2, ...), NaN where it is dead."""
-    return np.array([s, t]) / _norm2(s, t)
+    pair = np.array([s, t])
+    pair /= _norm2(s, t)  # in place: the stack is the only array the result needs
+    return pair
 
 
 def _spectrum(p, q) -> np.ndarray:

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -126,7 +128,7 @@ _ROW_BLOCKS = st.integers(4, 6).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(_ROW_BLOCKS)
 def test_csv_lines_match_the_per_cell_formatter(rows):
-    assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
+    assert "".join(cli._csv_pieces(rows)) == oracles.csv_lines_per_cell(rows)
 
 
 def test_csv_lines_match_the_per_cell_formatter_on_edge_cells():
@@ -134,9 +136,9 @@ def test_csv_lines_match_the_per_cell_formatter_on_edge_cells():
              1e16, 1e17, 0.1, math.nan, math.inf, -math.inf]
     for k in (4, 5, 6):
         rows = np.resize(np.array(edges), (len(edges), k))
-        assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
+        assert "".join(cli._csv_pieces(rows)) == oracles.csv_lines_per_cell(rows)
     for k in (4, 6):
-        assert cli._csv_lines(np.empty((0, k))) == oracles.csv_lines_per_cell(np.empty((0, k))) == ""
+        assert "".join(cli._csv_pieces(np.empty((0, k)))) == oracles.csv_lines_per_cell(np.empty((0, k))) == ""
 
 
 def _cell_showing(x: int, sign: str, digits: str, rng) -> float:
@@ -182,9 +184,9 @@ def test_csv_lines_match_the_per_cell_formatter_on_digit_patterns(monkeypatch, k
     cells = _formatter_edge_cells()
     # each cell once in every column, so each separator follows every pattern
     rows = np.stack([np.roll(cells, -column) for column in range(k)], axis=1)
-    assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
+    assert "".join(cli._csv_pieces(rows)) == oracles.csv_lines_per_cell(rows)
     monkeypatch.setattr(cli, "CSV_CELLS", k)  # one line per sub-block
-    assert cli._csv_lines(rows) == oracles.csv_lines_per_cell(rows)
+    assert "".join(cli._csv_pieces(rows)) == oracles.csv_lines_per_cell(rows)
 
 
 def _assert_same_lines(got, want):
@@ -194,10 +196,10 @@ def _assert_same_lines(got, want):
 
 
 def _assert_cells_match(values, k=4):
-    """`_csv_lines` on the values, k to a row (padded with the first), equals the per-cell oracle."""
+    """`_csv_pieces` joined, on the values, k to a row (padded with the first), equals the per-cell oracle."""
     values = np.asarray(values, dtype=float)
     rows = np.resize(values, (-(-len(values) // k), k))
-    _assert_same_lines(cli._csv_lines(rows), oracles.csv_lines_per_cell(rows))
+    _assert_same_lines("".join(cli._csv_pieces(rows)), oracles.csv_lines_per_cell(rows))
 
 
 def test_csv_decades_are_exact():
@@ -251,14 +253,58 @@ def test_figures_bytes_match_the_per_cell_formatter_across_chunks(capsys, which,
 
 
 def test_csv_lines_peak_memory_stays_near_the_text():
+    # the pieces of one FIGURE_CHUNK block, each dropped as it arrives: the peak is a few
+    # sub-blocks' text (4.76x the largest piece measured), where a join over the block
+    # held its whole text twice (2.0x the text, 23.6x the largest piece)
     rows = cli._figure_rows("1a", np.arange(cli.FIGURE_CHUNK) / (cli.FIGURE_CHUNK - 1))
     tracemalloc.start()
     try:
-        text = cli._csv_lines(rows)
+        sizes = [len(piece) for piece in cli._csv_pieces(rows)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(text), (peak, len(text))
+    assert len(sizes) > 10
+    assert peak <= 5.5 * max(sizes), (peak, max(sizes))
+
+
+def _figures_peak(which: str, grid: int) -> int:
+    """The tracemalloc peak of a second whole `figures` call, its stdout captured as the benchmark does."""
+    argv = ["figures", "--which", which, "--grid", str(grid)]
+
+    def call():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+
+    return traced_peak(call)
+
+
+# bytes: the measured peaks plus about 16 KB; the chunk-wide join and the
+# numeric temporaries held through the text peaked at 454,881 / 403,324 / 428,504 B
+# at grid 1001, and at 1,344,954 / 777,620 / 984,084 B at grid 4097 (1a and 1b, 2a, 2b)
+_FIGURE_PEAKS = {"1a": (290_000, 1_055_000), "1b": (290_000, 1_055_000),
+                 "2a": (236_000, 574_000), "2b": (251_000, 774_000)}
+
+
+@pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
+def test_figures_peak_at_their_text(which):
+    for grid, bound in zip((1001, 4097), _FIGURE_PEAKS[which]):
+        peak = _figures_peak(which, grid)
+        assert peak <= bound, (grid, peak, bound)
+
+
+def test_figures_out_streams_the_stdout_bytes(capsys, monkeypatch, tmp_path):
+    # sub-blocks of one row: thousands of pieces through `_emit`'s file branch
+    monkeypatch.setattr(cli, "CSV_CELLS", 7)
+    grid = 4097
+    for which in ("1a", "1b", "2a", "2b"):
+        target = tmp_path / f"{which}.csv"
+        assert main(["figures", "--which", which, "--grid", str(grid), "--out", str(target)]) == 0
+        code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", str(grid)])
+        assert code == 0
+        rows = cli._figure_rows(which, np.arange(grid) / (grid - 1))
+        expected = ",".join(cli.FIGURE_HEADERS[which]) + "\n" + oracles.csv_lines_per_cell(rows)
+        assert target.read_bytes() == out.encode("ascii") == expected.encode("ascii")
 
 
 def test_figures_failure_midway_leaves_no_file(tmp_path, monkeypatch):
