@@ -176,10 +176,15 @@ def _csv_words(v: np.ndarray, k: int) -> tuple[bytearray, np.ndarray]:
         np.divmod(digits, 10000, out=(digits, group))
         quads[:, j] = _QUADS[group + hidden]
         hidden *= group == 0
-    key = np.multiply(i, 40, out=i)  # the prefix key, summed over the spent decades
+    # the prefix key, summed in place over the spent decades, digits and groups
+    key = np.multiply(i, 40, out=i)
     key += np.multiply(digits, 4, out=group)
-    key += np.signbit(v) * 2
-    key += hidden == 0
+    sign = np.right_shift(v.view(np.int64), 63, out=group)  # -1 where v's sign bit is set
+    key -= sign
+    key -= sign
+    hidden ^= 10000
+    hidden >>= 13
+    key += hidden  # 1 where any fraction digit is nonzero: 10000 >> 13 is 1
     words[:, 0] = _PREFIX[key]
     np.frombuffer(buf, np.uint8)[::24 * k] = ord("\n")  # a line's first separator ends the line before
     buf[0] = 0  # which the first line has not

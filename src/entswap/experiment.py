@@ -55,8 +55,10 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     the cumulative boundaries, checked once per run, rather than labelled
     draw by draw (`rng._tally`, the counting form of `rng.categorical`).
     Every chunk's draws are written into one buffer, allocated once per
-    run, so memory stays bounded and no chunk maps fresh pages; identical
-    configs give identical results bit for bit.
+    run, and `rng.uniforms` makes them in that buffer's own memory, so a
+    chunk holds its draws plus one scratch block of `rng._MIX_BLOCK` words,
+    memory stays bounded and no chunk maps fresh pages; identical configs
+    give identical results bit for bit.
     """
     probs = swap.outcome_probabilities(cfg.p, cfg.q)
     boundaries = rng._boundaries([probs[label] for label in BELL_LABELS])

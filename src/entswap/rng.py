@@ -19,6 +19,8 @@ time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -27,38 +29,61 @@ MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = 2.0**-53
+_S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
+_MIX_BLOCK = 16384  # words per block of `uniforms`: its one scratch, 128 KB
 
 
 def uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draws [start, start + count) as doubles in [0, 1), vectorized.
 
-    The words are mixed in place in one uint64 buffer; the output's own
-    memory is the scratch for the shifts, so a call allocates two arrays.
-    As with numpy's `out=`, a given float64 array of shape (count,)
-    receives the draws and is returned, and only the words are new.
+    The words are made in the output's own memory, viewed as uint64, one
+    block of _MIX_BLOCK words at a time: each block's counters are a
+    cached table of steps plus one offset, and its xor-shifts go through
+    one scratch block. The words are then cast in place, so a call holds
+    the output and one block. As with numpy's `out=`, a given float64
+    array of shape (count,) receives the draws and is returned.
     """
     if out is None:
         out = np.empty(count, dtype=np.float64)
     elif out.shape != (count,) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape ({count},)")
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)  # wraps mod 2**64
-    z += np.uint64(seed & MASK64)
-    t = out.view(np.uint64)
-    np.right_shift(z, np.uint64(30), out=t)
-    z ^= t
-    z *= _M1
-    np.right_shift(z, np.uint64(27), out=t)
-    z ^= t
-    z *= _M2
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
-    z >>= np.uint64(11)
-    # exact: z < 2**53 converts without rounding, and int64 converts faster than uint64;
-    # a cast into `out` and then an in-place scale need no conversion buffer
-    np.copyto(out, z.view(np.int64))
+    words = out.view(np.uint64)
+    steps = _counter_steps(_MIX_BLOCK)
+    scratch = np.empty(min(count, _MIX_BLOCK), dtype=np.uint64)
+    origin = int(seed) + int(start) * GOLDEN
+    for a in range(0, count, _MIX_BLOCK):
+        z = words[a:a + _MIX_BLOCK]
+        t = scratch[:len(z)]
+        # the counters seed + (start + a + j + 1) * GOLDEN, wrapped mod 2**64
+        np.add(steps[:len(z)], np.uint64((origin + a * GOLDEN) & MASK64), out=z)
+        np.right_shift(z, _S30, out=t)
+        z ^= t
+        z *= _M1
+        np.right_shift(z, _S27, out=t)
+        z ^= t
+        z *= _M2
+        np.right_shift(z, _S31, out=t)
+        z ^= t
+    words >>= _S11
+    # exact: a word < 2**53 converts without rounding, and int64 converts faster than
+    # uint64; the cast reads each word before it writes its double over it, and neither
+    # it nor the in-place scale needs a conversion buffer
+    np.copyto(out, words.view(np.int64))
     out *= _DOUBLE_SCALE
     return out
+
+
+@functools.cache
+def _counter_steps(block: int) -> np.ndarray:
+    """(j + 1) * GOLDEN mod 2**64 for j < block: a block's counters, less its offset.
+
+    Made once per block size and kept (128 KB at the default block), so no
+    call forms its counters with an arange and a multiply.
+    """
+    steps = np.arange(1, block + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)
+    steps.flags.writeable = False
+    return steps
 
 
 def complex_normals(seed: int, start: int, count: int) -> np.ndarray:
@@ -68,9 +93,10 @@ def complex_normals(seed: int, start: int, count: int) -> np.ndarray:
     the polar form of a complex Gaussian, so normalized batches are Haar
     directions. r*cos(2*pi*u) and r*sin(2*pi*u) go into the two halves of
     the output: the bits of r * exp(2j*pi*u) wherever numpy's complex exp
-    is cos + i sin (a test pins it), without its temporaries. Each buffer is
-    dropped as soon as it is spent, so the call never holds more than twice
-    the output's bytes, which is what `uniforms` needs for the draws.
+    is cos + i sin (a test pins it), without its temporaries. The draws take
+    the output's bytes (and one block of `uniforms` while they are made),
+    and each buffer is dropped as soon as it is spent, so the call never
+    holds more than twice the output's bytes.
     """
     u = uniforms(seed, start, 2 * count)
     r = np.sqrt(-np.log1p(-u[0::2]))  # 1 - u > 0 because u < 1
@@ -125,10 +151,15 @@ def _tally(u: np.ndarray, boundaries: tuple[np.ndarray, int, int]) -> np.ndarray
     draws per index. As in `categorical`, the draws below the first positive
     label fold into it and those beyond the last boundary into the last
     positive label. A zero-probability label past the first repeats the
-    boundary before it, so it counts nothing.
+    boundary before it, so it counts nothing; equal boundaries have equal
+    counts, so a repeated one reuses the count before it.
     """
     cum, first, last = boundaries
-    at_most = np.array([np.count_nonzero(u <= c) for c in cum.tolist()], dtype=np.int64)
+    at_most = np.empty(len(cum), dtype=np.int64)
+    previous = None
+    for k, c in enumerate(cum.tolist()):
+        at_most[k] = at_most[k - 1] if c == previous else np.count_nonzero(u <= c)
+        previous = c
     counts = np.diff(at_most, prepend=0)
     counts[first] = at_most[first]
     counts[:first] = 0

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import cli, linalg, measures, states, swap
+from entswap import cli, experiment, linalg, measures, rng, states, swap
 from entswap.cli import main
 
 
@@ -900,6 +900,20 @@ def test_swap_empirical_block(capsys):
     )
     rerun = run_main(capsys, ["swap", "--p", "0.1", "--q", "0.75", "--shots", "20000", "--seed", "7"])
     assert rerun[1] == out
+
+
+@pytest.mark.parametrize("p, q", [("0.3", "0.6"), ("0", "1"), ("1", "0")])
+def test_swap_shots_peak_at_one_chunk_and_one_block(p, q):
+    # 200003 shots span four chunks, each drawn into the run's one buffer with one
+    # scratch block; with the words a second array beside it, a call peaked at 1.05 MB
+    argv = ["swap", "--p", p, "--q", q, "--shots", "200003", "--seed", "3"]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    peak = traced_peak(call)
+    assert peak <= 8 * experiment.SHOT_CHUNK + 8 * rng._MIX_BLOCK + 16384, peak
 
 
 def _swap_argv(p, q, shots, seed):

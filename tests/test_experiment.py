@@ -209,10 +209,24 @@ def test_uniforms_into_out_match_a_new_array():
             rng.uniforms(17, 5, 100, out=bad)
 
 
+@pytest.mark.parametrize("count", [rng._MIX_BLOCK - 1, rng._MIX_BLOCK, rng._MIX_BLOCK + 1, 2 * rng._MIX_BLOCK + 3])
+def test_uniforms_blocks_match_the_scalar_stream(count):
+    # counts on each side of a block's end and a short third block, each into a
+    # fresh, a given and a strided output
+    seed, start = 0xDEADBEEF, 12_345
+    expected = np.array([oracles.uniform(seed, start + i) for i in range(count)])
+    given = np.full(count, np.nan)
+    strided = np.full(2 * count, np.nan)[::2]
+    assert np.array_equal(oracles.bits(rng.uniforms(seed, start, count)), oracles.bits(expected))
+    for out in (given, strided):
+        assert rng.uniforms(seed, start, count, out=out) is out
+        assert np.array_equal(oracles.bits(out), oracles.bits(expected))
+
+
 @pytest.mark.parametrize("count", [24_576, 65_536])
-def test_uniforms_allocate_no_more_than_the_words_and_the_draws(count):
-    # a 2048-state verify chunk at 3,2 and one shot chunk: the uint64 words and
-    # the float64 output, with no conversion buffer between them
+def test_uniforms_allocate_no_more_than_the_draws_and_one_block(count):
+    # a 2048-state verify chunk at 3,2 and one shot chunk: the float64 output, whose
+    # memory holds the words, and one scratch block; no second array of words
     rng.uniforms(3, 5, count)  # first-call allocations are not the draw's
     tracemalloc.start()
     try:
@@ -220,7 +234,7 @@ def test_uniforms_allocate_no_more_than_the_words_and_the_draws(count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * count + 4096, peak
+    assert peak <= 8 * count + 8 * min(count, rng._MIX_BLOCK) + 4096, peak
 
 
 def test_run_ensemble_bit_identical_reruns():
