@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import measures, states, swap
+from . import measures, rng, states, swap
 from .experiment import RunConfig, run_ensemble
 
 FIGURE_Q_SET = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -385,7 +385,8 @@ def cmd_swap(args: argparse.Namespace) -> int:
 
 def _weight_arg(text: str) -> float:
     try:
-        return float(states.require_weight(float(text)))
+        # + 0.0 reads -0 as 0, so a weight's sign never reaches the document
+        return float(states.require_weight(float(text))) + 0.0
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]") from None
 
@@ -405,8 +406,8 @@ def _dims_arg(text: str) -> tuple[int, int]:
     return da, db
 
 
-def _int_arg(minimum: int):
-    """An argparse type for integers >= minimum."""
+def _int_arg(minimum: int, maximum: int | None = None):
+    """An argparse type for integers >= minimum and, if given, <= maximum."""
 
     def parse(text: str) -> int:
         try:
@@ -415,9 +416,17 @@ def _int_arg(minimum: int):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"value must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"value must be <= {maximum}")
         return value
 
     return parse
+
+
+def _out_arg(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the output path must not be empty")
+    return text
 
 
 @functools.cache
@@ -435,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which figure's data to produce")
     fig.add_argument("--grid", type=_int_arg(2), default=DEFAULT_GRID,
                      help="points per sweep, endpoints included (default 1001)")
-    fig.add_argument("--out", default=None,
+    fig.add_argument("--out", type=_out_arg, default=None,
                      help="output path, written atomically (default: stdout, streamed as computed)")
     fig.set_defaults(func=cmd_figures)
 
@@ -444,8 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of random states (default 10000)")
     ver.add_argument("--dims", type=_dims_arg, default=(2, 2),
                      help="bipartite dimensions DA,DB (default 2,2)")
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.add_argument("--out", default=None, help="output path (default: stdout)")
+    ver.add_argument("--seed", type=_int_arg(0, rng.MASK64), default=DEFAULT_SEED,
+                     help="seed of the random stream, in [0, 2^64) (default 7)")
+    ver.add_argument("--out", type=_out_arg, default=None, help="output path (default: stdout)")
     ver.set_defaults(func=cmd_verify)
 
     swp = sub.add_parser("swap", help="analytic outcome table for one (p, q), optionally sampled")
@@ -453,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--q", type=_weight_arg, required=True, help="Schmidt weight of the second pair")
     swp.add_argument("--shots", type=_int_arg(1), default=None,
                      help="if given, append empirical frequencies from this many draws")
-    swp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    swp.add_argument("--out", default=None, help="output path (default: stdout)")
+    swp.add_argument("--seed", type=_int_arg(0, rng.MASK64), default=DEFAULT_SEED,
+                     help="seed of the random stream, in [0, 2^64) (default 7)")
+    swp.add_argument("--out", type=_out_arg, default=None, help="output path (default: stdout)")
     swp.set_defaults(func=cmd_swap)
     return parser
 

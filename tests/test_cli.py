@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -243,7 +243,9 @@ def test_csv_lines_match_on_seeded_values_across_the_fast_decades(monkeypatch):
     _assert_cells_match(values[:5000], k=6)
 
 
-@pytest.mark.parametrize("grid", [4097, 5000])
+# at grid 2 the zero cells take the `%` fallback; at 342 the last sub-block of 1a and 1b
+# (341 rows each) is one row; 4097 and 5000 span two row chunks and many sub-blocks
+@pytest.mark.parametrize("grid", [2, 342, 1001, 4097, 5000])
 @pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
 def test_figures_bytes_match_the_per_cell_formatter_across_chunks(capsys, which, grid):
     code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", str(grid)])
@@ -536,12 +538,41 @@ def test_verify_chunk_peaks_at_the_draw(da, db, over):
     assert chunk <= (1.0 + over) * draw + 4096, (chunk, draw)
 
 
+# DB < DA takes each spectrum from rho_B, DB >= DA from rho_A: the closed 2x2 form
+# from rows (2,2 2,8) and from columns (3,2 8,2), LAPACK at 3x3 and 4x4; 5,3's
+# 15-amplitude rows are summed pairwise, then one term at a time. The report works
+# in place, so a warning (log2 of 0, an invalid operation) is an error
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dims", [f"{da},{db}" for da in range(2, cli.VERIFY_MAX_DIM // 2 + 1)
                                   for db in range(2, cli.VERIFY_MAX_DIM // da + 1)])
 def test_verify_passes_at_every_accepted_dims(capsys, dims):
-    code, out, _ = run_main(capsys, ["verify", "--trials", "300", "--dims", dims])
+    # 3000 states: two chunks, the second a partial one
+    code, out, _ = run_main(capsys, ["verify", "--trials", "3000", "--seed", "7", "--dims", dims])
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("dims", ["2,2", "3,2", "3,3", "8,2", "2,8", "4,4", "5,3"])
+def test_verify_gives_the_same_bytes_at_any_chunk_size(capsys, monkeypatch, dims):
+    # each chunk is drawn from its own counter range into planes laid out for its report;
+    # the document's maxima alone can match when every chunk redraws the first states,
+    # so the counter each chunk starts at is checked too
+    argv = ["verify", "--trials", "4097", "--seed", "7", "--dims", dims]
+    starts = []
+    real_draw = states.haar_states
+
+    def recorded_draw(da, db, seed, count, start):
+        starts.append(start)
+        return real_draw(da, db, seed, count, start)
+
+    monkeypatch.setattr(states, "haar_states", recorded_draw)
+    whole = run_main(capsys, argv)
+    assert whole[0] == 0
+    assert starts == [0, 2048, 4096]
+    starts.clear()
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 7)
+    assert run_main(capsys, argv) == whole
+    assert starts == list(range(0, 4097, 7))  # 586 chunks
 
 
 def test_verify_bad_dims_exit_2(capsys):
@@ -902,7 +933,32 @@ def test_swap_empirical_block(capsys):
     assert rerun[1] == out
 
 
-@pytest.mark.parametrize("p, q", [("0.3", "0.6"), ("0", "1"), ("1", "0")])
+# 200003 shots span four chunks: all branches live, the phi pair dead, the psi pair dead
+SHOT_PAIRS = [("0.3", "0.6"), ("0", "1"), ("1", "0")]
+
+
+@pytest.mark.parametrize("p, q", SHOT_PAIRS)
+def test_swap_shots_give_the_same_bytes_at_any_mix_block(capsys, monkeypatch, p, q):
+    # each shot chunk's words are made in its draws' own memory, one block at a time
+    argv = ["swap", "--p", p, "--q", q, "--shots", "200003", "--seed", "3"]
+    blocks = []
+    real_steps = rng._counter_steps
+
+    def recorded_steps(block):
+        blocks.append(block)
+        return real_steps(block)
+
+    monkeypatch.setattr(rng, "_counter_steps", recorded_steps)
+    whole = run_main(capsys, argv)
+    assert whole[0] == 0
+    assert set(blocks) == {rng._MIX_BLOCK}
+    blocks.clear()
+    monkeypatch.setattr(rng, "_MIX_BLOCK", 7)
+    assert run_main(capsys, argv) == whole
+    assert set(blocks) == {7}
+
+
+@pytest.mark.parametrize("p, q", SHOT_PAIRS)
 def test_swap_shots_peak_at_one_chunk_and_one_block(p, q):
     # 200003 shots span four chunks, each drawn into the run's one buffer with one
     # scratch block; with the words a second array beside it, a call peaked at 1.05 MB
@@ -925,13 +981,41 @@ def _swap_argv(p, q, shots, seed):
 swap_weights = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300]) | st.floats(0.0, 1.0)
 
 
+def _at_every_document_shape(test):
+    """Examples of every `swap` document shape, with and without shots.
+
+    All branches live, the phi pair dead, the psi pair dead, the two golden
+    documents, then two weights where the phi pair's probability 0.5 * n2
+    underflows to 0.0 though n2 does not.
+    """
+    for p, q in [(0.3, 0.6), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (1.0, 5e-324), (5e-324, 1.0)]:
+        for shots in (None, 1000):
+            test = example(p=p, q=q, shots=shots, seed=3)(test)
+    return test
+
+
+@_at_every_document_shape
 # run_main reads capsys empty on every call, so one fixture serves every example
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(p=swap_weights, q=swap_weights, shots=st.none() | st.integers(1, 50),
-       seed=st.sampled_from([0, -5, -(2**70), 2**64, 2**64 + 3]) | st.integers(-(2**80), 2**80))
+       seed=st.sampled_from([0, 5, 2**32, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1))
 def test_swap_bytes_match_the_reference_builder(capsys, p, q, shots, seed):
-    argv = _swap_argv(p, q, shots, seed)
-    assert run_main(capsys, argv) == (0, oracles.swap_document(p, q, shots, seed), "")
+    code, out, err = run_main(capsys, _swap_argv(p, q, shots, seed))
+    # the CLI reads a -0 weight as 0
+    assert (code, out, err) == (0, oracles.swap_document(p + 0.0, q + 0.0, shots, seed), "")
+    doc = json.loads(out)
+    for entry in doc["outcomes"]:
+        assert (entry["post_state"] is None) == (entry["probability_full"] == 0.0), entry
+    if shots is not None:
+        assert sum(doc["empirical"]["counts"].values()) == shots
+
+
+@pytest.mark.parametrize("shots", [[], ["--shots", "1000"]])
+@pytest.mark.parametrize("p, q", [("-0", "0.5"), ("0.5", "-0"), ("-0", "-0.0"), ("1", "-0")])
+def test_swap_reads_a_negative_zero_weight_as_zero(capsys, p, q, shots):
+    signed = run_main(capsys, ["swap", "--p", p, "--q", q, *shots])
+    unsigned = run_main(capsys, ["swap", "--p", p.lstrip("-"), "--q", q.lstrip("-"), *shots])
+    assert signed == unsigned and signed[0] == 0
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -981,7 +1065,7 @@ def test_swap_writes_nan_and_infinity_as_json_does(capsys, monkeypatch):
         return dataclasses.replace(rep, s_vn=np.full_like(rep.s_vn, np.nan), p_vn=np.full_like(rep.p_vn, -np.inf))
 
     monkeypatch.setattr(measures, "_diagonal_report", poisoned)
-    for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, -5)):
+    for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, 5)):
         code, out, _ = run_main(capsys, _swap_argv(p, q, shots, seed))
         assert (code, out) == (0, oracles.swap_document(p, q, shots, seed))
         assert '"svn_pair_p": NaN,' in out and '"pvn_full": -Infinity,' in out
@@ -1008,6 +1092,33 @@ def test_swap_bad_weight_exits_2(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["verify", "--trials", "3"], ["swap", "--p", "0.5", "--q", "0.5", "--shots", "3"]],
+                         ids=["verify", "swap"])
+def test_a_seed_outside_64_bits_exits_2(capsys, command):
+    # the stream reads a seed modulo 2^64, so -1 and 2^64 - 1 would draw the same
+    # states yet print different "seed" fields; the parser takes [0, 2^64) only
+    for seed in (-1, 2**64, -(2**64 - 1), 2**70):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", str(seed)])
+        assert exc.value.code == 2
+        assert "argument --seed: value must be" in capsys.readouterr().err
+    for seed in (0, 2**64 - 1):
+        code, out, _ = run_main(capsys, [*command, "--seed", str(seed)])
+        assert code == 0
+        assert f'"seed": {seed}' in out
+
+
+@pytest.mark.parametrize("command", [["figures", "--which", "2a", "--grid", "3"], ["verify", "--trials", "3"],
+                                     ["swap", "--p", "0.5", "--q", "0.5"]], ids=["figures", "verify", "swap"])
+def test_an_empty_out_exits_2(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", ""])
+    assert exc.value.code == 2
+    assert "argument --out: the output path must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_smoke():
