@@ -9,13 +9,13 @@ sibling field.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -241,8 +241,12 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
         return EXIT_OK
     path = Path(out)
     try:
-        parent = str(path.parent) or "."
-        fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
+        if path.is_dir():  # checked first, so no temp file is made for it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        # the mode open(out, "w") gives a new file, 0o666 less the umask, which the rename
+        # keeps (tempfile.mkstemp's would be 0o600); O_EXCL opens no file that is already there
+        tmp_name = str(path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="") as fh:
                 for piece in pieces:
@@ -354,24 +358,28 @@ def _json_floats(values: list[float]) -> list:
 
 
 def cmd_swap(args: argparse.Namespace) -> int:
-    outcomes = swap.bbm_outcomes(args.p, args.q)
-    live = tuple(o.post_state is not None for o in outcomes)
+    # the parser has checked both weights, so the closed forms are read unchecked
+    probabilities, amplitudes = swap._branches(args.p, args.q)
+    # a dead family's rows are NaN (`swap._norm2`): it has no post state
+    live = tuple(not math.isnan(x) for x in amplitudes[:, 0].tolist())
     # every state is in Schmidt form, so rho_A is diagonal and its populations are its
-    # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a branch;
+    # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a family;
     # a dead family's are NaN, and so are its report entries, which no leaf reads
     a, b, c, d = swap._spectrum(args.p, args.q)
-    populations = [(args.p, 1.0 - args.p), (args.q, 1.0 - args.q), (a, b), (a, b), (c, d), (c, d)]
-    rep = measures._diagonal_report(np.array(populations).T)  # one report for every state
-    branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
+    populations = [(args.p, 1.0 - args.p), (args.q, 1.0 - args.q), (a, b), (c, d)]
+    rep = measures._diagonal_report(np.array(populations).T)  # one report for the four states
+    families = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
+    branch_measures = [values for values in families for _ in range(2)]  # phi+, phi-, psi+, psi-
+    # each row as [re, im] pairs: the cast to complex writes +0.0 imaginary parts
+    rows = amplitudes.astype(complex).view(float).tolist()
     # the leaves in the template's order; each shown value is followed by its `_full` value
     floats = [args.p, args.q]
     for value in rep.s_vn[:2].tolist():
         floats += (round(value, 4), value)
-    for o, values in zip(outcomes, branch_measures):
-        probability = float(o.probability)
+    for probability, alive, row, values in zip(probabilities.tolist(), live, rows, branch_measures):
         floats += (round(probability, 4), probability)
-        if o.post_state is not None:
-            floats += o.post_state.amplitudes.view(float).tolist()
+        if alive:
+            floats += row
             for value in values:
                 floats += (round(value, 4), value)
     leaves = _json_floats(floats)
@@ -426,6 +434,9 @@ def _int_arg(minimum: int, maximum: int | None = None):
 def _out_arg(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("the output path must not be empty")
+    if text.endswith((os.sep, os.altsep or os.sep)):
+        # Path would drop the separator and write a file where a directory was named
+        raise argparse.ArgumentTypeError(f"{text!r} names a directory, not a file")
     return text
 
 

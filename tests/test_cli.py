@@ -981,6 +981,9 @@ def _swap_argv(p, q, shots, seed):
 swap_weights = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300]) | st.floats(0.0, 1.0)
 
 
+DOCUMENT_SHAPES = [(0.3, 0.6), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (1.0, 5e-324), (5e-324, 1.0)]
+
+
 def _at_every_document_shape(test):
     """Examples of every `swap` document shape, with and without shots.
 
@@ -988,7 +991,7 @@ def _at_every_document_shape(test):
     documents, then two weights where the phi pair's probability 0.5 * n2
     underflows to 0.0 though n2 does not.
     """
-    for p, q in [(0.3, 0.6), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (1.0, 5e-324), (5e-324, 1.0)]:
+    for p, q in DOCUMENT_SHAPES:
         for shots in (None, 1000):
             test = example(p=p, q=q, shots=shots, seed=3)(test)
     return test
@@ -1008,6 +1011,23 @@ def test_swap_bytes_match_the_reference_builder(capsys, p, q, shots, seed):
         assert (entry["post_state"] is None) == (entry["probability_full"] == 0.0), entry
     if shots is not None:
         assert sum(doc["empirical"]["counts"].values()) == shots
+
+
+def test_swap_reads_the_closed_forms_and_builds_no_pure_state(capsys, monkeypatch):
+    # the reference builder copies each post state through PureState; the CLI must
+    # reach the same bytes from `swap._branches` alone, at every document shape
+    cases = [(p, q, shots) for p, q in DOCUMENT_SHAPES for shots in (None, 1000)]
+    expected = [oracles.swap_document(p, q, shots, 3) for p, q, shots in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("swap built a PureState or called bbm_outcomes")
+
+    monkeypatch.setattr(swap, "bbm_outcomes", refuse)
+    monkeypatch.setattr(states.PureState, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        states.schmidt_pair(0.5)  # the patch has taken effect
+    for (p, q, shots), document in zip(cases, expected):
+        assert run_main(capsys, _swap_argv(p, q, shots, 3)) == (0, document, ""), (p, q, shots)
 
 
 @pytest.mark.parametrize("shots", [[], ["--shots", "1000"]])
@@ -1119,6 +1139,44 @@ def test_an_empty_out_exits_2(capsys, tmp_path, monkeypatch, command):
     assert exc.value.code == 2
     assert "argument --out: the output path must not be empty" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_out_files_take_the_mode_of_a_plain_write(tmp_path, umask, mode):
+    # 0o666 less the umask, as open(path, "w") makes a new file, for a new path and a replaced one
+    target = tmp_path / "doc.json"
+    old = os.umask(umask)
+    try:
+        for _ in range(2):
+            assert main(["swap", "--p", "0.5", "--q", "0.5", "--out", str(target)]) == 0
+            assert target.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
+    assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize("out", ["sub/", "sub" + os.sep + os.sep, os.sep])
+def test_an_out_ending_in_a_separator_exits_2(capsys, tmp_path, monkeypatch, out):
+    # Path("sub/") is Path("sub"): without the check, a file named sub would be written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["swap", "--p", "0.5", "--q", "0.5", "--out", out])
+    assert exc.value.code == 2
+    assert f"argument --out: {out!r} names a directory, not a file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["figures", "--which", "2a", "--grid", "3"], ["verify", "--trials", "3"],
+                                     ["swap", "--p", "0.5", "--q", "0.5"]], ids=["figures", "verify", "swap"])
+def test_an_out_that_is_a_directory_exits_3(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for out in (".", "sub", str(tmp_path / "sub")):
+        assert main([*command, "--out", out]) == 3
+        assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.EISDIR)}\n"
+        # no temp file is left beside the directory or in it
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
 
 
 def test_module_entry_point_smoke():
