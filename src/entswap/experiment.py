@@ -51,9 +51,10 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """cfg.shots draws from counter 0 of the seed's stream, tallied per Bell label.
 
     Draw i picks its label by categorical inversion of uniform i alone. The
-    draws stream in chunks of SHOT_CHUNK, and each chunk is counted under
-    the cumulative boundaries, checked once per run, rather than labelled
-    draw by draw (`rng._tally`, the counting form of `rng.categorical`).
+    draws stream in chunks of SHOT_CHUNK, each counted by `rng._tally` (the
+    counting form of `rng.categorical`) rather than labelled draw by draw,
+    under the boundaries that `rng._boundaries` checks once per run and
+    that decide, there alone, where a draw outside them goes.
     Every chunk's draws are written into one buffer, allocated once per
     run, and `rng.uniforms` makes them in that buffer's own memory, so a
     chunk holds its draws plus one scratch block of `rng._MIX_BLOCK` words,

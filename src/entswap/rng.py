@@ -113,10 +113,15 @@ def complex_normals(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _boundaries(probs) -> tuple[np.ndarray, int, int]:
-    """Checked cumulative boundaries of a probability vector: (cum, first, last positive label).
+    """Checked inner boundaries of a probability vector: (cum[first:last], first, size).
 
     Rejects anything but a nonempty vector of finite nonnegative entries
     summing to 1 within 1e-9; every comparison is written so that NaN fails it.
+    first and last are the first and last positive labels, and only the
+    boundaries between them can split draws: a draw at or below cum[first]
+    goes to first, one above cum[last - 1] to last, even past cum[-1] through
+    rounding or as NaN, and a zero label between them repeats the boundary
+    before it, so no draw reaches it.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0 or not (p >= 0.0).all():
@@ -125,7 +130,8 @@ def _boundaries(probs) -> tuple[np.ndarray, int, int]:
     if not abs(cum[-1] - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {cum[-1]}, not 1")
     positive = np.flatnonzero(p > 0.0)
-    return cum, int(positive[0]), int(positive[-1])
+    first, last = int(positive[0]), int(positive[-1])
+    return cum[first:last], first, p.size
 
 
 def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -133,35 +139,23 @@ def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
     Label of u is the smallest k with u <= cum[k] and probs[k] > 0, so ties
     on a boundary land on the lower-indexed label and zero-probability
-    labels are never chosen. A draw beyond the last boundary (possible only
-    through rounding of the cumulative sum) lands on the last
-    positive-probability label.
+    labels are never chosen; `_boundaries` decides where a draw outside
+    the boundaries goes.
     """
-    cum, first, last = _boundaries(probs)
-    idx = np.searchsorted(cum, np.asarray(u, dtype=float), side="left")
-    idx = np.where(idx >= cum.size, last, idx)
-    return np.maximum(idx, first)
+    inner, first, _ = _boundaries(probs)
+    return first + np.searchsorted(inner, np.asarray(u, dtype=float), side="left")
 
 
 def _tally(u: np.ndarray, boundaries: tuple[np.ndarray, int, int]) -> np.ndarray:
     """Per-label counts of `categorical(u, probs)` without labelling each draw.
 
-    `boundaries` is `_boundaries(probs)`. The draws whose searchsorted index
-    is <= k are those with u <= cum[k]; differencing those counts gives the
-    draws per index. As in `categorical`, the draws below the first positive
-    label fold into it and those beyond the last boundary into the last
-    positive label. A zero-probability label past the first repeats the
-    boundary before it, so it counts nothing; equal boundaries have equal
-    counts, so a repeated one reuses the count before it.
+    `boundaries` is `_boundaries(probs)`. The draws at or below inner
+    boundary j are those labelled first + j or lower, so one count per inner
+    boundary, differenced between 0 and len(u), gives the draws of labels
+    first to last; every other label counts nothing.
     """
-    cum, first, last = boundaries
-    at_most = np.empty(len(cum), dtype=np.int64)
-    previous = None
-    for k, c in enumerate(cum.tolist()):
-        at_most[k] = at_most[k - 1] if c == previous else np.count_nonzero(u <= c)
-        previous = c
-    counts = np.diff(at_most, prepend=0)
-    counts[first] = at_most[first]
-    counts[:first] = 0
-    counts[last] += len(u) - at_most[-1]
+    inner, first, size = boundaries
+    at_most = [np.count_nonzero(u <= c) for c in inner.tolist()]
+    counts = np.zeros(size, dtype=np.int64)
+    counts[first:first + len(inner) + 1] = np.diff([0, *at_most, len(u)])
     return counts

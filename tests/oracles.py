@@ -26,6 +26,14 @@ _SQRT2 = np.sqrt(2.0)
 # every (DA, DB) that `verify --dims` accepts
 VERIFY_DIMS = [(da, db) for da in range(2, VERIFY_MAX_DIM // 2 + 1) for db in range(2, VERIFY_MAX_DIM // da + 1)]
 
+# the `verify --dims` at which Tier-1 and the output manifest hold the bytes of every chunking
+BYTE_CHECK_DIMS = ["2,2", "3,2", "3,3", "8,2", "2,8", "4,4", "5,3"]
+
+# a weight pair of every `swap` document shape: all branches live, the phi pair dead, the psi
+# pair dead, the two golden documents, then the phi pair's probability 0.5 * n2 underflowing
+# to 0.0 though n2 does not
+DOCUMENT_SHAPES = [(0.3, 0.6), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (1.0, 5e-324), (5e-324, 1.0)]
+
 # B[c, c'] amplitude matrices of the four Bell states on the measured wires
 BELL_MATRICES = {
     "phi+": np.array([[1, 0], [0, 1]], dtype=complex) / _SQRT2,
@@ -50,6 +58,24 @@ def project_bbm(psi16: np.ndarray) -> dict[str, tuple[float, np.ndarray | None]]
         post = amp_ab / np.sqrt(prob) if prob > 0.0 else None
         out[label] = (prob, post)
     return out
+
+
+@functools.cache
+def projector_grid() -> tuple[tuple[dict[str, tuple[float, np.ndarray | None]], ...], ...]:
+    """`project_bbm` of `composite_state(p, q)` at every p, q = i / 100, i = 0..100.
+
+    Made once per session and indexed [i][j], with the post states
+    read-only. Each source pair is built once per weight; the `kron` of two
+    of them is `composite_state`'s amplitudes bit for bit.
+    """
+    pairs = [schmidt_pair(i / 100).amplitudes for i in range(101)]
+    grid = tuple(tuple(project_bbm(kron(a, b)) for b in pairs) for a in pairs)
+    for row in grid:
+        for branches in row:
+            for _, post in branches.values():
+                if post is not None:
+                    post.flags.writeable = False
+    return grid
 
 
 def _flat_index(keep_code: int, traced_code: int, dims, keep, traced) -> int:

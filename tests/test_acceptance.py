@@ -88,9 +88,9 @@ def test_criterion_5_projector_oracle_equivalence():
     worst_prob = 0.0
     worst_fidelity_gap = 0.0
     branch_mismatches = 0
-    for p in grid:
-        for q in grid:
-            reference = oracles.project_bbm(oracles.composite_state(p, q).amplitudes)
+    for i, p in enumerate(grid):
+        for j, q in enumerate(grid):
+            reference = oracles.projector_grid()[i][j]  # `project_bbm` of `composite_state(p, q)`
             for outcome in swap.bbm_outcomes(p, q):
                 ref_prob, ref_post = reference[outcome.label]
                 worst_prob = max(worst_prob, abs(outcome.probability - ref_prob))

@@ -552,7 +552,7 @@ def test_verify_passes_at_every_accepted_dims(capsys, dims):
     assert json.loads(out)["pass"] is True
 
 
-@pytest.mark.parametrize("dims", ["2,2", "3,2", "3,3", "8,2", "2,8", "4,4", "5,3"])
+@pytest.mark.parametrize("dims", oracles.BYTE_CHECK_DIMS)
 def test_verify_gives_the_same_bytes_at_any_chunk_size(capsys, monkeypatch, dims):
     # each chunk is drawn from its own counter range into planes laid out for its report;
     # the document's maxima alone can match when every chunk redraws the first states,
@@ -981,17 +981,9 @@ def _swap_argv(p, q, shots, seed):
 swap_weights = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300]) | st.floats(0.0, 1.0)
 
 
-DOCUMENT_SHAPES = [(0.3, 0.6), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (1.0, 5e-324), (5e-324, 1.0)]
-
-
 def _at_every_document_shape(test):
-    """Examples of every `swap` document shape, with and without shots.
-
-    All branches live, the phi pair dead, the psi pair dead, the two golden
-    documents, then two weights where the phi pair's probability 0.5 * n2
-    underflows to 0.0 though n2 does not.
-    """
-    for p, q in DOCUMENT_SHAPES:
+    """Examples of every `swap` document shape (`oracles.DOCUMENT_SHAPES`), with and without shots."""
+    for p, q in oracles.DOCUMENT_SHAPES:
         for shots in (None, 1000):
             test = example(p=p, q=q, shots=shots, seed=3)(test)
     return test
@@ -1016,7 +1008,7 @@ def test_swap_bytes_match_the_reference_builder(capsys, p, q, shots, seed):
 def test_swap_reads_the_closed_forms_and_builds_no_pure_state(capsys, monkeypatch):
     # the reference builder copies each post state through PureState; the CLI must
     # reach the same bytes from `swap._branches` alone, at every document shape
-    cases = [(p, q, shots) for p, q in DOCUMENT_SHAPES for shots in (None, 1000)]
+    cases = [(p, q, shots) for p, q in oracles.DOCUMENT_SHAPES for shots in (None, 1000)]
     expected = [oracles.swap_document(p, q, shots, 3) for p, q, shots in cases]
 
     def refuse(*args, **kwargs):

@@ -103,6 +103,9 @@ def test_categorical_overflow_lands_on_last_positive_label():
     probs = np.array([0.1] * 7 + [0.3 - 5e-14])
     u_max = np.nextafter(1.0, 0.0)
     assert rng.categorical(np.array([u_max]), probs)[0] == 7
+    # NaN compares below no boundary, so it lands there too, also before trailing zeros
+    assert rng.categorical(np.array([np.nan]), probs)[0] == 7
+    assert rng.categorical(np.array([np.nan]), np.array([0.0, 0.5, 0.5, 0.0]))[0] == 2
 
 
 def test_categorical_rejects_bad_vectors():
@@ -146,18 +149,37 @@ _weight_vectors = st.lists(
 def test_tally_equals_the_bincount_of_the_labels(weights, seed):
     p = np.array(weights) / sum(weights)
     boundaries = rng._boundaries(p)
-    cum = boundaries[0]
+    cum = np.cumsum(p)  # every boundary, the outer ones too
     u = np.concatenate([
         rng.uniforms(seed, 0, 300),
         cum,  # exactly on each boundary
         np.nextafter(cum, -np.inf),
         np.nextafter(cum, np.inf),  # the last of these is above cum[-1]
-        [0.0, np.nextafter(1.0, 0.0), 1.0, 1.5],
+        [0.0, np.nextafter(1.0, 0.0), 1.0, 1.5, np.nan, -0.0, -1.0],
     ])
     expected = np.bincount(rng.categorical(u, p), minlength=len(p))
     tally = rng._tally(u, boundaries)
     assert tally.dtype == expected.dtype and np.array_equal(tally, expected)
+    assert tally.sum() == len(u)
     assert np.array_equal(rng._tally(u[:0], boundaries), np.zeros(len(p), dtype=np.int64))
+
+
+@pytest.mark.parametrize("probs, passes", [([0.0, 0.0, 0.5, 0.5], 1), ([0.25] * 4, 3), ([1.0], 0)])
+def test_tally_counts_only_at_the_boundaries_that_split_draws(monkeypatch, probs, passes):
+    # a dead family, as at (p, q) = (0, 1), leaves one boundary to count; all four live, three
+    calls = []
+    real_count = np.count_nonzero
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_count(*args, **kwargs)
+
+    boundaries = rng._boundaries(probs)
+    u = rng.uniforms(8, 0, 1000)
+    expected = np.bincount(rng.categorical(u, probs), minlength=len(probs))
+    monkeypatch.setattr(np, "count_nonzero", counted)
+    assert np.array_equal(rng._tally(u, boundaries), expected)
+    assert len(calls) == passes
 
 
 def test_sample_bbm_matches_ensemble_counts():

@@ -79,7 +79,7 @@ def test_predictability_is_consumed_where_entanglement_increases():
     gained = lost = 0
     for i, p in enumerate(weights):
         for j, q in enumerate(weights):
-            branches = oracles.project_bbm(oracles.kron(pairs[i], pairs[j]))  # `composite_state(p, q)`
+            branches = oracles.projector_grid()[i][j]  # `project_bbm` of `composite_state(p, q)`
             for plus, minus in (("phi+", "phi-"), ("psi+", "psi-")):
                 post = _shared_family_state(branches, plus, minus)
                 if post is None:

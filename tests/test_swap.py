@@ -297,7 +297,7 @@ def test_probabilities_follow_the_initial_predictability_by_an_independent_route
     worst_line = worst_off = worst_branches = 0.0
     for i, p in enumerate(grid):
         for j, q in enumerate(grid):
-            reference = oracles.project_bbm(oracles.composite_state(p, q).amplitudes)
+            reference = oracles.projector_grid()[i][j]  # `project_bbm` of `composite_state(p, q)`
             sigma = np.sign((2.0 * p - 1.0) * (2.0 * q - 1.0))
             # derived here, not stated in the paper: with P_l(w) = (2w-1)^2/2,
             # N_phi^2 = pq + (1-p)(1-q) = (1 + (2p-1)(2q-1))/2
