@@ -359,13 +359,12 @@ def _json_floats(values: list[float]) -> list:
 
 def cmd_swap(args: argparse.Namespace) -> int:
     # the parser has checked both weights, so the closed forms are read unchecked
-    probabilities, amplitudes = swap._branches(args.p, args.q)
+    probabilities, (a, b, c, d), amplitudes = swap._branches(args.p, args.q)
     # a dead family's rows are NaN (`swap._norm2`): it has no post state
     live = tuple(not math.isnan(x) for x in amplitudes[:, 0].tolist())
     # every state is in Schmidt form, so rho_A is diagonal and its populations are its
     # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a family;
     # a dead family's are NaN, and so are its report entries, which no leaf reads
-    a, b, c, d = swap._spectrum(args.p, args.q)
     populations = [(args.p, 1.0 - args.p), (args.q, 1.0 - args.q), (a, b), (c, d)]
     rep = measures._diagonal_report(np.array(populations).T)  # one report for the four states
     families = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())

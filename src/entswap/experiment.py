@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, swap
-from .states import BELL_LABELS, require_weight
+from .states import BELL_LABELS, _one_weight
 
 SHOT_CHUNK = 1 << 16  # draws per batch in `run_ensemble`: bounds memory for any shot count
 
@@ -22,8 +22,8 @@ class RunConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        require_weight(self.p, "p")
-        require_weight(self.q, "q")
+        for name in ("p", "q"):  # stored checked, so `run_ensemble` reads them unchecked
+            object.__setattr__(self, name, float(_one_weight(getattr(self, name), name)))
         for name in ("shots", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -53,16 +53,17 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     Draw i picks its label by categorical inversion of uniform i alone. The
     draws stream in chunks of SHOT_CHUNK, each counted by `rng._tally` (the
     counting form of `rng.categorical`) rather than labelled draw by draw,
-    under the boundaries that `rng._boundaries` checks once per run and
-    that decide, there alone, where a draw outside them goes.
+    under the boundaries that `rng._boundaries` takes once per run from the
+    probabilities of the `swap._branches` table and that decide, there
+    alone, where a draw outside them goes.
     Every chunk's draws are written into one buffer, allocated once per
     run, and `rng.uniforms` makes them in that buffer's own memory, so a
     chunk holds its draws plus one scratch block of `rng._MIX_BLOCK` words,
     memory stays bounded and no chunk maps fresh pages; identical configs
     give identical results bit for bit.
     """
-    probs = swap.outcome_probabilities(cfg.p, cfg.q)
-    boundaries = rng._boundaries([probs[label] for label in BELL_LABELS])
+    probs = swap._branches(cfg.p, cfg.q)[0]  # `RunConfig` has checked both weights
+    boundaries = rng._boundaries(probs)
     tally = np.zeros(len(BELL_LABELS), dtype=np.int64)
     buffer = np.empty(min(SHOT_CHUNK, cfg.shots))  # every chunk's draws, in turn
     for start in range(0, cfg.shots, SHOT_CHUNK):
@@ -70,4 +71,4 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
         tally += rng._tally(rng.uniforms(cfg.seed, start, count, out=buffer[:count]), boundaries)
     counts = {label: int(c) for label, c in zip(BELL_LABELS, tally)}
     empirical = {label: counts[label] / cfg.shots for label in BELL_LABELS}
-    return EnsembleResult(counts=counts, empirical_freq=empirical, analytic_prob=probs)
+    return EnsembleResult(counts, empirical, analytic_prob=dict(zip(BELL_LABELS, probs)))

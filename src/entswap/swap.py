@@ -64,34 +64,26 @@ def _norm2(s, t):
 
 
 def _family(s, t) -> np.ndarray:
-    """One family of `_products` over its sum: its eigenvalues, stacked (2, ...), NaN where it is dead."""
+    """One family of `_products` over its sum, as in the `_branches` spectra: (2, ...), NaN if dead."""
     pair = np.array([s, t])
     pair /= _norm2(s, t)  # in place: the stack is the only array the result needs
     return pair
 
 
-def _spectrum(p, q) -> np.ndarray:
-    """Branch eigenvalues a, b of phi and c, d of psi, stacked (4, ...) and unchecked: each `_family`."""
-    phi, psi = _products(p, q)
-    return np.concatenate([_family(*phi), _family(*psi)])
+def _branches(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-form table of the four branches in BELL_LABELS order, from one `_products`.
 
-
-def _probabilities(products) -> np.ndarray:
-    """Branch probabilities (4, ...) in BELL_LABELS order: half the sum of each family of `_products`."""
-    (pq, uv), (uq, pv) = products
-    n2_phi, n2_psi = pq + uv, uq + pv
-    return 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi])
-
-
-def _post_amplitudes(products) -> np.ndarray:
-    """Normalized AB amplitudes of the four branches, shape (..., 4, 4), rows in BELL_LABELS order.
-
-    From the two families of `_products`. A dead family's rows are NaN: it
-    has no post state. Every entry is written and divided in place in one
-    array that holds the weights' index innermost, so each step runs over
-    whole rows of them; the result is that array's transposed view.
+    p and q are read unchecked and broadcast. Returns the probabilities
+    (4, ...); the rho_A spectra (4, ...), each family's `_family`; and the
+    normalized AB amplitudes (..., 4, 4), one row per branch, written and
+    divided in place with the weights' index innermost and returned as a
+    transposed view. A dead family has probability 0.0 and NaN spectra and
+    rows: it has no post state.
     """
-    phi, psi = products
+    phi, psi = _products(p, q)
+    n2_phi, n2_psi = phi[0] + phi[1], psi[0] + psi[1]
+    probabilities = 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi])
+    spectra = np.concatenate([_family(*phi), _family(*psi)])
     a, b, d, c = np.sqrt([*phi, *psi])
     amps = np.zeros((4, 4) + a.shape)
     amps[0, 0] = amps[1, 0] = a
@@ -102,27 +94,18 @@ def _post_amplitudes(products) -> np.ndarray:
     amps[3, 2] = -d
     amps[:2] /= np.sqrt(_norm2(*phi))
     amps[2:] /= np.sqrt(_norm2(*psi))
-    return amps.transpose(*range(2, amps.ndim), 0, 1)
-
-
-def _branches(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities (4,) and normalized AB amplitudes (4, 4) of the branches at numbers p and q.
-
-    Both are in BELL_LABELS order. A dead family's amplitude rows are NaN.
-    """
-    products = _products(p, q)
-    return _probabilities(products), _post_amplitudes(products)
+    return probabilities, spectra, amps.transpose(*range(2, amps.ndim), 0, 1)
 
 
 def outcome_probabilities(p: float, q: float) -> dict[str, float]:
     """Analytic probability of each Bell outcome, keyed in BELL_LABELS order."""
-    probs = _probabilities(_products(require_weight(p, "p"), require_weight(q, "q")))
+    probs = _branches(require_weight(p, "p"), require_weight(q, "q"))[0]
     return dict(zip(BELL_LABELS, probs))
 
 
 def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     """The four measurement branches with their conditional AB states."""
-    probs, amps = _branches(_one_weight(p, "p"), _one_weight(q, "q"))
+    probs, _, amps = _branches(_one_weight(p, "p"), _one_weight(q, "q"))
     return [
         # a dead branch's row is NaN (`_norm2`): it has no post state
         BBMOutcome(label, prob, None if math.isnan(row[0]) else PureState(row, (2, 2)))
@@ -131,15 +114,15 @@ def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
 
 
 def swap_spectrum(p, q) -> SwapSpectrum:
-    """The branch eigenvalues of `_spectrum` at validated weights: NaN where a family is dead."""
-    a, b, c, d = _spectrum(require_weight(p, "p"), require_weight(q, "q"))
+    """The branch spectra of `_branches` at validated weights: NaN where a family is dead."""
+    a, b, c, d = _branches(require_weight(p, "p"), require_weight(q, "q"))[1]
     return SwapSpectrum(a=a, b=b, c=c, d=d)
 
 
 def post_entropies(p, q):
     """Entanglement entropy of the phi- and psi-branch post states, in bits: NaN where a family is dead."""
-    s = swap_spectrum(p, q)
-    return measures._entropy(np.stack([s.a, s.b])), measures._entropy(np.stack([s.c, s.d]))
+    spectra = _branches(require_weight(p, "p"), require_weight(q, "q"))[1]
+    return measures._entropy(spectra[:2]), measures._entropy(spectra[2:])
 
 
 def special_case_probs(q):

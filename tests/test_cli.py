@@ -1018,8 +1018,14 @@ def test_swap_reads_the_closed_forms_and_builds_no_pure_state(capsys, monkeypatc
     monkeypatch.setattr(states.PureState, "__post_init__", refuse)
     with pytest.raises(AssertionError):
         states.schmidt_pair(0.5)  # the patch has taken effect
+    # and it forms the closed forms once per document, and once more for an ensemble
+    passes = []
+    products = swap._products
+    monkeypatch.setattr(swap, "_products", lambda p, q: passes.append((p, q)) or products(p, q))
     for (p, q, shots), document in zip(cases, expected):
+        passes.clear()
         assert run_main(capsys, _swap_argv(p, q, shots, 3)) == (0, document, ""), (p, q, shots)
+        assert len(passes) == (1 if shots is None else 2), (p, q, shots, passes)
 
 
 @pytest.mark.parametrize("shots", [[], ["--shots", "1000"]])

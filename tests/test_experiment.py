@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,20 @@ def test_run_config_validation():
     cfg = RunConfig(p=0.5, q=0.5, shots=np.int32(3), seed=np.uint64((1 << 64) - 1))
     assert (cfg.shots, cfg.seed) == (3, (1 << 64) - 1)
     assert type(cfg.shots) is int and type(cfg.seed) is int
+
+
+def test_run_config_refuses_an_array_weight_where_it_is_built():
+    with pytest.raises(ValueError, match=re.escape("p must be one number, got shape (2,)")):
+        RunConfig(np.array([0.3, 0.4]), 0.5, 10, 1)
+    for p, q, name in ((0.5, [0.2], "q"), (np.zeros((1, 1)), 0.5, "p"), (0.5, np.array([]), "q")):
+        with pytest.raises(ValueError, match=f"{name} must be one number"):
+            RunConfig(p=p, q=q, shots=10, seed=1)
+    # a 0-d array and a Python float are one number each, kept as floats
+    cfg = RunConfig(p=np.array(0.25), q=0.5, shots=10, seed=1)
+    assert (cfg.p, cfg.q) == (0.25, 0.5) and type(cfg.p) is float and type(cfg.q) is float
+    result = run_ensemble(cfg)
+    assert result == run_ensemble(RunConfig(p=0.25, q=0.5, shots=10, seed=1))
+    assert all(type(value) is np.float64 for value in result.analytic_prob.values())
 
 
 def test_run_config_masks_seed_to_64_bits():

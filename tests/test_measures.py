@@ -308,7 +308,7 @@ def swap_stacks():
     """The 2x2 amplitude stacks `swap` reduces: Schmidt pairs and live branches on a weight grid."""
     w = np.linspace(0.0, 1.0, 41)
     yield np.sqrt(np.stack([w, 0 * w, 0 * w, 1.0 - w], axis=1)).reshape(-1, 2, 2)
-    amps = swap._post_amplitudes(swap._products(*(a.ravel() for a in np.meshgrid(w, w)))).reshape(-1, 4)
+    amps = swap._branches(*(a.ravel() for a in np.meshgrid(w, w)))[2].reshape(-1, 4)
     yield amps[np.isfinite(amps).all(axis=1)].reshape(-1, 2, 2)
 
 

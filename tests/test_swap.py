@@ -302,7 +302,7 @@ def test_probabilities_follow_the_initial_predictability_by_an_independent_route
             # derived here, not stated in the paper: with P_l(w) = (2w-1)^2/2,
             # N_phi^2 = pq + (1-p)(1-q) = (1 + (2p-1)(2q-1))/2
             phi = 0.25 + sigma * math.sqrt(pl[p] * pl[q]) / 2.0
-            probs, _ = _branches(p, q)
+            probs = _branches(p, q)[0]
             worst_off = max(worst_off, abs(reference["phi+"][0] - phi), abs(reference["phi-"][0] - phi))
             worst_branches = max(worst_branches, abs(probs[0] - phi), abs(probs[1] - phi))
             if i + j == 100:  # p = 1 - q
@@ -322,7 +322,7 @@ BRANCH_SECTORS = np.array([[1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0
 @given(st.lists(st.tuples(schmidt_weights, schmidt_weights), min_size=1, max_size=8))
 def test_swap_states_are_in_schmidt_form_and_report_from_their_populations(drawn):
     p, q = np.array(drawn).T
-    posts = swap._post_amplitudes(swap._products(p, q))
+    posts = swap._branches(p, q)[2]
     pairs = states._pair_amplitudes(np.concatenate([p, q]))
     live = ~np.isnan(posts).any(axis=-1)
     assert np.isnan(posts[~live]).all()  # a branch with zero normalization has no state
