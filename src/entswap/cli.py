@@ -244,8 +244,9 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
         if path.is_dir():  # checked first, so no temp file is made for it
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         # the mode open(out, "w") gives a new file, 0o666 less the umask, which the rename
-        # keeps (tempfile.mkstemp's would be 0o600); O_EXCL opens no file that is already there
-        tmp_name = str(path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp")
+        # keeps (tempfile.mkstemp's would be 0o600); O_EXCL opens no file that is already there.
+        # The temp name is not built from out's, so an out name at NAME_MAX still fits
+        tmp_name = str(path.parent / f".entswap-{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="") as fh:

@@ -32,19 +32,6 @@ class BBMOutcome:
     post_state: PureState | None
 
 
-@dataclass(frozen=True)
-class SwapSpectrum:
-    """Reduced-state eigenvalues of the branch families: (a, b) for phi, (c, d) for psi.
-
-    Numbers for numbers p and q; arrays of their broadcast shape for arrays.
-    """
-
-    a: float | np.ndarray
-    b: float | np.ndarray
-    c: float | np.ndarray
-    d: float | np.ndarray
-
-
 def _products(p, q):
     """Unnormalized rho_A eigenvalues of each branch family: phi's pq, (1-p)(1-q), psi's (1-p)q, p(1-q)."""
     u, v = 1.0 - p, 1.0 - q
@@ -97,12 +84,6 @@ def _branches(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return probabilities, spectra, amps.transpose(*range(2, amps.ndim), 0, 1)
 
 
-def outcome_probabilities(p: float, q: float) -> dict[str, float]:
-    """Analytic probability of each Bell outcome, keyed in BELL_LABELS order."""
-    probs = _branches(require_weight(p, "p"), require_weight(q, "q"))[0]
-    return dict(zip(BELL_LABELS, probs))
-
-
 def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     """The four measurement branches with their conditional AB states."""
     probs, _, amps = _branches(_one_weight(p, "p"), _one_weight(q, "q"))
@@ -113,16 +94,10 @@ def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:
     ]
 
 
-def swap_spectrum(p, q) -> SwapSpectrum:
-    """The branch spectra of `_branches` at validated weights: NaN where a family is dead."""
-    a, b, c, d = _branches(require_weight(p, "p"), require_weight(q, "q"))[1]
-    return SwapSpectrum(a=a, b=b, c=c, d=d)
-
-
 def post_entropies(p, q):
     """Entanglement entropy of the phi- and psi-branch post states, in bits: NaN where a family is dead."""
-    spectra = _branches(require_weight(p, "p"), require_weight(q, "q"))[1]
-    return measures._entropy(spectra[:2]), measures._entropy(spectra[2:])
+    phi, psi = _products(require_weight(p, "p"), require_weight(q, "q"))
+    return measures._entropy(_family(*phi)), measures._entropy(_family(*psi))
 
 
 def special_case_probs(q):

@@ -365,7 +365,7 @@ class RngState:
 
 def sample_bbm(p: float, q: float, state: RngState) -> tuple[str, RngState]:
     """Draw one Bell label; returns the label and the advanced stream state."""
-    probs = np.array(list(swap.outcome_probabilities(p, q).values()))
+    probs = np.array([outcome.probability for outcome in swap.bbm_outcomes(p, q)])
     u, nxt = state.draw()
     idx = int(rng.categorical(np.array([u]), probs)[0])
     return BELL_LABELS[idx], nxt

@@ -21,7 +21,7 @@ def _verdict(num: int, name: str, ok: bool) -> bool:
 
 
 def test_criterion_1_worked_example_goldens():
-    probs = swap.outcome_probabilities(0.1, 0.75)
+    probs = {o.label: o.probability for o in swap.bbm_outcomes(0.1, 0.75)}
     s_phi, s_psi = swap.post_entropies(0.1, 0.75)
     s_xi = measures.svn(oracles.reduced(states.schmidt_pair(0.1), {0}))
     s_eta = measures.svn(oracles.reduced(states.schmidt_pair(0.75), {0}))

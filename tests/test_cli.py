@@ -632,8 +632,8 @@ def test_swap_post_state_is_null_exactly_when_the_probability_is_zero(capsys, p,
     outcomes = swap.bbm_outcomes(float(p), float(q))
     dead = [outcome.probability == 0.0 for outcome in outcomes]
     assert [outcome.post_state is None for outcome in outcomes] == dead
-    s = swap.swap_spectrum(float(p), float(q))
-    assert np.isnan([s.a, s.b, s.c, s.d]).tolist() == dead  # a, b are phi's, c, d psi's
+    spectra = swap._branches(float(p), float(q))[1]
+    assert np.isnan(spectra).tolist() == dead  # a, b are phi's, c, d psi's
     s_phi, s_psi = swap.post_entropies(float(p), float(q))
     assert np.isnan([s_phi, s_phi, s_psi, s_psi]).tolist() == dead
     code, out, _ = run_main(capsys, ["swap", "--p", p, "--q", q])
@@ -925,7 +925,7 @@ def test_swap_empirical_block(capsys):
     emp = doc["empirical"]
     assert emp["shots"] == 20000 and emp["seed"] == 7
     assert sum(emp["counts"].values()) == 20000
-    probs = swap.outcome_probabilities(0.1, 0.75)
+    probs = {o.label: o.probability for o in swap.bbm_outcomes(0.1, 0.75)}
     assert emp["max_abs_error"] == max(
         abs(emp["frequencies"][k] - probs[k]) for k in emp["counts"]
     )
@@ -1176,6 +1176,17 @@ def test_an_out_that_is_a_directory_exits_3(capsys, tmp_path, monkeypatch, comma
         assert [path.name for path in tmp_path.iterdir()] == ["sub"]
         assert list((tmp_path / "sub").iterdir()) == []
 
+
+def test_an_out_at_the_longest_file_name_is_written(capsys, tmp_path):
+    # the temp file's name is not built from out's, so any name open(out, "w") takes is taken
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+        pytest.skip("this file system takes no 255-byte file name")
+    argv = ["figures", "--which", "2a", "--grid", "3"]
+    _, expected, _ = run_main(capsys, argv)
+    target = tmp_path / ("f" * 255)
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == expected.encode()
+    assert [path.name for path in tmp_path.iterdir()] == [target.name]
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(

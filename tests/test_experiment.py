@@ -11,7 +11,7 @@ import oracles
 from entswap import experiment, rng
 from entswap.experiment import EnsembleResult, RunConfig, run_ensemble
 from entswap.states import BELL_LABELS
-from entswap.swap import outcome_probabilities
+from entswap.swap import bbm_outcomes
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -270,7 +270,7 @@ def test_run_ensemble_bookkeeping():
     result = run_ensemble(cfg)
     assert sum(result.counts.values()) == cfg.shots
     assert abs(sum(result.empirical_freq.values()) - 1.0) < 1e-12
-    assert result.analytic_prob == outcome_probabilities(cfg.p, cfg.q)
+    assert result.analytic_prob == {o.label: o.probability for o in bbm_outcomes(cfg.p, cfg.q)}
 
 
 def test_degenerate_branches_are_skipped():

@@ -6,17 +6,16 @@ import entswap
 
 DOCUMENTED_NAMES = {
     "BBMOutcome", "BELL_LABELS", "DensityMatrix", "EnsembleResult", "MeasureReport",
-    "NonHermitianError", "PureState", "RunConfig", "SwapSpectrum", "bbm_outcomes",
-    "haar_states", "hermitian_eigenvalues", "outcome_probabilities", "partial_trace",
-    "post_entropies", "predictability_probability", "report", "run_ensemble", "schmidt_pair",
-    "special_case_probs", "svn", "swap_spectrum",
+    "NonHermitianError", "PureState", "RunConfig", "bbm_outcomes", "haar_states",
+    "hermitian_eigenvalues", "partial_trace", "post_entropies", "predictability_probability",
+    "report", "run_ensemble", "schmidt_pair", "special_case_probs", "svn",
 }
 
 LAYERS_FILE = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
 
 
 def test_package_exports_exactly_the_documented_names():
-    assert len(entswap.__all__) == len(set(entswap.__all__)) == 22
+    assert len(entswap.__all__) == len(set(entswap.__all__)) == 19
     assert set(entswap.__all__) == DOCUMENTED_NAMES
     for name in entswap.__all__:
         assert hasattr(entswap, name), name

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,20 +12,22 @@ from entswap.linalg import DensityMatrix
 from entswap.measures import report, svn
 from entswap.states import BELL_LABELS
 from entswap.swap import (
-    SwapSpectrum,
     bbm_outcomes,
-    outcome_probabilities,
     post_entropies,
     predictability_probability,
     special_case_probs,
     _branches,
-    swap_spectrum,
 )
 from oracles import bell_state, composite_state, fidelity, stationarity_check
 
 # subnormal weights make branch probabilities underflow to zero on one
 # route but not the other; nothing physical lives down there
 weights = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
+
+
+def outcome_probabilities(p, q):
+    """The branch probabilities `bbm_outcomes` returns, keyed by label."""
+    return {o.label: o.probability for o in bbm_outcomes(p, q)}
 
 
 def test_worked_example_probabilities():
@@ -92,11 +95,11 @@ def test_post_states_normalized():
 
 
 def test_swap_spectrum_worked_example():
-    spectrum = swap_spectrum(0.1, 0.75)
-    assert abs(spectrum.a - 0.25) < 1e-4
-    assert abs(spectrum.b - 0.75) < 1e-4
-    assert abs(spectrum.c - 0.9643) < 1e-4
-    assert abs(spectrum.d - 0.0357) < 1e-4
+    a, b, c, d = _branches(0.1, 0.75)[1]
+    assert abs(a - 0.25) < 1e-4
+    assert abs(b - 0.75) < 1e-4
+    assert abs(c - 0.9643) < 1e-4
+    assert abs(d - 0.0357) < 1e-4
 
 
 @settings(max_examples=80, deadline=None)
@@ -105,9 +108,9 @@ def test_swap_spectrum_worked_example():
     st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
 )
 def test_swap_spectrum_pairs_sum_to_one(p, q):
-    spectrum = swap_spectrum(p, q)
-    assert abs(spectrum.a + spectrum.b - 1.0) < 1e-12
-    assert abs(spectrum.c + spectrum.d - 1.0) < 1e-12
+    a, b, c, d = _branches(p, q)[1]
+    assert abs(a + b - 1.0) < 1e-12
+    assert abs(c + d - 1.0) < 1e-12
 
 
 def test_swap_spectrum_undefined_at_incompatible_corners():
@@ -119,9 +122,9 @@ def test_swap_spectrum_undefined_at_incompatible_corners():
         (1.0, 1.0): ((1.0, 0.0), None),
     }
     for (p, q), families in corners.items():
-        spectrum = swap_spectrum(p, q)
+        spectra = _branches(p, q)[1]
         entropies = post_entropies(p, q)
-        for pair, family, entropy in zip(((spectrum.a, spectrum.b), (spectrum.c, spectrum.d)), families, entropies):
+        for pair, family, entropy in zip((spectra[:2], spectra[2:]), families, entropies):
             if family is None:
                 assert np.isnan(pair).all() and np.isnan(entropy), (p, q)
             else:
@@ -144,6 +147,21 @@ def test_post_entropies_match_reduced_state_route():
             assert abs(s_phi - svn(oracles.reduced(outs["phi-"].post_state, {0}))) < 1e-10
             assert abs(s_psi - svn(oracles.reduced(outs["psi+"].post_state, {0}))) < 1e-10
 
+
+def test_post_entropies_on_arrays_hold_no_amplitude_table():
+    # the peak grows by the two families' spectra and entropy terms (88 B per pair on numpy 2.4),
+    # not by a (..., 4, 4) amplitude table of 128 B per pair on its own
+    def peak(n):
+        p, q = np.random.default_rng(5).random((2, n))
+        tracemalloc.start()
+        try:
+            post_entropies(p, q)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_pair = (peak(20_000) - peak(10_000)) / 10_000
+    assert per_pair <= 128, per_pair
 
 def test_post_entropies_maximal_on_the_matching_lines():
     for q in (0.2, 0.4, 0.6, 0.9):
@@ -231,7 +249,7 @@ def test_predictability_probability_identity(q):
 
 
 def test_weight_validation_everywhere():
-    for fn in (lambda: bbm_outcomes(-0.1, 0.5), lambda: swap_spectrum(0.5, 1.5),
+    for fn in (lambda: bbm_outcomes(-0.1, 0.5), lambda: post_entropies(0.5, 1.5),
                lambda: special_case_probs(2.0), lambda: predictability_probability(-1.0)):
         with pytest.raises(ValueError):
             fn()
@@ -247,9 +265,8 @@ def test_weight_validation_everywhere():
     for bad in (np.nan, -0.1, 1.5):
         weights_with_one_bad = np.array([0.2, bad, 0.7])
         for fn in (
-            lambda: swap_spectrum(weights_with_one_bad, 0.5),
-            lambda: swap_spectrum(0.5, weights_with_one_bad),
             lambda: post_entropies(weights_with_one_bad, 0.3),
+            lambda: post_entropies(0.5, weights_with_one_bad),
             lambda: special_case_probs(weights_with_one_bad),
             lambda: predictability_probability(weights_with_one_bad),
         ):
@@ -259,9 +276,12 @@ def test_weight_validation_everywhere():
 
 def _rows(result):
     """The outputs of a closed form as rows of IEEE-754 bit patterns."""
-    if isinstance(result, SwapSpectrum):
-        result = (result.a, result.b, result.c, result.d)
     return np.stack([np.asarray(r, dtype=np.float64) for r in result]).view(np.uint64)
+
+
+def branch_table(p, q):
+    """The probabilities and spectra of `_branches`, eight rows."""
+    return np.concatenate(_branches(p, q)[:2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,7 +291,7 @@ def test_array_calls_equal_the_scalar_calls_bit_for_bit(drawn):
     endpoints = [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 5e-324)]
     p_arr, q_arr = np.array(endpoints + drawn).T
     for fn, args in (
-        (swap_spectrum, (p_arr, q_arr)),
+        (branch_table, (p_arr, q_arr)),
         (post_entropies, (p_arr, q_arr)),
         (special_case_probs, (q_arr,)),
         (predictability_probability, (q_arr,)),
