@@ -36,7 +36,7 @@ DEFAULT_SEED = 7
 VERIFY_TOL = 1e-9
 VERIFY_CHUNK = 2048  # states per batch in `verify`: bounds memory for any --trials
 FIGURE_CHUNK = 4096  # grid points per batch in `figures`: bounds memory for any --grid
-VERIFY_MAX_DIM = 16  # largest DA*DB of `verify --dims`: bounds a chunk's amplitude planes
+VERIFY_MAX_DIM = 16  # largest DA*DB of `verify --dims`: bounds the bytes of a chunk's states
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -279,10 +279,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_l = 0.0
     for start in range(0, args.trials, VERIFY_CHUNK):
         count = min(VERIFY_CHUNK, args.trials - start)
-        # no name holds the states or the planes, so each dies when its last reader returns:
-        # the states when `_planes` does, the planes before the spectrum is taken
-        rep = measures._gram_report(*measures._plane_gram(measures._planes(
-            states.haar_states(da, db, args.seed, count, start).reshape(count, da, db))))
+        # no name holds the states, so they die when `_plane_gram`, their last reader, returns,
+        # before the spectrum is taken
+        rep = measures._gram_report(*measures._plane_gram(
+            states.haar_states(da, db, args.seed, count, start).reshape(count, da, db)))
         # np.maximum and np.max propagate NaN, where Python's max would drop it
         max_vn = float(np.maximum(max_vn, np.max(np.abs(rep.vn_sum - vn_target))))
         max_l = float(np.maximum(max_l, np.max(np.abs(rep.l_sum - l_target))))

@@ -128,28 +128,6 @@ def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:
     return rep
 
 
-def _planes(psi: np.ndarray) -> np.ndarray:
-    """The amplitudes of each pure state in psi[N, dA, dB] as real planes (dA, dB, 2, N).
-
-    planes[a, b, 0] and planes[a, b, 1] hold the real and imaginary parts of
-    amplitude (a, b) of every state, copied bit for bit from psi in any
-    layout, real or complex. The memory runs over the smaller side first,
-    the side of the Gram matrix (a when dB >= dA, else b), then real and
-    imaginary part, then the other side, then the states. So every row
-    planes[a, b, part] is contiguous, and numpy reads each operand of
-    `_gram` and of the populations' sums, the two rows of one amplitude,
-    with no iteration buffers.
-    """
-    n, da, db = psi.shape
-    if db >= da:
-        planes = np.empty((da, 2, db, n)).transpose(0, 2, 1, 3)
-    else:
-        planes = np.empty((db, 2, da, n)).transpose(2, 0, 1, 3)
-    planes[:, :, 0] = psi.real.transpose(1, 2, 0)
-    planes[:, :, 1] = psi.imag.transpose(1, 2, 0)
-    return planes
-
-
 def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Planes re, im (k, k, N) of G[i, l] = sum_j x[i, j] x[l, j]* for amplitude planes x (k, m, 2, N).
 
@@ -180,15 +158,17 @@ def _gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
-def _plane_gram(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first stage of the report of rho_A for each pure state held as amplitude planes (dA, dB, 2, N).
+def _plane_gram(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first stage of the report of rho_A for each pure state in psi[N, dA, dB].
 
-    planes[a, b, 0] and planes[a, b, 1] are the real and imaginary parts of
-    amplitude (a, b) of every state, in any memory layout; that of
-    `_planes` is read fastest. This stage is the planes' last
+    The amplitudes are read in place as real planes (dA, dB, 2, N), a
+    float64 view of the complex stack: planes[a, b, 0] and planes[a, b, 1]
+    are the real and imaginary parts of amplitude (a, b) of every state. A
+    C-contiguous complex stack, as `states.haar_states` returns, is not
+    copied; any other is copied once to one. This stage is the states' last
     read: it returns the planes re, im (k, k, N) of the smaller Gram matrix
     and rho_A's populations (dA, N), and `_gram_report` takes the report
-    from them, so a caller that drops the planes between the two stages
+    from them, so a caller that drops the states between the two stages
     never holds them beside the spectrum. rho_A and rho_B share their
     purity and their nonzero eigenvalues, the squared Schmidt coefficients,
     so only the smaller Gram matrix is formed: rho_A = psi psi^H when
@@ -198,9 +178,10 @@ def _plane_gram(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bit of a sum of squares. The states must be normalized: there is no
     trace check here. Non-finite amplitudes raise ValueError.
     """
+    n, da, db = psi.shape
+    planes = np.ascontiguousarray(psi, dtype=complex).view(np.float64).reshape(n, da, db, 2).transpose(1, 2, 3, 0)
     if not np.isfinite(planes).all():
         raise ValueError("amplitudes must be finite")
-    da, db, _, n = planes.shape
     re, im = _gram(planes if db >= da else planes.swapaxes(0, 1))
     if db >= da:
         return re, im, np.diagonal(re).T

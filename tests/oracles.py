@@ -118,10 +118,10 @@ def reduced_stack(psi: np.ndarray) -> np.ndarray:
 def pure_report(psi: np.ndarray) -> measures.MeasureReport:
     """The report of rho_A for each pure state in psi[N, dA, dB], by `measures._plane_gram` and `_gram_report`.
 
-    psi is copied into the kernel's real amplitude planes by `measures._planes`;
-    a real or strided stack is read as it is, with no complex copy.
+    A C-contiguous complex stack is read in place; a real or strided one is
+    copied once to a complex stack.
     """
-    return measures._gram_report(*measures._plane_gram(measures._planes(np.asarray(psi))))
+    return measures._gram_report(*measures._plane_gram(np.asarray(psi)))
 
 
 def partial_trace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:

@@ -467,11 +467,9 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
     real_gram, real_report = measures._plane_gram, measures._gram_report
     pending, seen = [], []
 
-    def gram_spy(planes):
-        psi = np.empty((planes.shape[-1], da, db), dtype=complex)  # the states the kernel saw, exactly
-        psi.real, psi.imag = planes[:, :, 0].transpose(2, 0, 1), planes[:, :, 1].transpose(2, 0, 1)
-        pending.append(psi)
-        return real_gram(planes)
+    def gram_spy(psi):
+        pending.append(psi)  # the states the kernel saw, exactly
+        return real_gram(psi)
 
     def report_spy(re, im, populations):
         rep = real_report(re, im, populations)
@@ -511,31 +509,64 @@ def traced_peak(f) -> int:
         tracemalloc.stop()
 
 
+# the dims of the chunk peak tests, and how far above its draw each chunk may peak
+CHUNK_PEAK_DIMS = pytest.mark.parametrize("da, db, over", [(3, 2, 0.0), (2, 3, 0.0), (3, 3, 0.0), (4, 4, 0.0),
+                                                           (5, 3, 0.0), (8, 2, 0.0), (2, 8, 0.0), (2, 2, 0.29)])
+
+
 def verify_chunk(da, db):
-    """One chunk as `verify` runs it: the states die when `_planes` returns, the planes when `_plane_gram` does."""
-    return measures._gram_report(*measures._plane_gram(draw_planes(da, db)))
+    """One chunk as `verify` runs it: the states die when `_plane_gram`, their last reader, returns."""
+    return measures._gram_report(*measures._plane_gram(draw(da, db)))
 
 
-def draw_planes(da, db):
-    """A chunk's draw as `verify` makes it: Haar states copied into planes, the states dead on return."""
-    return measures._planes(states.haar_states(da, db, 5, cli.VERIFY_CHUNK).reshape(cli.VERIFY_CHUNK, da, db))
+def draw(da, db):
+    """A chunk's draw as `verify` makes it: Haar states, shaped (N, DA, DB)."""
+    return states.haar_states(da, db, 5, cli.VERIFY_CHUNK).reshape(cli.VERIFY_CHUNK, da, db)
 
 
 def test_verify_chunk_memory_stays_within_a_few_planes():
     peak = traced_peak(lambda: verify_chunk(3, 2))
-    planes_bytes = 3 * 2 * 2 * cli.VERIFY_CHUNK * 8
-    assert peak <= 2.15 * planes_bytes, (peak, planes_bytes)  # 2.096 measured
+    states_bytes = 3 * 2 * 16 * cli.VERIFY_CHUNK  # the states' real planes, read in place
+    assert peak <= 2.15 * states_bytes, (peak, states_bytes)  # 2.095 measured
 
 
-@pytest.mark.parametrize("da, db, over", [(3, 2, 0.0), (2, 3, 0.0), (3, 3, 0.0), (4, 4, 0.0), (5, 3, 0.0),
-                                          (8, 2, 0.0), (2, 8, 0.0), (2, 2, 0.29)])
+@CHUNK_PEAK_DIMS
 def test_verify_chunk_peaks_at_the_draw(da, db, over):
-    # no stage of the report holds more than the draw did, its complex rows beside the
-    # planes, but at 2,2 the report's eight rows beside the Gram planes outweigh them
-    # and set the peak (1.293x the draw measured)
-    draw = traced_peak(lambda: draw_planes(da, db))
+    # the draw peaks at about twice the states' bytes, and no stage of the
+    # report holds more, but at 2,2 the report's eight rows beside the Gram planes
+    # outweigh it and set the peak. Measured draw / chunk peaks, in bytes: 2,2
+    # 279,529 / 362,064 (1.295x, 2,624 under the bound); 3,2 410,601 / 411,904; 2,3
+    # 410,601 / 410,601; 3,3 657,136 / 657,136; 5,3 1,050,352 / 1,050,352; 4,4, 8,2
+    # and 2,8 1,246,960 / 1,246,960
+    draw_peak = traced_peak(lambda: draw(da, db))
     chunk = traced_peak(lambda: verify_chunk(da, db))
-    assert chunk <= (1.0 + over) * draw + 4096, (chunk, draw)
+    assert chunk <= (1.0 + over) * draw_peak + 4096, (chunk, draw_peak)
+
+
+@CHUNK_PEAK_DIMS
+def test_verify_chunk_peak_grows_by_the_draw_per_state(capsys, monkeypatch, da, db, over):
+    # each peak at VERIFY_CHUNK states and at twice as many: the parser's, the JSON's
+    # and the interpreter's bytes cancel in the difference. Per state the draw holds
+    # twice a state's 16 * D bytes (its complex row beside one buffer as large) and at
+    # most sixteen float64 rows for the norms' sums, and a whole `verify` chunk holds
+    # no more than its draw, but for 2,2's report rows. Measured bytes per state, draw
+    # and verify: 2,2 136 and 176 (1.294x); 3,2 and 2,3 200 and 200; 3,3 320 and 320;
+    # 5,3 512 and 512; 4,4, 8,2 and 2,8 608 and 608. The draw's bound is 32 to 120
+    # above it, and verify's 3.5 (2,2) or 4 above its own
+    chunk = cli.VERIFY_CHUNK
+
+    def growth(f):
+        peaks = []
+        for n in (chunk, 2 * chunk):
+            monkeypatch.setattr(cli, "VERIFY_CHUNK", n)
+            peaks.append(traced_peak(f))
+        return (peaks[1] - peaks[0]) / chunk
+
+    argv = ["verify", "--dims", f"{da},{db}", "--seed", "5", "--trials"]
+    per_draw = growth(lambda: draw(da, db))
+    per_verify = growth(lambda: run_main(capsys, argv + [str(cli.VERIFY_CHUNK)]))
+    assert per_draw <= 2 * 16 * da * db + 16 * 8, per_draw
+    assert per_verify <= (1.0 + over) * per_draw + 4, (per_verify, per_draw)
 
 
 # DB < DA takes each spectrum from rho_B, DB >= DA from rho_A: the closed 2x2 form
@@ -554,7 +585,7 @@ def test_verify_passes_at_every_accepted_dims(capsys, dims):
 
 @pytest.mark.parametrize("dims", oracles.BYTE_CHECK_DIMS)
 def test_verify_gives_the_same_bytes_at_any_chunk_size(capsys, monkeypatch, dims):
-    # each chunk is drawn from its own counter range into planes laid out for its report;
+    # each chunk is drawn from its own counter range and read in place by its report;
     # the document's maxima alone can match when every chunk redraws the first states,
     # so the counter each chunk starts at is checked too
     argv = ["verify", "--trials", "4097", "--seed", "7", "--dims", dims]

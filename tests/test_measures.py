@@ -346,13 +346,16 @@ def test_pure_report_on_a_stack_matches_each_state_alone_bit_for_bit(da, db):
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_plane_report_keeps_its_bits_in_any_planes_layout(da, db):
-    # verify's planes run over the Gram side first; a C-ordered copy must report the same bits
-    planes = measures._planes(haar_states(da, db, 70, 700).reshape(700, da, db))
-    assert not planes.flags.c_contiguous
-    kernel = measures._gram_report(*measures._plane_gram(planes))
-    copied = measures._gram_report(*measures._plane_gram(np.ascontiguousarray(planes)))
-    for field in FIELDS:
-        assert np.array_equal(oracles.bits(getattr(kernel, field)), oracles.bits(getattr(copied, field))), field
+    # `_plane_gram` reads a C-ordered complex stack in place and copies any other to one:
+    # complex, real, a strided real view and a strided complex view each report the
+    # bits of the C-ordered complex stack of the same amplitudes
+    psi = haar_states(da, db, 70, 700).reshape(700, da, db)
+    for x in (psi, psi.real.copy(), psi.real, np.repeat(psi, 2, axis=0)[::2]):
+        stack = np.array(x, dtype=complex, order="C")
+        kernel = measures._gram_report(*measures._plane_gram(x))
+        copied = measures._gram_report(*measures._plane_gram(stack))
+        for field in FIELDS:
+            assert np.array_equal(oracles.bits(getattr(kernel, field)), oracles.bits(getattr(copied, field))), field
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0.5)])
@@ -413,13 +416,13 @@ def test_report_of_a_stack_keeps_the_bits_of_the_column_tail(d):
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)
 def test_pure_report_memory_stays_within_a_few_stacks(da, db):
-    planes = measures._planes(haar_states(da, db, 67, 1024).reshape(1024, da, db))
-    measures._gram_report(*measures._plane_gram(planes))  # first-call allocations are not the kernel's
+    psi = haar_states(da, db, 67, 1024).reshape(1024, da, db)
+    measures._gram_report(*measures._plane_gram(psi))  # first-call allocations are not the kernel's
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        measures._gram_report(*measures._plane_gram(planes))
+        measures._gram_report(*measures._plane_gram(psi))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 2.8 * planes.nbytes, (peak, planes.nbytes)  # 2.776 measured at 2,2, at most 2.18 elsewhere
+    assert peak <= 2.8 * psi.nbytes, (peak, psi.nbytes)  # 2.776 measured at 2,2, at most 2.18 elsewhere

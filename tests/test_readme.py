@@ -1,16 +1,23 @@
 """README's CLI examples are the bytes the CLI prints for them."""
 
 import contextlib
+import functools
+import importlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import oracles
 import output_manifest
 from entswap.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("linalg", "measures", "states", "swap", "rng", "cli", "experiment", "oracles")
+# a dotted name in a code span, not the tail of a path such as `tests/oracles.py`
+DOTTED = re.compile(rf"(?<![\w/.])({'|'.join(MODULES)})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
 
 
 def readme_block(command: str) -> list[str]:
@@ -49,3 +56,17 @@ def test_readme_documents_are_the_cli_output(command):
     if expected[-1].strip() == "...":  # README elides the rest of the document
         expected, printed = expected[:-1], printed[:len(expected) - 1]
     assert printed == expected
+
+
+def test_readme_names_only_code_that_exists():
+    names = {(module, attr) for span in re.findall(r"`([^`]+)`", README.read_text())
+             for module, attr in DOTTED.findall(span) if attr != "py"}  # `swap.py` is a file
+    assert ("measures", "report") in names  # the pattern finds README's names at all
+    missing = []
+    for module, attr in sorted(names):
+        owner = oracles if module == "oracles" else importlib.import_module(f"entswap.{module}")
+        try:
+            functools.reduce(getattr, attr.split("."), owner)
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    assert not missing, missing

@@ -165,20 +165,19 @@ def test_haar_states_keep_the_bits_of_the_norm_division(da, db):
 
 @pytest.mark.parametrize("count", [cli.VERIFY_CHUNK - 1, cli.VERIFY_CHUNK + 1])
 @pytest.mark.parametrize("da, db", oracles.VERIFY_DIMS)
-def test_haar_planes_are_the_haar_states_bit_for_bit(da, db, count):
-    # `measures._planes` copies psi into contiguous rows, laid out Gram side first
+def test_haar_planes_are_the_haar_states_bit_for_bit(monkeypatch, da, db, count):
+    # `measures._plane_gram` hands `_gram` the Haar draw itself as real planes, the
+    # smaller side first: a float64 view of the states' own memory, no copy
     psi = haar_states(da, db, 71, count, start=37).reshape(count, da, db)
-    row = 8 * count
-    part = row * max(da, db)  # the other side runs inside real and imaginary part
-    side = 2 * part
-    strides = (side, row, part, 8) if db >= da else (row, side, part, 8)
-    # complex, real, a strided real view and a strided complex view
-    for x in (psi, psi.real.copy(), psi.real, np.repeat(psi, 2, axis=0)[::2]):
-        planes = measures._planes(x)
-        assert planes.shape == (da, db, 2, count)
-        assert planes.strides == strides  # every row planes[a, b, part] is contiguous
-        assert np.array_equal(oracles.bits(planes[:, :, 0]), oracles.bits(x.real.transpose(1, 2, 0)))
-        assert np.array_equal(oracles.bits(planes[:, :, 1]), oracles.bits(x.imag.transpose(1, 2, 0)))
+    seen, real_gram = [], measures._gram
+    monkeypatch.setattr(measures, "_gram", lambda x: seen.append(x) or real_gram(x))
+    measures._plane_gram(psi)
+    (planes,) = seen
+    assert np.shares_memory(planes, psi)
+    side = (psi if db >= da else psi.transpose(0, 2, 1)).transpose(1, 2, 0)
+    assert planes.shape == side.shape[:2] + (2, count)
+    assert np.array_equal(oracles.bits(planes[:, :, 0]), oracles.bits(side.real))
+    assert np.array_equal(oracles.bits(planes[:, :, 1]), oracles.bits(side.imag))
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (3, 2), (5, 3), (4, 4)])
