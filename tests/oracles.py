@@ -8,15 +8,18 @@ one random draw at a time, math-module arithmetic on one number at a time.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from entswap import measures, rng, swap
-from entswap.cli import VERIFY_MAX_DIM
+from entswap.cli import VERIFY_MAX_DIM, main
 from entswap.experiment import RunConfig, run_ensemble
 from entswap.linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
 from entswap.states import BELL_LABELS, PureState, schmidt_pair
@@ -306,6 +309,31 @@ def pure_report_einsum(psi: np.ndarray) -> measures.MeasureReport:
 def bits(x) -> np.ndarray:
     """The IEEE bit patterns of a float64 or complex128 array, so that equality sees the sign of a zero."""
     return np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.int64)
+
+
+def peak_bytes(f) -> int:
+    """The tracemalloc peak of a second call of f, in bytes: first-call allocations are not f's."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def main_peak_bytes(argv: list[str]) -> int:
+    """`peak_bytes` of a `main(argv)` that exits 0, its stdout sent to a sink that holds none of its text."""
+    def call():
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0, argv
+
+    return peak_bytes(call)
 
 
 def complex_normals_exp(seed: int, start: int, count: int) -> np.ndarray:

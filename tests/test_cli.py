@@ -1,13 +1,10 @@
-import contextlib
 import dataclasses
 import errno
-import io
 import json
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -256,57 +253,54 @@ def test_figures_bytes_match_the_per_cell_formatter_across_chunks(capsys, which,
 
 def test_csv_lines_peak_memory_stays_near_the_text():
     # the pieces of one FIGURE_CHUNK block, each dropped as it arrives: the peak is a few
-    # sub-blocks' text (4.76x the largest piece measured), where a join over the block
+    # sub-blocks' text (3.46x the largest piece measured), where a join over the block
     # held its whole text twice (2.0x the text, 23.6x the largest piece)
     rows = cli._figure_rows("1a", np.arange(cli.FIGURE_CHUNK) / (cli.FIGURE_CHUNK - 1))
-    tracemalloc.start()
-    try:
-        sizes = [len(piece) for piece in cli._csv_pieces(rows)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sizes = [len(piece) for piece in cli._csv_pieces(rows)]
+    peak = oracles.peak_bytes(lambda: max(map(len, cli._csv_pieces(rows))))
     assert len(sizes) > 10
-    assert peak <= 5.5 * max(sizes), (peak, max(sizes))
-
-
-def _figures_peak(which: str, grid: int) -> int:
-    """The tracemalloc peak of a second whole `figures` call, its stdout captured as the benchmark does."""
-    argv = ["figures", "--which", which, "--grid", str(grid)]
-
-    def call():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
-
-    return traced_peak(call)
-
-
-# bytes: the measured peaks plus about 16 KB; the chunk-wide join and the
-# numeric temporaries held through the text peaked at 454,881 / 403,324 / 428,504 B
-# at grid 1001, and at 1,344,954 / 777,620 / 984,084 B at grid 4097 (1a and 1b, 2a, 2b)
-_FIGURE_PEAKS = {"1a": (290_000, 1_055_000), "1b": (290_000, 1_055_000),
-                 "2a": (236_000, 574_000), "2b": (251_000, 774_000)}
+    assert peak <= 4.2 * max(sizes), (peak, max(sizes))
 
 
 @pytest.mark.parametrize("which", ["1a", "1b", "2a", "2b"])
-def test_figures_peak_at_their_text(which):
-    for grid, bound in zip((1001, 4097), _FIGURE_PEAKS[which]):
-        peak = _figures_peak(which, grid)
-        assert peak <= bound, (grid, peak, bound)
+def test_figures_peak_at_their_text(monkeypatch, which):
+    # peaks at FIGURE_CHUNK = CSV_CELLS = 2048 and grid 4097, with each size doubled and at
+    # four times the grid. A chunk row holds, in 1a and 1b, the sweep point, the family's
+    # products, their stack and `_norm2`'s sum, mask and result (8 + 80 + 80 + 40 + 5 + 40);
+    # in 2a its row; in 2b the point, p, two diagonal reports and its row (16 + 128 + 40). A
+    # cell holds at most twelve words: the digit stage's eight and the sub-block before, held
+    # by `_emit` while the next is made (87.3 B measured in 2a). More rows hold nothing
+    def peak(chunk, cells, grid):
+        monkeypatch.setattr(cli, "FIGURE_CHUNK", chunk)
+        monkeypatch.setattr(cli, "CSV_CELLS", cells)
+        return oracles.main_peak_bytes(["figures", "--which", which, "--grid", str(grid)])
+
+    base = peak(2048, 2048, 4097)
+    per_row = (peak(4096, 2048, 4097) - base) / 2048
+    per_cell = (peak(2048, 4096, 4097) - base) / 2048
+    assert per_row <= {"1a": 253, "1b": 253, "2a": 32, "2b": 184}[which] + 1, per_row
+    assert per_cell <= 12 * 8, per_cell
+    assert peak(2048, 2048, 16385) - base <= 4096
 
 
 def test_figures_out_streams_the_stdout_bytes(capsys, monkeypatch, tmp_path):
-    # sub-blocks of one row: thousands of pieces through `_emit`'s file branch
+    # sub-blocks of one row and chunks of 64 rows, the last of one row: hundreds of
+    # pieces through `_emit`'s file branch
     monkeypatch.setattr(cli, "CSV_CELLS", 7)
-    grid = 4097
+    monkeypatch.setattr(cli, "FIGURE_CHUNK", 64)
+    real_rows, real_cells, chunks, blocks = cli._figure_rows, cli._csv_cells, [], set()
+    monkeypatch.setattr(cli, "_figure_rows", lambda which, x: chunks.append(len(x)) or real_rows(which, x))
+    monkeypatch.setattr(cli, "_csv_cells", lambda v, k: blocks.add(len(v) // k) or real_cells(v, k))
+    grid = 129
     for which in ("1a", "1b", "2a", "2b"):
         target = tmp_path / f"{which}.csv"
         assert main(["figures", "--which", which, "--grid", str(grid), "--out", str(target)]) == 0
         code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", str(grid)])
         assert code == 0
-        rows = cli._figure_rows(which, np.arange(grid) / (grid - 1))
+        rows = real_rows(which, np.arange(grid) / (grid - 1))
         expected = ",".join(cli.FIGURE_HEADERS[which]) + "\n" + oracles.csv_lines_per_cell(rows)
         assert target.read_bytes() == out.encode("ascii") == expected.encode("ascii")
+    assert chunks == [64, 64, 1] * 8 and blocks == {1}
 
 
 def test_figures_failure_midway_leaves_no_file(tmp_path, monkeypatch):
@@ -498,25 +492,9 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
         assert doc["max_linear_residual"] == max(ref_l[:trials])
 
 
-def traced_peak(f) -> int:
-    """The tracemalloc peak of a second call of f, in bytes: first-call allocations are not f's."""
-    f()
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # the dims of the chunk peak tests, and how far above its draw each chunk may peak
 CHUNK_PEAK_DIMS = pytest.mark.parametrize("da, db, over", [(3, 2, 0.0), (2, 3, 0.0), (3, 3, 0.0), (4, 4, 0.0),
                                                            (5, 3, 0.0), (8, 2, 0.0), (2, 8, 0.0), (2, 2, 0.29)])
-
-
-def verify_chunk(da, db):
-    """One chunk as `verify` runs it: the states die when `_plane_gram`, their last reader, returns."""
-    return measures._gram_report(*measures._plane_gram(draw(da, db)))
 
 
 def draw(da, db):
@@ -524,49 +502,40 @@ def draw(da, db):
     return states.haar_states(da, db, 5, cli.VERIFY_CHUNK).reshape(cli.VERIFY_CHUNK, da, db)
 
 
+def verify_peak(da, db, trials):
+    return oracles.main_peak_bytes(["verify", "--trials", str(trials), "--dims", f"{da},{db}", "--seed", "5"])
+
+
 def test_verify_chunk_memory_stays_within_a_few_planes():
-    peak = traced_peak(lambda: verify_chunk(3, 2))
+    peak = verify_peak(3, 2, cli.VERIFY_CHUNK)
     states_bytes = 3 * 2 * 16 * cli.VERIFY_CHUNK  # the states' real planes, read in place
-    assert peak <= 2.15 * states_bytes, (peak, states_bytes)  # 2.095 measured
+    assert peak <= 2.15 * states_bytes, (peak, states_bytes)  # 2.100 measured
 
 
 @CHUNK_PEAK_DIMS
 def test_verify_chunk_peaks_at_the_draw(da, db, over):
-    # the draw peaks at about twice the states' bytes, and no stage of the
-    # report holds more, but at 2,2 the report's eight rows beside the Gram planes
-    # outweigh it and set the peak. Measured draw / chunk peaks, in bytes: 2,2
-    # 279,529 / 362,064 (1.295x, 2,624 under the bound); 3,2 410,601 / 411,904; 2,3
-    # 410,601 / 410,601; 3,3 657,136 / 657,136; 5,3 1,050,352 / 1,050,352; 4,4, 8,2
-    # and 2,8 1,246,960 / 1,246,960
-    draw_peak = traced_peak(lambda: draw(da, db))
-    chunk = traced_peak(lambda: verify_chunk(da, db))
+    # the draw peaks at about twice the states' bytes, and no stage of the report holds
+    # more, but at 2,2 the report's eight rows beside the Gram planes set the peak. Through
+    # `main` a chunk peaks 2,076 B under its bound at 2,2 (1.297x the draw), 1,845 at 3,2
+    # and 3,180 to 3,540 at the other dims
+    draw_peak = oracles.peak_bytes(lambda: draw(da, db))
+    chunk = verify_peak(da, db, cli.VERIFY_CHUNK)
     assert chunk <= (1.0 + over) * draw_peak + 4096, (chunk, draw_peak)
 
 
 @CHUNK_PEAK_DIMS
-def test_verify_chunk_peak_grows_by_the_draw_per_state(capsys, monkeypatch, da, db, over):
-    # each peak at VERIFY_CHUNK states and at twice as many: the parser's, the JSON's
-    # and the interpreter's bytes cancel in the difference. Per state the draw holds
-    # twice a state's 16 * D bytes (its complex row beside one buffer as large) and at
-    # most sixteen float64 rows for the norms' sums, and a whole `verify` chunk holds
-    # no more than its draw, but for 2,2's report rows. Measured bytes per state, draw
-    # and verify: 2,2 136 and 176 (1.294x); 3,2 and 2,3 200 and 200; 3,3 320 and 320;
-    # 5,3 512 and 512; 4,4, 8,2 and 2,8 608 and 608. The draw's bound is 32 to 120
-    # above it, and verify's 3.5 (2,2) or 4 above its own
-    chunk = cli.VERIFY_CHUNK
-
-    def growth(f):
-        peaks = []
-        for n in (chunk, 2 * chunk):
-            monkeypatch.setattr(cli, "VERIFY_CHUNK", n)
-            peaks.append(traced_peak(f))
-        return (peaks[1] - peaks[0]) / chunk
-
-    argv = ["verify", "--dims", f"{da},{db}", "--seed", "5", "--trials"]
-    per_draw = growth(lambda: draw(da, db))
-    per_verify = growth(lambda: run_main(capsys, argv + [str(cli.VERIFY_CHUNK)]))
-    assert per_draw <= 2 * 16 * da * db + 16 * 8, per_draw
+def test_verify_chunk_peak_grows_by_the_draw_per_state(monkeypatch, da, db, over):
+    # peaks at VERIFY_CHUNK states and at twice as many, so the parser's and the JSON's bytes
+    # cancel: a chunk holds no more per state than its draw (held by the Haar test), but for
+    # 2,2's report rows (176 B against 136, 1.294x; 3.5 or 4 B under the bound at every
+    # dims), and three chunks hold no more than one (80 to 992 B more measured)
+    chunk, draw_one = cli.VERIFY_CHUNK, oracles.peak_bytes(lambda: draw(da, db))
+    one, three = verify_peak(da, db, chunk), verify_peak(da, db, 3 * chunk)
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 2 * chunk)
+    per_draw = (oracles.peak_bytes(lambda: draw(da, db)) - draw_one) / chunk
+    per_verify = (verify_peak(da, db, 2 * chunk) - one) / chunk
     assert per_verify <= (1.0 + over) * per_draw + 4, (per_verify, per_draw)
+    assert three - one <= 4096, three - one
 
 
 # DB < DA takes each spectrum from rho_B, DB >= DA from rho_A: the closed 2x2 form
@@ -574,8 +543,7 @@ def test_verify_chunk_peak_grows_by_the_draw_per_state(capsys, monkeypatch, da, 
 # 15-amplitude rows are summed pairwise, then one term at a time. The report works
 # in place, so a warning (log2 of 0, an invalid operation) is an error
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("dims", [f"{da},{db}" for da in range(2, cli.VERIFY_MAX_DIM // 2 + 1)
-                                  for db in range(2, cli.VERIFY_MAX_DIM // da + 1)])
+@pytest.mark.parametrize("dims", [f"{da},{db}" for da, db in oracles.VERIFY_DIMS])
 def test_verify_passes_at_every_accepted_dims(capsys, dims):
     # 3000 states: two chunks, the second a partial one
     code, out, _ = run_main(capsys, ["verify", "--trials", "3000", "--seed", "7", "--dims", dims])
@@ -990,17 +958,21 @@ def test_swap_shots_give_the_same_bytes_at_any_mix_block(capsys, monkeypatch, p,
 
 
 @pytest.mark.parametrize("p, q", SHOT_PAIRS)
-def test_swap_shots_peak_at_one_chunk_and_one_block(p, q):
-    # 200003 shots span four chunks, each drawn into the run's one buffer with one
-    # scratch block; with the words a second array beside it, a call peaked at 1.05 MB
-    argv = ["swap", "--p", p, "--q", q, "--shots", "200003", "--seed", "3"]
+def test_swap_shots_peak_at_one_chunk_and_one_block(monkeypatch, p, q):
+    # peaks at half the SHOT_CHUNK and _MIX_BLOCK and 200003 shots (seven chunks), with each
+    # size doubled and with twice the shots, so the parser's and the JSON's bytes cancel: a
+    # chunk is drawn into the run's one buffer through one scratch block, 8 B per draw and
+    # per block word (7.997 and 7.976 to 7.996 measured), and more shots hold nothing
+    def peak(chunk, block, shots):
+        monkeypatch.setattr(experiment, "SHOT_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_MIX_BLOCK", block)
+        return oracles.main_peak_bytes(["swap", "--p", p, "--q", q, "--shots", str(shots), "--seed", "3"])
 
-    def call():
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-
-    peak = traced_peak(call)
-    assert peak <= 8 * experiment.SHOT_CHUNK + 8 * rng._MIX_BLOCK + 16384, peak
+    chunk, block = experiment.SHOT_CHUNK // 2, rng._MIX_BLOCK // 2
+    base = peak(chunk, block, 200003)
+    assert (peak(2 * chunk, block, 200003) - base) / chunk <= 8 + 1
+    assert (peak(chunk, 2 * block, 200003) - base) / block <= 8 + 1
+    assert peak(chunk, block, 400003) - base <= 4096
 
 
 def _swap_argv(p, q, shots, seed):

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,13 +249,7 @@ def test_uniforms_blocks_match_the_scalar_stream(count):
 def test_uniforms_allocate_no_more_than_the_draws_and_one_block(count):
     # a 2048-state verify chunk at 3,2 and one shot chunk: the float64 output, whose
     # memory holds the words, and one scratch block; no second array of words
-    rng.uniforms(3, 5, count)  # first-call allocations are not the draw's
-    tracemalloc.start()
-    try:
-        rng.uniforms(3, 5, count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = oracles.peak_bytes(lambda: rng.uniforms(3, 5, count))
     assert peak <= 8 * count + 8 * min(count, rng._MIX_BLOCK) + 4096, peak
 
 

@@ -12,6 +12,7 @@ DOCUMENTED_NAMES = {
 }
 
 LAYERS_FILE = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_package_exports_exactly_the_documented_names():
@@ -33,3 +34,21 @@ def test_every_benchmarked_layer_name_resolves():
         module = importlib.import_module(f"entswap.{module_name}")
         for name in names:
             assert name in vars(module), f"{module_name}.{name}"
+
+
+def _callee(node) -> str | None:
+    func = getattr(node, "func", None)
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def test_only_the_oracles_probe_memory_or_nest_the_pure_report():
+    # the tests' one memory probe is `oracles.peak_bytes`, and their one `_gram_report` over
+    # `_plane_gram` is `oracles.pure_report`: a copy of `cmd_verify`'s nesting holds it to nothing
+    found = []
+    for path in sorted(set(TESTS.glob("*.py")) - {TESTS / "oracles.py"}):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "tracemalloc" in (getattr(node, "name", None), getattr(node, "module", None)) or (  # an import
+                    _callee(node) == "_gram_report"
+                    and any(_callee(getattr(arg, "value", None)) == "_plane_gram" for arg in node.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

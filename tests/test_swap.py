@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,16 +150,9 @@ def test_post_entropies_match_reduced_state_route():
 def test_post_entropies_on_arrays_hold_no_amplitude_table():
     # the peak grows by the two families' spectra and entropy terms (88 B per pair on numpy 2.4),
     # not by a (..., 4, 4) amplitude table of 128 B per pair on its own
-    def peak(n):
-        p, q = np.random.default_rng(5).random((2, n))
-        tracemalloc.start()
-        try:
-            post_entropies(p, q)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    per_pair = (peak(20_000) - peak(10_000)) / 10_000
+    p, q = np.random.default_rng(5).random((2, 20_000))
+    peaks = [oracles.peak_bytes(lambda: post_entropies(p[:n], q[:n])) for n in (10_000, 20_000)]
+    per_pair = (peaks[1] - peaks[0]) / 10_000
     assert per_pair <= 128, per_pair
 
 def test_post_entropies_maximal_on_the_matching_lines():
@@ -371,7 +363,10 @@ def branch_law_residuals(p, q) -> dict[str, float]:
     - the average concurrence is conserved (Bose, Vedral & Knight, PRA 60,
       194, 1999): sum_k Pr_k 2|a00 a11 - a01 a10| = 2 sqrt(p(1-p)) 2 sqrt(q(1-q)),
       and in its spectral form sum_k Pr_k 2 sqrt(lam0 lam1);
-    - each live row's A populations are its family's spectrum, as a set.
+    - each live row's A populations are its family's spectrum, as a set;
+    - `post_entropies` is each family's entropy of its concurrence C: the
+      entropy of (lam, 1 - lam), lam = C^2 / (2 (1 + sqrt(1 - C^2))), where
+      an eigenvalue below `measures.EIG_CLAMP` counts as 0.
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     probs, spectra, amps = _branches(p, q)
@@ -388,18 +383,24 @@ def branch_law_residuals(p, q) -> dict[str, float]:
     own = np.where(live[..., None], own, 0.0)
     spectral = 2.0 * np.sqrt(own[..., 0] * own[..., 1])
     populations = (rows * rows).reshape(rows.shape[:-1] + (2, 2)).sum(axis=-1)
+    c = concurrence[..., [0, 2]]  # phi, psi
+    lam = c * c / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0))))
+    kept = np.stack([lam, 1.0 - lam])
+    kept[kept < measures.EIG_CLAMP] = 1.0
+    entropies = np.where(live[..., [0, 2]], np.stack(post_entropies(p, q), axis=-1), 0.0)
     return {
         "no-signalling": float(np.abs(mixture - held).max()),
         "concurrence": float(np.abs((pr * concurrence).sum(axis=-1) - source).max()),
         "spectral concurrence": float(np.abs((pr * spectral).sum(axis=-1) - source).max()),
         "populations": float(np.abs(np.sort(populations, axis=-1) - np.sort(own, axis=-1)).max()),
+        "post entropies": float(np.abs(entropies + (kept * np.log2(kept)).sum(axis=0)).max()),
     }
 
 
 # the laws' worst residuals read 3.3e-16 (no-signalling), 5.6e-16 (concurrence), 3.3e-16
-# (its spectral form) and 5.6e-16 (populations) over a 1001 x 1001 grid, the corners and
-# 3 x 10^5 seeded pairs, uniform, log-uniform down to subnormals and near 1; the bound
-# leaves about 3.6x
+# (its spectral form), 5.6e-16 (populations) and 8.9e-16 (post entropies; 4.0e-11 with no
+# clamp) over a 1001 x 1001 grid, the corners and 3 x 10^5 seeded pairs, uniform,
+# log-uniform down to subnormals and near 1; the bound leaves 2.25x to 6x
 BRANCH_LAW_TOL = 2e-15
 CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0),
            (1.0, 5e-324), (5e-324, 1.0), (5e-324, 5e-324), (0.5, 0.5)]
