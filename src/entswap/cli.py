@@ -48,10 +48,12 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     """Rows of one figure at the sweep points x, each column computed over all of x at once."""
     if which in ("1a", "1b"):
         # every q in FIGURE_Q_SET is inside (0, 1), so both families are live at every p;
-        # 1a divides phi's products, 1b psi's, and neither is held past the division
+        # 1a divides phi's products, 1b psi's, and neither is held past the division. The
+        # sweep is the inner axis, so each numpy loop runs over all of x, not five q values,
+        # and the five entropy rows are the columns after p
         family = 0 if which == "1a" else 1
-        spectrum = swap._family(*swap._products(x[:, None], np.array(FIGURE_Q_SET))[family])
-        columns = [x, measures._entropy(spectrum)]
+        spectrum = swap._family(*swap._products(x, np.array(FIGURE_Q_SET)[:, None])[family])
+        columns = [x, *measures._entropy(spectrum)]
     elif which == "2a":
         pr_phi, pr_psi = swap.special_case_probs(x)
         columns = [x, pr_phi, pr_psi, swap.predictability_probability(x)[2]]
@@ -173,9 +175,14 @@ def _csv_words(v: np.ndarray, k: int) -> tuple[bytearray, np.ndarray]:
     hidden = np.full(n, 10000)  # 10000 where no later group has a nonzero digit
     group = np.empty_like(digits)
     for j in (3, 2, 1, 0):
-        np.divmod(digits, 10000, out=(digits, group))
-        quads[:, j] = _QUADS[group + hidden]
-        hidden *= group == 0
+        # divmod by floor division: numpy divides by a constant in a vector loop, but runs
+        # divmod element by element. Every y is positive, so the remainder is divmod's
+        np.floor_divide(digits, 10000, out=group)
+        digits -= group * 10000
+        digits, group = group, digits  # the quotient goes on, the group is the remainder
+        group += hidden  # the table index, in place: it equals hidden exactly where the group is 0
+        quads[:, j] = _QUADS[group]
+        hidden *= group == hidden
     # the prefix key, summed in place over the spent decades, digits and groups
     key = np.multiply(i, 40, out=i)
     key += np.multiply(digits, 4, out=group)
@@ -229,6 +236,7 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
         try:
             for piece in pieces:
                 sys.stdout.write(piece)
+                del piece  # not held while the generator formats the next piece
             sys.stdout.flush()
         except OSError as exc:
             # a closed pipe, a full disk: point stdout's descriptor at devnull, as
@@ -252,6 +260,7 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
             with os.fdopen(fd, "w", newline="") as fh:
                 for piece in pieces:
                     fh.write(piece)
+                    del piece
             os.replace(tmp_name, path)
         except BaseException:
             try:

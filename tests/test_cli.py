@@ -46,15 +46,17 @@ def test_figures_grid_covers_unit_interval(capsys):
 
 
 def test_figures_cells_round_trip_exactly(capsys):
-    # 1a and 1b at the default grid: every entropy cell is post_entropies' value, bit for bit
-    x = np.arange(cli.DEFAULT_GRID) / (cli.DEFAULT_GRID - 1)
-    expected = swap.post_entropies(x[:, None], np.array(cli.FIGURE_Q_SET))
-    for which, entropies in zip(("1a", "1b"), expected):
-        code, out, _ = run_main(capsys, ["figures", "--which", which])
-        assert code == 0
-        cells = np.array([[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]])
-        assert oracles.bits(cells[:, 0]).tolist() == oracles.bits(x).tolist(), which
-        assert oracles.bits(cells[:, 1:]).tolist() == oracles.bits(entropies).tolist(), which
+    # 1a and 1b: every entropy cell is post_entropies' value, bit for bit, at grid 2 (zero
+    # cells, which take the `%` fallback), the default grid and 4097 (two FIGURE_CHUNK chunks)
+    for grid in (2, cli.DEFAULT_GRID, 4097):
+        x = np.arange(grid) / (grid - 1)
+        expected = swap.post_entropies(x[:, None], np.array(cli.FIGURE_Q_SET))
+        for which, entropies in zip(("1a", "1b"), expected):
+            code, out, _ = run_main(capsys, ["figures", "--which", which, "--grid", str(grid)])
+            assert code == 0
+            cells = np.array([[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]])
+            assert oracles.bits(cells[:, 0]).tolist() == oracles.bits(x).tolist(), (which, grid)
+            assert oracles.bits(cells[:, 1:]).tolist() == oracles.bits(entropies).tolist(), (which, grid)
     code, out, _ = run_main(capsys, ["figures", "--which", "2b", "--grid", "21"])
     assert code == 0
     for line in out.splitlines()[1:]:
@@ -268,8 +270,9 @@ def test_figures_peak_at_their_text(monkeypatch, which):
     # four times the grid. A chunk row holds, in 1a and 1b, the sweep point, the family's
     # products, their stack and `_norm2`'s sum, mask and result (8 + 80 + 80 + 40 + 5 + 40);
     # in 2a its row; in 2b the point, p, two diagonal reports and its row (16 + 128 + 40). A
-    # cell holds at most twelve words: the digit stage's eight and the sub-block before, held
-    # by `_emit` while the next is made (87.3 B measured in 2a). More rows hold nothing
+    # cell holds at most ten words: the digit stage's eight (66.0 B measured in 2a). `_emit`
+    # holds no sub-block's text while the next is made; holding it read 84.3 B. More rows
+    # hold nothing
     def peak(chunk, cells, grid):
         monkeypatch.setattr(cli, "FIGURE_CHUNK", chunk)
         monkeypatch.setattr(cli, "CSV_CELLS", cells)
@@ -279,7 +282,7 @@ def test_figures_peak_at_their_text(monkeypatch, which):
     per_row = (peak(4096, 2048, 4097) - base) / 2048
     per_cell = (peak(2048, 4096, 4097) - base) / 2048
     assert per_row <= {"1a": 253, "1b": 253, "2a": 32, "2b": 184}[which] + 1, per_row
-    assert per_cell <= 12 * 8, per_cell
+    assert per_cell <= 10 * 8, per_cell
     assert peak(2048, 2048, 16385) - base <= 4096
 
 
