@@ -1,6 +1,6 @@
 """Command line: figure data as CSV, verification and swap reports as JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure or a non-finite swap value, 2 usage error, 3 I/O error.
 CSV cells carry 17 significant digits so values round-trip exactly; JSON
 summaries show 4 decimals with the full-precision value in a `_full`
 sibling field.
@@ -39,7 +39,7 @@ FIGURE_CHUNK = 4096  # grid points per batch in `figures`: bounds memory for any
 VERIFY_MAX_DIM = 16  # largest DA*DB of `verify --dims`: bounds the bytes of a chunk's states
 
 EXIT_OK = 0
-EXIT_VERIFY_FAIL = 1
+EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
@@ -63,8 +63,6 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
         initial = measures._diagonal_report(np.stack([p, 1.0 - p]))
         final = measures._diagonal_report(swap._family(*swap._products(p, x)[1]))
         columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
-    else:
-        raise ValueError(f"unknown figure {which!r}")
     return np.column_stack(columns)
 
 
@@ -234,9 +232,7 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
     """Write the text pieces to stdout, or atomically (temp file + rename) to `out`."""
     if out is None:
         try:
-            for piece in pieces:
-                sys.stdout.write(piece)
-                del piece  # not held while the generator formats the next piece
+            sys.stdout.writelines(pieces)  # each piece is dropped once written, before the next is made
             sys.stdout.flush()
         except OSError as exc:
             # a closed pipe, a full disk: point stdout's descriptor at devnull, as
@@ -258,9 +254,7 @@ def _emit(pieces: Iterable[str], out: str | None) -> int:
         fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="") as fh:
-                for piece in pieces:
-                    fh.write(piece)
-                    del piece
+                fh.writelines(pieces)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -311,7 +305,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     if code != EXIT_OK:
         return code
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 _HOLE = "<leaf>"  # a skeleton leaf of `_swap_template`
@@ -356,17 +350,6 @@ def _swap_template(live: tuple[bool, ...], shots: bool) -> str:
     return text.replace(json.dumps(_HOLE), "%s") + "\n"
 
 
-def _json_floats(values: list[float]) -> list:
-    """The float leaves of a template fill: `%s` writes a finite float as its repr, as json does.
-
-    It would write NaN and the infinities as nan and inf, so a list that
-    holds one is spelled by json.dumps, value by value, instead.
-    """
-    if all(map(math.isfinite, values)):
-        return values
-    return [json.dumps(value) for value in values]
-
-
 def cmd_swap(args: argparse.Namespace) -> int:
     # the parser has checked both weights, so the closed forms are read unchecked
     probabilities, (a, b, c, d), amplitudes = swap._branches(args.p, args.q)
@@ -382,20 +365,22 @@ def cmd_swap(args: argparse.Namespace) -> int:
     # each row as [re, im] pairs: the cast to complex writes +0.0 imaginary parts
     rows = amplitudes.astype(complex).view(float).tolist()
     # the leaves in the template's order; each shown value is followed by its `_full` value
-    floats = [args.p, args.q]
+    leaves = [args.p, args.q]
     for value in rep.s_vn[:2].tolist():
-        floats += (round(value, 4), value)
+        leaves += (round(value, 4), value)
     for probability, alive, row, values in zip(probabilities.tolist(), live, rows, branch_measures):
-        floats += (round(probability, 4), probability)
+        leaves += (round(probability, 4), probability)
         if alive:
-            floats += row
+            leaves += row
             for value in values:
-                floats += (round(value, 4), value)
-    leaves = _json_floats(floats)
+                leaves += (round(value, 4), value)
     if args.shots is not None:
         result = run_ensemble(RunConfig(args.p, args.q, args.shots, args.seed))
-        leaves += (args.shots, args.seed, *result.counts.values())
-        leaves += _json_floats([*result.empirical_freq.values(), float(max(result.freq_error().values()))])
+        leaves += (args.shots, args.seed, *result.counts.values(), *result.empirical_freq.values(),
+                   float(max(result.freq_error().values())))
+    if not all(map(math.isfinite, leaves)):  # `%s` would write nan or inf: not JSON
+        print("error: swap: a value of the document is not finite", file=sys.stderr)
+        return EXIT_FAIL
     text = _swap_template(live, args.shots is not None) % tuple(leaves)
     return _emit([text], args.out)
 

@@ -532,6 +532,8 @@ def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -
     go to the population report `measures._diagonal_report`, as in the CLI.
     Which branches are live it decides itself, by the probability 0.5 * n2,
     so a package that keeps a dead branch's state or drops a live one differs.
+    It dumps with allow_nan=False: NaN and the infinities are not JSON, and
+    the CLI writes no document that holds one.
     """
     outcomes = swap.bbm_outcomes(p, q)
     u, v = 1.0 - p, 1.0 - q
@@ -567,4 +569,4 @@ def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -
             "frequencies": result.empirical_freq,
             "max_abs_error": float(max(result.freq_error().values())),
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -271,8 +271,8 @@ def test_figures_peak_at_their_text(monkeypatch, which):
     # products, their stack and `_norm2`'s sum, mask and result (8 + 80 + 80 + 40 + 5 + 40);
     # in 2a its row; in 2b the point, p, two diagonal reports and its row (16 + 128 + 40). A
     # cell holds at most ten words: the digit stage's eight (66.0 B measured in 2a). `_emit`
-    # holds no sub-block's text while the next is made; holding it read 84.3 B. More rows
-    # hold nothing
+    # writes each sub-block's text as it comes; writing one join of them grew the peak by
+    # 1.9 to 2.9 MB at four times the grid. More rows hold nothing
     def peak(chunk, cells, grid):
         monkeypatch.setattr(cli, "FIGURE_CHUNK", chunk)
         monkeypatch.setattr(cli, "CSV_CELLS", cells)
@@ -284,6 +284,15 @@ def test_figures_peak_at_their_text(monkeypatch, which):
     assert per_row <= {"1a": 253, "1b": 253, "2a": 32, "2b": 184}[which] + 1, per_row
     assert per_cell <= 10 * 8, per_cell
     assert peak(2048, 2048, 16385) - base <= 4096
+
+
+def test_figures_out_peak_does_not_grow_with_the_grid(tmp_path):
+    # `_emit`'s file branch writes each piece as it comes, as its stdout branch does: four
+    # times the grid holds no more (-3,060 B measured); one join of the pieces grew 1.9 MB
+    def peak(grid):
+        return oracles.main_peak_bytes(["figures", "--which", "2a", "--grid", str(grid), "--out", str(tmp_path / "2a")])
+
+    assert peak(16385) - peak(4097) <= 4096
 
 
 def test_figures_out_streams_the_stdout_bytes(capsys, monkeypatch, tmp_path):
@@ -495,7 +504,7 @@ def test_verify_chunks_match_the_states_one_at_a_time(capsys, monkeypatch):
         assert doc["max_linear_residual"] == max(ref_l[:trials])
 
 
-# the dims of the chunk peak tests, and how far above its draw each chunk may peak
+# the dims of the chunk peak slope test, and how far above its draw each chunk may peak
 CHUNK_PEAK_DIMS = pytest.mark.parametrize("da, db, over", [(3, 2, 0.0), (2, 3, 0.0), (3, 3, 0.0), (4, 4, 0.0),
                                                            (5, 3, 0.0), (8, 2, 0.0), (2, 8, 0.0), (2, 2, 0.29)])
 
@@ -510,20 +519,12 @@ def verify_peak(da, db, trials):
 
 
 def test_verify_chunk_memory_stays_within_a_few_planes():
+    # the only test that kills `haar_states` scaling its rows out of place (2.76x here). No
+    # draw slope can: that raises the draw's per-state growth only below D = 8 (135.4 to
+    # 200 B at 2,2, 200 to 232 at 3,2) and lowers it from there up (608 to 568 B at 4,4)
     peak = verify_peak(3, 2, cli.VERIFY_CHUNK)
     states_bytes = 3 * 2 * 16 * cli.VERIFY_CHUNK  # the states' real planes, read in place
     assert peak <= 2.15 * states_bytes, (peak, states_bytes)  # 2.100 measured
-
-
-@CHUNK_PEAK_DIMS
-def test_verify_chunk_peaks_at_the_draw(da, db, over):
-    # the draw peaks at about twice the states' bytes, and no stage of the report holds
-    # more, but at 2,2 the report's eight rows beside the Gram planes set the peak. Through
-    # `main` a chunk peaks 2,076 B under its bound at 2,2 (1.297x the draw), 1,845 at 3,2
-    # and 3,180 to 3,540 at the other dims
-    draw_peak = oracles.peak_bytes(lambda: draw(da, db))
-    chunk = verify_peak(da, db, cli.VERIFY_CHUNK)
-    assert chunk <= (1.0 + over) * draw_peak + 4096, (chunk, draw_peak)
 
 
 @CHUNK_PEAK_DIMS
@@ -1080,8 +1081,10 @@ def test_swap_measures_match_the_pure_state_kernel_of_the_printed_states(capsys)
                     assert abs(entry[key] - getattr(rep, field)[0]) <= 1e-12, (p, q, entry["label"], key)
 
 
-def test_swap_writes_nan_and_infinity_as_json_does(capsys, monkeypatch):
-    # the CLI and the reference builder both report through the population report
+def test_swap_with_a_non_finite_value_writes_no_document(capsys, monkeypatch, tmp_path):
+    # no accepted (p, q) reaches a NaN or an infinity, and neither is JSON, so a poisoned
+    # population report (the CLI's and the reference builder's) fails the run: exit 1,
+    # one error line, nothing on stdout and no `--out` file, not even a temp file
     real_report = measures._diagonal_report
 
     def poisoned(populations):
@@ -1090,9 +1093,13 @@ def test_swap_writes_nan_and_infinity_as_json_does(capsys, monkeypatch):
 
     monkeypatch.setattr(measures, "_diagonal_report", poisoned)
     for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, 5)):
-        code, out, _ = run_main(capsys, _swap_argv(p, q, shots, seed))
-        assert (code, out) == (0, oracles.swap_document(p, q, shots, seed))
-        assert '"svn_pair_p": NaN,' in out and '"pvn_full": -Infinity,' in out
+        with pytest.raises(ValueError):
+            oracles.swap_document(p, q, shots, seed)
+        for out in ([], ["--out", str(tmp_path / "swap.json")]):
+            code, stdout, err = run_main(capsys, _swap_argv(p, q, shots, seed) + out)
+            assert (code, stdout) == (1, ""), (p, q, out)
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert list(tmp_path.iterdir()) == []
 
 
 def test_swap_templates_are_one_per_document_shape(capsys):
