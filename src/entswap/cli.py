@@ -66,17 +66,19 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     return np.column_stack(columns)
 
 
-# `%.17g` of a cell with 1e-4 <= |v| < 10 is fixed notation: decimal exponent X in
-# [-4, 0], 17 digits, trailing zeros dropped. `_csv_words` writes such a cell with
+# `%.17g` of a cell with 1e-4 <= v < 1 is fixed notation: decimal exponent X in
+# [-4, -1], 17 digits, trailing zeros dropped. `_csv_words` writes such a cell with
 # array arithmetic as three 8-byte words, whose bytes the cell does not show are NUL,
 # and every other cell as the placeholder `%`, which `'%.17g' %` then replaces.
+# Every figure cell is in [0, 1] and none is -0.0: at grid 1001 the placeholder
+# takes only the zeros, the cells below 1e-4 and the few exact 1.0s
 CSV_CELLS = 2048  # cells per sub-block of `_csv_pieces`: bounds its temporaries and its text
-# i = how many of these are <= |v|. Each double is at or above its power of ten,
-# so i = X + 5 exactly for the cells above; i is 0 or 6 for the rest, NaN included.
-_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
-_FAST = np.array([False, True, True, True, True, True, False])
-# 10^(16 - X) by i: an exact double for X >= -4, so |v| * 10^(16 - X) is in [1e16, 1e17)
-_SCALE = np.array([1e16, 1e20, 1e19, 1e18, 1e17, 1e16, 1e16])
+# i = how many of these are <= v. Each double is at or above its power of ten,
+# so i = X + 5 exactly for the cells above; i is 0 or 5 for the rest, NaN included.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_FAST = np.array([False, True, True, True, True, False])
+# 10^(16 - X) by i: an exact double for X >= -4, so v * 10^(16 - X) is in [1e16, 1e17)
+_SCALE = np.array([1e16, 1e20, 1e19, 1e18, 1e17, 1e16])
 _SCALE_HI = _SCALE * 134217729.0 - (_SCALE * 134217729.0 - _SCALE)  # Veltkamp split at 2^27 + 1
 _SCALE_LO = _SCALE - _SCALE_HI
 
@@ -98,18 +100,15 @@ def _quad_table() -> np.ndarray:
 
 
 def _prefix_table() -> np.ndarray:
-    """A cell's first word, by key 4 * (10 * i + lead digit) + 2 * sign + (any other digit shown).
+    """A cell's first word, by key 10 * i + lead digit.
 
     Its bytes are `,`, the separator before the cell, then for a cell of
-    decades 1..5 `-` if negative, and for X < 0 `0.`, -X-1 zeros and the
-    lead digit, for X = 0 the lead digit and a `.` when a digit follows;
-    for a cell of decade 0 or 6 the placeholder `%`. NUL pads it to 8.
+    decades 1..4 `0.`, -X-1 = 4 - i zeros and the lead digit; for a cell of
+    decade 0 or 5 the placeholder `%`. NUL pads it to 8.
     """
     prefixes = []
-    decades = enumerate(_FAST.tolist())
-    for (i, fast), lead, sign, dot in itertools.product(decades, "0123456789", ("", "-"), ("", ".")):
-        x = i - 5
-        body = sign + ("0." + "0" * (-x - 1) + lead if x < 0 else lead + dot) if fast else "%"
+    for (i, fast), lead in itertools.product(enumerate(_FAST.tolist()), "0123456789"):
+        body = "0." + "0" * (4 - i) + lead if fast else "%"
         prefixes.append(("," + body).ljust(8, "\0"))
     return np.frombuffer("".join(prefixes).encode("ascii"), np.uint64)
 
@@ -121,12 +120,12 @@ _PREFIX = _prefix_table()
 def _csv_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first numeric stage: each cell's decade i, whether it is fast, and y, its 17 digits.
 
-    y = |v| * 10^(16 - X) rounded half to even, an integer in [1e16, 1e17).
-    Every step past the decade writes into an array it owns, so the stage
-    holds seven rows of v at most, and all but the three it returns die
-    when it does.
+    y = v * 10^(16 - X) rounded half to even, an integer in [1e16, 1e17).
+    A negative cell falls in decade 0, so it is not fast. Every step past the
+    decade writes into an array it owns, so the stage holds seven rows of v
+    at most, and all but the three it returns die when it does.
     """
-    a = np.abs(v)
+    a = v.copy()
     i = np.searchsorted(_DECADES, a, "right")
     fast = _FAST[i]
     np.copyto(a, 1.0, where=~fast)  # other cells take a value that no cast below warns on
@@ -181,15 +180,9 @@ def _csv_words(v: np.ndarray, k: int) -> tuple[bytearray, np.ndarray]:
         group += hidden  # the table index, in place: it equals hidden exactly where the group is 0
         quads[:, j] = _QUADS[group]
         hidden *= group == hidden
-    # the prefix key, summed in place over the spent decades, digits and groups
-    key = np.multiply(i, 40, out=i)
-    key += np.multiply(digits, 4, out=group)
-    sign = np.right_shift(v.view(np.int64), 63, out=group)  # -1 where v's sign bit is set
-    key -= sign
-    key -= sign
-    hidden ^= 10000
-    hidden >>= 13
-    key += hidden  # 1 where any fraction digit is nonzero: 10000 >> 13 is 1
+    # the prefix key, summed in place over the spent decades
+    key = np.multiply(i, 10, out=i)
+    key += digits  # the lead digit
     words[:, 0] = _PREFIX[key]
     np.frombuffer(buf, np.uint8)[::24 * k] = ord("\n")  # a line's first separator ends the line before
     buf[0] = 0  # which the first line has not

@@ -115,8 +115,8 @@ def test_figures_chunks_give_the_unchunked_bytes(capsys, monkeypatch, grid):
     assert all(len(out.splitlines()) == grid + 1 for _, out, _ in whole)
 
 
-# any double, or one near the figure range, where most cells take the array path
-_CELLS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(1e-5, 20.0)
+# any double, or one near the figure range, where about half the cells take the array path
+_CELLS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(1e-5, 2.0)
 _ROW_BLOCKS = st.integers(4, 6).flatmap(
     lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=20).map(
         lambda rows: np.array(rows, dtype=float).reshape(-1, k)
@@ -162,8 +162,12 @@ def _cell_showing(x: int, sign: str, digits: str, rng) -> float:
 
 
 def _formatter_edge_cells() -> np.ndarray:
-    """Cells of every fast decade and both signs with every pattern of zero 4-digit groups
-    and with their last nonzero digit at each of the 16 fraction digits."""
+    """Cells of every decade X in [-4, 0] and both signs with every pattern of zero 4-digit
+    groups and with their last nonzero digit at each of the 16 fraction digits.
+
+    The positive cells below 1 take the array path; the negative cells and X = 0
+    take the `%` fallback, which must give the same bytes.
+    """
     rng = np.random.default_rng(17)
     patterns = []
     for zero in range(16):  # bit j set: fraction digits 4j+1..4j+4 are all zero
@@ -173,7 +177,7 @@ def _formatter_edge_cells() -> np.ndarray:
         patterns.append("+" + "?" * (last - 1) + "+" + "0" * (16 - last))
     cells = [_cell_showing(x, sign, digits, rng)
              for x in range(-4, 1) for sign in ("", "-") for digits in patterns]
-    # a lead digit and no other, so X = 0 writes no `.`
+    # a lead digit and no other, which `%.17g` writes with no `.`
     cells += [float(sign + lead) for sign in ("", "-") for lead in "123456789"]
     return np.array(cells)
 
@@ -211,7 +215,8 @@ def test_csv_decades_are_exact():
 
 @pytest.mark.parametrize("x", range(-4, 1))
 def test_csv_lines_round_exact_ties_half_to_even(x):
-    # y = j / 2^e * 10^(16 - x) ends in exactly .5 when j is odd and e = 17 - x
+    # y = j / 2^e * 10^(16 - x) ends in exactly .5 when j is odd and e = 17 - x. The
+    # array path rounds the positive ties below 1; x = 0 and the negations hold the fallback
     e = 17 - x
     low, high = math.ceil(10.0**x * 2**e), math.floor(10.0 ** (x + 1) * 2**e)
     j = np.random.default_rng(100 + e).integers(low // 2, high // 2, 4000) * 2 + 1
@@ -255,7 +260,7 @@ def test_figures_bytes_match_the_per_cell_formatter_across_chunks(capsys, which,
 
 def test_csv_lines_peak_memory_stays_near_the_text():
     # the pieces of one FIGURE_CHUNK block, each dropped as it arrives: the peak is a few
-    # sub-blocks' text (3.46x the largest piece measured), where a join over the block
+    # sub-blocks' text (3.31x the largest piece measured), where a join over the block
     # held its whole text twice (2.0x the text, 23.6x the largest piece)
     rows = cli._figure_rows("1a", np.arange(cli.FIGURE_CHUNK) / (cli.FIGURE_CHUNK - 1))
     sizes = [len(piece) for piece in cli._csv_pieces(rows)]
@@ -269,10 +274,11 @@ def test_figures_peak_at_their_text(monkeypatch, which):
     # peaks at FIGURE_CHUNK = CSV_CELLS = 2048 and grid 4097, with each size doubled and at
     # four times the grid. A chunk row holds, in 1a and 1b, the sweep point, the family's
     # products, their stack and `_norm2`'s sum, mask and result (8 + 80 + 80 + 40 + 5 + 40);
-    # in 2a its row; in 2b the point, p, two diagonal reports and its row (16 + 128 + 40). A
-    # cell holds at most ten words: the digit stage's eight (66.0 B measured in 2a). `_emit`
-    # writes each sub-block's text as it comes; writing one join of them grew the peak by
-    # 1.9 to 2.9 MB at four times the grid. More rows hold nothing
+    # in 2a its row; in 2b the point, p, two diagonal reports and its row (16 + 128 + 40);
+    # 252.8, 32.0 and 183.8 B measured. A cell holds at most ten words: the digit stage's
+    # eight (66.0 B measured in 2a, about 0 B in the others). `_emit` writes each sub-block's
+    # text as it comes; writing one join of them grew the peak by 1.9 to 2.9 MB at four
+    # times the grid. A larger grid holds nothing more: -64 to +1,824 B measured at four times
     def peak(chunk, cells, grid):
         monkeypatch.setattr(cli, "FIGURE_CHUNK", chunk)
         monkeypatch.setattr(cli, "CSV_CELLS", cells)
