@@ -179,7 +179,8 @@ def _csv_words(v: np.ndarray, k: int) -> tuple[bytearray, np.ndarray]:
         digits, group = group, digits  # the quotient goes on, the group is the remainder
         group += hidden  # the table index, in place: it equals hidden exactly where the group is 0
         quads[:, j] = _QUADS[group]
-        hidden *= group == hidden
+        if j:  # group 0 is the last pass, and nothing reads hidden after it
+            hidden *= group == hidden
     # the prefix key, summed in place over the spent decades
     key = np.multiply(i, 10, out=i)
     key += digits  # the lead digit

@@ -56,19 +56,21 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     under the boundaries that `rng._boundaries` takes once per run from the
     probabilities of the `swap._branches` table and that decide, there
     alone, where a draw outside them goes.
-    Every chunk's draws are written into one buffer, allocated once per
-    run, and `rng.uniforms` makes them in that buffer's own memory, so a
-    chunk holds its draws plus one scratch block of `rng._MIX_BLOCK` words,
-    memory stays bounded and no chunk maps fresh pages; identical configs
-    give identical results bit for bit.
+    Every chunk's draws are written into one uint64 buffer, allocated once
+    per run, and `rng._draws` makes them there as their 53-bit words; the
+    tally compares those words, read as doubles, with the boundaries' integer
+    cuts from `rng._word_boundaries`, so no draw is cast to a double. A chunk
+    holds its draws plus one scratch block of `rng._MIX_BLOCK` words, memory
+    stays bounded and no chunk maps fresh pages; identical configs give
+    identical results bit for bit.
     """
     probs = swap._branches(cfg.p, cfg.q)[0]  # `RunConfig` has checked both weights
-    boundaries = rng._boundaries(probs)
+    boundaries = rng._word_boundaries(probs)
     tally = np.zeros(len(BELL_LABELS), dtype=np.int64)
-    buffer = np.empty(min(SHOT_CHUNK, cfg.shots))  # every chunk's draws, in turn
+    buffer = np.empty(min(SHOT_CHUNK, cfg.shots), dtype=np.uint64)  # every chunk's words, in turn
     for start in range(0, cfg.shots, SHOT_CHUNK):
         count = min(SHOT_CHUNK, cfg.shots - start)
-        tally += rng._tally(rng.uniforms(cfg.seed, start, count, out=buffer[:count]), boundaries)
+        tally += rng._tally(rng._draws(cfg.seed, start, buffer[:count]).view(np.float64), boundaries)
     counts = {label: int(c) for label, c in zip(BELL_LABELS, tally)}
     empirical = {label: counts[label] / cfg.shots for label in BELL_LABELS}
     return EnsembleResult(counts, empirical, analytic_prob=dict(zip(BELL_LABELS, probs)))

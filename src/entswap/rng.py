@@ -30,24 +30,40 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = 2.0**-53
 _S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
-_MIX_BLOCK = 16384  # words per block of `uniforms`: its one scratch, 128 KB
+_MIX_BLOCK = 16384  # words per block of `_draws`: its one scratch, 128 KB
 
 
 def uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draws [start, start + count) as doubles in [0, 1), vectorized.
 
-    The words are made in the output's own memory, viewed as uint64, one
-    block of _MIX_BLOCK words at a time: each block's counters are a
-    cached table of steps plus one offset, and its xor-shifts go through
-    one scratch block. The words are then cast in place, so a call holds
-    the output and one block. As with numpy's `out=`, a given float64
-    array of shape (count,) receives the draws and is returned.
+    `_draws` makes the words in the output's own memory, viewed as uint64,
+    and they are then cast in place, so a call holds the output and one
+    block. As with numpy's `out=`, a given float64 array of shape (count,)
+    receives the draws and is returned.
     """
     if out is None:
         out = np.empty(count, dtype=np.float64)
     elif out.shape != (count,) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape ({count},)")
-    words = out.view(np.uint64)
+    words = _draws(seed, start, out.view(np.uint64))
+    # exact: a word < 2**53 converts without rounding, and int64 converts faster than
+    # uint64; the cast reads each word before it writes its double over it, and neither
+    # it nor the in-place scale needs a conversion buffer
+    np.copyto(out, words.view(np.int64))
+    out *= _DOUBLE_SCALE
+    return out
+
+
+def _draws(seed: int, start: int, words: np.ndarray) -> np.ndarray:
+    """Draws [start, start + len(words)) as their top 53 bits, made in the uint64 array `words`.
+
+    The words are made one block of _MIX_BLOCK at a time: each block's
+    counters are a cached table of steps plus one offset, and its
+    xor-shifts go through one scratch block, so a call holds `words` and
+    one block. Returns `words`, each an integer m < 2**53 whose uniform is
+    m * 2**-53.
+    """
+    count = len(words)
     steps = _counter_steps(_MIX_BLOCK)
     scratch = np.empty(min(count, _MIX_BLOCK), dtype=np.uint64)
     origin = int(seed) + int(start) * GOLDEN
@@ -65,12 +81,7 @@ def uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -
         np.right_shift(z, _S31, out=t)
         z ^= t
     words >>= _S11
-    # exact: a word < 2**53 converts without rounding, and int64 converts faster than
-    # uint64; the cast reads each word before it writes its double over it, and neither
-    # it nor the in-place scale needs a conversion buffer
-    np.copyto(out, words.view(np.int64))
-    out *= _DOUBLE_SCALE
-    return out
+    return words
 
 
 @functools.cache
@@ -134,6 +145,20 @@ def _boundaries(probs) -> tuple[np.ndarray, int, int]:
     return cum[first:last], first, p.size
 
 
+def _word_boundaries(probs) -> tuple[np.ndarray, int, int]:
+    """`_boundaries(probs)` for draws held as their `_draws` words, read as float64 bits.
+
+    A uniform m * 2**-53 is at or below a boundary c exactly when m <= floor(c * 2**53):
+    the scaling is exact and m an integer. Each m < 2**53 and each such cut
+    is the bit pattern of a finite nonnegative double, and IEEE 754 orders
+    those as their bit patterns, so `_tally(m.view(np.float64), _word_boundaries(probs))`
+    counts what `_tally` counts of the uniforms under `_boundaries(probs)`,
+    and no draw is cast to a double.
+    """
+    inner, first, size = _boundaries(probs)
+    return np.floor(inner * 2.0**53).astype(np.uint64).view(np.float64), first, size
+
+
 def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Map uniforms to label indices by cumulative-probability inversion.
 
@@ -149,7 +174,8 @@ def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def _tally(u: np.ndarray, boundaries: tuple[np.ndarray, int, int]) -> np.ndarray:
     """Per-label counts of `categorical(u, probs)` without labelling each draw.
 
-    `boundaries` is `_boundaries(probs)`. The draws at or below inner
+    `boundaries` is `_boundaries(probs)`, or `_word_boundaries(probs)` for
+    draws held as words. The draws at or below inner
     boundary j are those labelled first + j or lower, so one count per inner
     boundary, differenced between 0 and len(u), gives the draws of labels
     first to last; every other label counts nothing.

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,36 @@ def test_tally_counts_only_at_the_boundaries_that_split_draws(monkeypatch, probs
     assert len(calls) == passes
 
 
+def _assert_word_tally_labels_the_uniforms(p, seed):
+    # the words that `run_ensemble` counts: 500 from the stream, and each cut's K =
+    # floor(c * 2**53) with its neighbours, the largest word and 0, all below 2**53
+    inner = rng._boundaries(p)[0]
+    near = {k + d for k in (math.floor(Fraction(c) * (1 << 53)) for c in inner.tolist()) for d in (-1, 0, 1)}
+    extremes = [m for m in sorted(near | {0, 1, (1 << 53) - 1}) if 0 <= m < 1 << 53]
+    m = np.concatenate([rng._draws(seed, 0, np.empty(500, dtype=np.uint64)), np.array(extremes, dtype=np.uint64)])
+    expected = np.bincount(rng.categorical(m * 2.0**-53, p), minlength=len(p))
+    tally = rng._tally(m.view(np.float64), rng._word_boundaries(p))
+    assert tally.dtype == expected.dtype and np.array_equal(tally, expected), (tally, expected)
+    assert tally.sum() == len(m)
+
+
+@pytest.mark.parametrize("probs", [
+    [0.5, 0.5, 1e-300],  # an inner cut of exactly 1.0, so K = 2**53 is above every word
+    [5e-324, 1.0 - 5e-324],  # a subnormal cut, K = 0
+    [0.1] * 7 + [0.3 - 5e-14],  # cuts off the 2**-53 grid, and a sum below 1
+    [1.0],  # no inner cut
+    [0.5, 0.5, 0.0, 0.0],  # a dead family
+])
+def test_tally_of_the_words_under_integer_cuts_labels_the_uniforms(probs):
+    _assert_word_tally_labels_the_uniforms(np.array(probs), 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_vectors, seeds)
+def test_tally_of_the_words_under_integer_cuts_labels_the_uniforms_at_any_weights(weights, seed):
+    _assert_word_tally_labels_the_uniforms(np.array(weights) / sum(weights), seed)
+
+
 def test_sample_bbm_matches_ensemble_counts():
     cfg = RunConfig(p=0.3, q=0.6, shots=200, seed=9)
     assert _counts_one_draw_at_a_time(cfg) == run_ensemble(cfg).counts
@@ -198,23 +229,23 @@ def _counts_one_draw_at_a_time(cfg):
 
 def test_run_ensemble_chunks_match_the_draws_one_at_a_time(monkeypatch):
     monkeypatch.setattr(experiment, "SHOT_CHUNK", 7)
-    real_uniforms = rng.uniforms
+    real_draws = rng._draws
     outs = []
 
-    def spy(seed, start, count, out=None):
-        outs.append(out)
-        return real_uniforms(seed, start, count, out=out)
+    def spy(seed, start, words):
+        outs.append(words)
+        return real_draws(seed, start, words)
 
-    monkeypatch.setattr(rng, "uniforms", spy)
+    monkeypatch.setattr(rng, "_draws", spy)
     for p, q in ((0.3, 0.6), (0.0, 1.0)):
         for shots in (1, 7, 8, 50):
             outs.clear()
             cfg = RunConfig(p=p, q=q, shots=shots, seed=9)
             assert run_ensemble(cfg).counts == _counts_one_draw_at_a_time(cfg)
-            # every chunk's draws are written into the start of one buffer
+            # every chunk's words are written into the start of one uint64 buffer
             assert [len(out) for out in outs] == [min(7, shots - start) for start in range(0, shots, 7)]
             buffer = outs[0].base
-            assert buffer is not None and len(buffer) == min(7, shots)
+            assert buffer is not None and buffer.dtype == np.uint64 and len(buffer) == min(7, shots)
             assert all(out.base is buffer and out.ctypes.data == buffer.ctypes.data for out in outs)
 
 

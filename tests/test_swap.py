@@ -354,7 +354,7 @@ def test_swap_states_are_in_schmidt_form_and_report_from_their_populations(drawn
 
 
 def branch_law_residuals(p, q) -> dict[str, float]:
-    """The worst residuals of three laws of the `_branches` table over weight arrays p, q.
+    """The worst residuals of the laws of the `_branches` table over weight arrays p, q.
 
     A dead row (probability 0.0, NaN amplitudes and spectrum) is read as zero.
     - no-signalling: the branches' mixture is what A and B held before the
@@ -366,7 +366,13 @@ def branch_law_residuals(p, q) -> dict[str, float]:
     - each live row's A populations are its family's spectrum, as a set;
     - `post_entropies` is each family's entropy of its concurrence C: the
       entropy of (lam, 1 - lam), lam = C^2 / (2 (1 + sqrt(1 - C^2))), where
-      an eigenvalue below `measures.EIG_CLAMP` counts as 0.
+      an eigenvalue below `measures.EIG_CLAMP` counts as 0;
+    - the paper's claim (i), that the source qubits' predictabilities set the
+      families' probabilities: with z = 2w - 1 the Bloch z of each source
+      qubit, Pr(phi±) - Pr(psi±) = z_A z_B / 2, and its square is
+      P_l(rho_A) P_l(rho_B), P_l from the report of diag(w, 1 - w). The
+      square-root form |Pr(phi±) - Pr(psi±)| = sqrt(P_l P_l) is not held:
+      the root amplifies rounding near P_l = 0.
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     probs, spectra, amps = _branches(p, q)
@@ -388,19 +394,24 @@ def branch_law_residuals(p, q) -> dict[str, float]:
     kept = np.stack([lam, 1.0 - lam])
     kept[kept < measures.EIG_CLAMP] = 1.0
     entropies = np.where(live[..., [0, 2]], np.stack(post_entropies(p, q), axis=-1), 0.0)
+    lean = probs[0] - probs[2]  # Pr(phi±) - Pr(psi±)
+    p_l = [measures._diagonal_report(np.stack([w, 1.0 - w]).reshape(2, -1)).p_l.reshape(p.shape) for w in (p, q)]
     return {
         "no-signalling": float(np.abs(mixture - held).max()),
         "concurrence": float(np.abs((pr * concurrence).sum(axis=-1) - source).max()),
         "spectral concurrence": float(np.abs((pr * spectral).sum(axis=-1) - source).max()),
         "populations": float(np.abs(np.sort(populations, axis=-1) - np.sort(own, axis=-1)).max()),
         "post entropies": float(np.abs(entropies + (kept * np.log2(kept)).sum(axis=0)).max()),
+        "claim (i) signed": float(np.abs(lean - (2.0 * p - 1.0) * (2.0 * q - 1.0) / 2.0).max()),
+        "claim (i) squared": float(np.abs(lean * lean - p_l[0] * p_l[1]).max()),
     }
 
 
 # the laws' worst residuals read 3.3e-16 (no-signalling), 5.6e-16 (concurrence), 3.3e-16
-# (its spectral form), 5.6e-16 (populations) and 8.9e-16 (post entropies; 4.0e-11 with no
-# clamp) over a 1001 x 1001 grid, the corners and 3 x 10^5 seeded pairs, uniform,
-# log-uniform down to subnormals and near 1; the bound leaves 2.25x to 6x
+# (its spectral form), 5.6e-16 (populations), 8.9e-16 (post entropies; 4.0e-11 with no
+# clamp), 1.1e-16 (claim (i) signed) and 1.7e-16 (claim (i) squared) over a 1001 x 1001
+# grid, the corners and 3 x 10^5 seeded pairs, uniform, log-uniform down to subnormals
+# and near 1; the bound leaves 2.25x to 18x
 BRANCH_LAW_TOL = 2e-15
 CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0),
            (1.0, 5e-324), (5e-324, 1.0), (5e-324, 5e-324), (0.5, 0.5)]
