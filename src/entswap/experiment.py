@@ -50,19 +50,10 @@ class EnsembleResult:
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """cfg.shots draws from counter 0 of the seed's stream, tallied per Bell label.
 
-    Draw i picks its label by categorical inversion of uniform i alone. The
-    draws stream in chunks of SHOT_CHUNK, each counted by `rng._tally` (the
-    counting form of `rng.categorical`) rather than labelled draw by draw,
-    under the boundaries that `rng._boundaries` takes once per run from the
-    probabilities of the `swap._branches` table and that decide, there
-    alone, where a draw outside them goes.
-    Every chunk's draws are written into one uint64 buffer, allocated once
-    per run, and `rng._draws` makes them there as their 53-bit words; the
-    tally compares those words, read as doubles, with the boundaries' integer
-    cuts from `rng._word_boundaries`, so no draw is cast to a double. A chunk
-    holds its draws plus one scratch block of `rng._MIX_BLOCK` words, memory
-    stays bounded and no chunk maps fresh pages; identical configs give
-    identical results bit for bit.
+    Draw i takes the label that `rng.categorical` gives uniform i under the
+    `swap._branches` probabilities. The draws are made and counted SHOT_CHUNK
+    at a time in one buffer, so memory is bounded for any shot count, and
+    identical configs give identical counts bit for bit.
     """
     probs = swap._branches(cfg.p, cfg.q)[0]  # `RunConfig` has checked both weights
     boundaries = rng._word_boundaries(probs)
@@ -70,7 +61,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     buffer = np.empty(min(SHOT_CHUNK, cfg.shots), dtype=np.uint64)  # every chunk's words, in turn
     for start in range(0, cfg.shots, SHOT_CHUNK):
         count = min(SHOT_CHUNK, cfg.shots - start)
-        tally += rng._tally(rng._draws(cfg.seed, start, buffer[:count]).view(np.float64), boundaries)
+        tally += rng._tally(rng._draws(cfg.seed, start, buffer[:count]), boundaries)
     counts = {label: int(c) for label, c in zip(BELL_LABELS, tally)}
     empirical = {label: counts[label] / cfg.shots for label in BELL_LABELS}
     return EnsembleResult(counts, empirical, analytic_prob=dict(zip(BELL_LABELS, probs)))

@@ -33,18 +33,13 @@ _S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
 _MIX_BLOCK = 16384  # words per block of `_draws`: its one scratch, 128 KB
 
 
-def uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Draws [start, start + count) as doubles in [0, 1), vectorized.
 
     `_draws` makes the words in the output's own memory, viewed as uint64,
-    and they are then cast in place, so a call holds the output and one
-    block. As with numpy's `out=`, a given float64 array of shape (count,)
-    receives the draws and is returned.
+    and they are then cast in place, so a call holds the output and one block.
     """
-    if out is None:
-        out = np.empty(count, dtype=np.float64)
-    elif out.shape != (count,) or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape ({count},)")
+    out = np.empty(count, dtype=np.float64)
     words = _draws(seed, start, out.view(np.uint64))
     # exact: a word < 2**53 converts without rounding, and int64 converts faster than
     # uint64; the cast reads each word before it writes its double over it, and neither
@@ -146,17 +141,13 @@ def _boundaries(probs) -> tuple[np.ndarray, int, int]:
 
 
 def _word_boundaries(probs) -> tuple[np.ndarray, int, int]:
-    """`_boundaries(probs)` for draws held as their `_draws` words, read as float64 bits.
+    """`_boundaries(probs)` for draws held as `_draws` words: each cut c as uint64 floor(c * 2**53).
 
-    A uniform m * 2**-53 is at or below a boundary c exactly when m <= floor(c * 2**53):
-    the scaling is exact and m an integer. Each m < 2**53 and each such cut
-    is the bit pattern of a finite nonnegative double, and IEEE 754 orders
-    those as their bit patterns, so `_tally(m.view(np.float64), _word_boundaries(probs))`
-    counts what `_tally` counts of the uniforms under `_boundaries(probs)`,
-    and no draw is cast to a double.
+    A uniform m * 2**-53 is at or below c exactly when m <= floor(c * 2**53):
+    the scaling is exact and m an integer, so no draw is cast to a double.
     """
     inner, first, size = _boundaries(probs)
-    return np.floor(inner * 2.0**53).astype(np.uint64).view(np.float64), first, size
+    return np.floor(inner * 2.0**53).astype(np.uint64), first, size
 
 
 def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -174,14 +165,16 @@ def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def _tally(u: np.ndarray, boundaries: tuple[np.ndarray, int, int]) -> np.ndarray:
     """Per-label counts of `categorical(u, probs)` without labelling each draw.
 
-    `boundaries` is `_boundaries(probs)`, or `_word_boundaries(probs)` for
-    draws held as words. The draws at or below inner
-    boundary j are those labelled first + j or lower, so one count per inner
-    boundary, differenced between 0 and len(u), gives the draws of labels
-    first to last; every other label counts nothing.
+    Takes uniforms under `_boundaries(probs)` or their words under `_word_boundaries(probs)`,
+    and compares either pair as float64 bits: words (< 2**53) and cuts (<= 2**53)
+    are then finite nonnegative doubles, which IEEE 754 orders as their bits. The
+    draws at or below inner boundary j are those labelled first + j or lower, so
+    one count per inner boundary, differenced between 0 and len(u), gives the
+    draws of labels first to last; every other label counts nothing.
     """
     inner, first, size = boundaries
-    at_most = [np.count_nonzero(u <= c) for c in inner.tolist()]
+    u = u.view(np.float64)
+    at_most = [np.count_nonzero(u <= c) for c in inner.view(np.float64).tolist()]
     counts = np.zeros(size, dtype=np.int64)
     counts[first:first + len(inner) + 1] = np.diff([0, *at_most, len(u)])
     return counts

@@ -2,8 +2,9 @@
 
 `output_manifest.json` maps each argv, joined by spaces, to the sha256 of
 the UTF-8 text that `entswap.cli.main` writes to stdout for it, and records
-the build it was made on. Byte pins hold on that build alone, so the Tier-1
-test that reads the manifest recomputes it there and skips elsewhere.
+the build it was made on. Most byte pins hold on that build alone, so the
+Tier-1 test that reads the manifest recomputes it there and skips elsewhere.
+The PORTABLE argvs are checked on every build.
 
 Regenerate it, and list the argvs whose stdout moved, with
 
@@ -34,6 +35,9 @@ ARGVS = (
     + [["figures", "--which", which, "--grid", str(grid)]
        for which in ("1a", "1b", "2a", "2b") for grid in (2, 342, 1001, 4097)]
 )
+# figure 2a is +, -, *, / and sqrt alone, each correctly rounded under IEEE 754, printed
+# by Python's correctly rounded '%.17g': the same bytes on every build
+PORTABLE = [argv for argv in ARGVS if argv[:3] == ["figures", "--which", "2a"]]
 
 
 def build() -> dict[str, str]:

@@ -54,12 +54,19 @@ def test_criterion_2_special_case_goldens():
 
 
 def test_criterion_3_probability_predictability_identity():
+    # the package's two codings of the identity agree, and the branch table at
+    # (1 - q, q) gives (1/2 -+ P_l)/2 with P_l of the oracle's rho_A of schmidt_pair(q)
     worst = 0.0
     for i in range(1001):
         q = i / 1000
         pr_phi, pr_psi = swap.special_case_probs(q)
         from_pl_psi, from_pl_phi, _ = swap.predictability_probability(q)
         worst = max(worst, abs(pr_psi - from_pl_psi), abs(pr_phi - from_pl_phi))
+        amps = states.schmidt_pair(q).amplitudes
+        pops = oracles.partial_trace_loops(np.outer(amps, amps.conj()), (2, 2), {0}).diagonal().real
+        p_l = float(pops @ pops) - 0.5  # (d - 1)/d - S_l, with S_l = 1 - the purity of the populations
+        expected = [(0.5 - p_l) / 2] * 2 + [(0.5 + p_l) / 2] * 2
+        worst = max(worst, *np.abs(swap._branches(1.0 - q, q)[0] - expected))
     ok = worst < 1e-12
     assert _verdict(3, "probability-predictability identity grid", ok), worst
 

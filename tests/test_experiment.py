@@ -191,7 +191,7 @@ def _assert_word_tally_labels_the_uniforms(p, seed):
     extremes = [m for m in sorted(near | {0, 1, (1 << 53) - 1}) if 0 <= m < 1 << 53]
     m = np.concatenate([rng._draws(seed, 0, np.empty(500, dtype=np.uint64)), np.array(extremes, dtype=np.uint64)])
     expected = np.bincount(rng.categorical(m * 2.0**-53, p), minlength=len(p))
-    tally = rng._tally(m.view(np.float64), rng._word_boundaries(p))
+    tally = rng._tally(m, rng._word_boundaries(p))
     assert tally.dtype == expected.dtype and np.array_equal(tally, expected), (tally, expected)
     assert tally.sum() == len(m)
 
@@ -249,31 +249,12 @@ def test_run_ensemble_chunks_match_the_draws_one_at_a_time(monkeypatch):
             assert all(out.base is buffer and out.ctypes.data == buffer.ctypes.data for out in outs)
 
 
-def test_uniforms_into_out_match_a_new_array():
-    expected = rng.uniforms(17, 5, 100)
-    out = np.full(100, np.nan)
-    assert rng.uniforms(17, 5, 100, out=out) is out
-    assert np.array_equal(oracles.bits(out), oracles.bits(expected))
-    strided = np.empty(200)[::2]
-    assert rng.uniforms(17, 5, 100, out=strided) is strided
-    assert np.array_equal(oracles.bits(strided), oracles.bits(expected))
-    for bad in (np.empty(99), np.empty(100, dtype=np.float32), np.empty(100, dtype=np.int64), np.empty((100, 1))):
-        with pytest.raises(ValueError, match="out must be"):
-            rng.uniforms(17, 5, 100, out=bad)
-
-
 @pytest.mark.parametrize("count", [rng._MIX_BLOCK - 1, rng._MIX_BLOCK, rng._MIX_BLOCK + 1, 2 * rng._MIX_BLOCK + 3])
 def test_uniforms_blocks_match_the_scalar_stream(count):
-    # counts on each side of a block's end and a short third block, each into a
-    # fresh, a given and a strided output
+    # counts on each side of a block's end and a short third block
     seed, start = 0xDEADBEEF, 12_345
     expected = np.array([oracles.uniform(seed, start + i) for i in range(count)])
-    given = np.full(count, np.nan)
-    strided = np.full(2 * count, np.nan)[::2]
     assert np.array_equal(oracles.bits(rng.uniforms(seed, start, count)), oracles.bits(expected))
-    for out in (given, strided):
-        assert rng.uniforms(seed, start, count, out=out) is out
-        assert np.array_equal(oracles.bits(out), oracles.bits(expected))
 
 
 @pytest.mark.parametrize("count", [24_576, 65_536])
