@@ -326,7 +326,8 @@ def _swap_template(live: tuple[bool, ...], shots: bool) -> str:
             {
                 "label": label,
                 **shown("probability"),
-                "post_state": [[_HOLE, _HOLE]] * 4 if alive else None,
+                # an amplitude's imaginary part is always +0.0: the table is real
+                "post_state": [[_HOLE, 0.0]] * 4 if alive else None,
                 **shown("svn", alive), **shown("pvn", alive), **shown("cre", alive),
             }
             for label, alive in zip(states.BELL_LABELS, live)
@@ -344,47 +345,73 @@ def _swap_template(live: tuple[bool, ...], shots: bool) -> str:
     return text.replace(json.dumps(_HOLE), "%s") + "\n"
 
 
-def cmd_swap(args: argparse.Namespace) -> int:
+def _swap_leaves(p: float, q: float) -> tuple[tuple[bool, ...], list] | None:
+    """Which branches are live, and the `swap` leaves before the empirical block in the template's order.
+
+    Each shown value is followed by its `_full` value. The two branches of
+    a family share their probability and measures, so these are spelled
+    once, and the same text fills both branches' slots. None if a printed
+    value is not finite: `%s` would write nan or inf, which is not JSON.
+    The arrays and lists the leaves come from die when it returns, so none
+    is held beside the document's text.
+    """
     # the parser has checked both weights, so the closed forms are read unchecked
-    probabilities, (a, b, c, d), amplitudes = swap._branches(args.p, args.q)
-    # a dead family's rows are NaN (`swap._norm2`): it has no post state
-    live = tuple(not math.isnan(x) for x in amplitudes[:, 0].tolist())
+    probabilities, (a, b, c, d), amplitudes = swap._branches(p, q)
+    rows = amplitudes.tolist()
     # every state is in Schmidt form, so rho_A is diagonal and its populations are its
     # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a family;
     # a dead family's are NaN, and so are its report entries, which no leaf reads
-    populations = [(args.p, 1.0 - args.p), (args.q, 1.0 - args.q), (a, b), (c, d)]
-    rep = measures._diagonal_report(np.array(populations).T)  # one report for the four states
-    families = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
-    branch_measures = [values for values in families for _ in range(2)]  # phi+, phi-, psi+, psi-
-    # each row as [re, im] pairs: the cast to complex writes +0.0 imaginary parts
-    rows = amplitudes.astype(complex).view(float).tolist()
-    # the leaves in the template's order; each shown value is followed by its `_full` value
-    leaves = [args.p, args.q]
-    for value in rep.s_vn[:2].tolist():
+    rep = measures._diagonal_report(np.array([(p, 1.0 - p), (q, 1.0 - q), (a, b), (c, d)]).T)
+    svn, pvn, cre = rep.s_vn.tolist(), rep.p_vn.tolist(), rep.c_re.tolist()
+    leaves = [p, q]
+    for value in svn[:2]:
         leaves += (round(value, 4), value)
-    for probability, alive, row, values in zip(probabilities.tolist(), live, rows, branch_measures):
-        leaves += (round(probability, 4), probability)
-        if alive:
-            leaves += row
-            for value in values:
-                leaves += (round(value, 4), value)
-    if args.shots is not None:
-        result = run_ensemble(RunConfig(args.p, args.q, args.shots, args.seed))
-        leaves += (args.shots, args.seed, *result.counts.values(), *result.empirical_freq.values(),
-                   float(max(result.freq_error().values())))
-    if not all(map(math.isfinite, leaves)):  # `%s` would write nan or inf: not JSON
+    printed = [p, q, *svn[:2]]  # each value the leaves spell, once
+    live = []
+    for k, probability in enumerate(probabilities[::2].tolist()):  # phi, then psi
+        # a dead family's rows are NaN (`swap._norm2`): it has no post state and no measures
+        alive = not math.isnan(rows[2 * k][0])
+        values = [probability, svn[k + 2], pvn[k + 2], cre[k + 2]] if alive else [probability]
+        printed += values
+        spelled = [text for value in values for text in (repr(round(value, 4)), repr(value))]
+        for row in rows[2 * k:2 * k + 2]:
+            leaves += spelled[:2]
+            if alive:
+                leaves += row
+                printed += row
+                leaves += spelled[2:]
+        live += (alive, alive)
+    if not all(map(math.isfinite, printed)):
+        return None
+    return tuple(live), leaves
+
+
+def cmd_swap(args: argparse.Namespace) -> int:
+    p, q, shots = args.p, args.q, args.shots
+    empirical = []
+    if shots is not None:  # first, so that no peak holds its buffers beside the document
+        result = run_ensemble(RunConfig(p, q, shots, args.seed))
+        empirical = [shots, args.seed, *result.counts.values(), *result.empirical_freq.values(),
+                     float(max(result.freq_error().values()))]
+    built = _swap_leaves(p, q)
+    if built is None or not all(map(math.isfinite, empirical)):
         print("error: swap: a value of the document is not finite", file=sys.stderr)
         return EXIT_FAIL
-    text = _swap_template(live, args.shots is not None) % tuple(leaves)
-    return _emit([text], args.out)
+    live, leaves = built
+    template = _swap_template(live, shots is not None)
+    leaves += empirical
+    return _emit([template % tuple(leaves)], args.out)
 
 
 def _weight_arg(text: str) -> float:
     try:
         # + 0.0 reads -0 as 0, so a weight's sign never reaches the document
-        return float(states.require_weight(float(text))) + 0.0
+        w = float(text) + 0.0
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]") from None
+        w = math.nan
+    if not 0.0 <= w <= 1.0:  # `states.require_weight`'s rule, which NaN fails
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
+    return w
 
 
 def _dims_arg(text: str) -> tuple[int, int]:

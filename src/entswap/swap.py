@@ -57,31 +57,35 @@ def _family(s, t) -> np.ndarray:
     return pair
 
 
+_PAIRS = np.array([0, 0, 1, 1])  # each branch's family: phi, phi, psi, psi
+# amplitude k of branch i is entry _ROOT[i, k] of (a, b, d, c, 0, -b, -d): the roots a, b of
+# phi's products and d, c of psi's, a zero, and the two roots the minus branches negate
+_ROOT = np.array([[0, 4, 4, 1], [0, 4, 4, 5], [4, 3, 2, 4], [4, 3, 6, 4]])
+
+
 def _branches(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed-form table of the four branches in BELL_LABELS order, from one `_products`.
 
     p and q are read unchecked and broadcast. Returns the probabilities
     (4, ...); the rho_A spectra (4, ...), each family's `_family`; and the
-    normalized AB amplitudes (..., 4, 4), one row per branch, written and
-    divided in place with the weights' index innermost and returned as a
-    transposed view. A dead family has probability 0.0 and NaN spectra and
-    rows: it has no post state.
+    normalized AB amplitudes (..., 4, 4), one row per branch, gathered from
+    the signed roots and divided in place with the weights' index innermost,
+    and returned as a transposed view. Each family's `_norm2` is formed once.
+    A dead family has probability 0.0 and NaN spectra and rows: it has no
+    post state.
     """
     phi, psi = _products(p, q)
-    n2_phi, n2_psi = phi[0] + phi[1], psi[0] + psi[1]
-    probabilities = 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi])
-    spectra = np.concatenate([_family(*phi), _family(*psi)])
-    a, b, d, c = np.sqrt([*phi, *psi])
-    amps = np.zeros((4, 4) + a.shape)
-    amps[0, 0] = amps[1, 0] = a
-    amps[0, 3] = b
-    amps[1, 3] = -b
-    amps[2, 1] = amps[3, 1] = c
-    amps[2, 2] = d
-    amps[3, 2] = -d
-    amps[:2] /= np.sqrt(_norm2(*phi))
-    amps[2:] /= np.sqrt(_norm2(*psi))
-    return probabilities, spectra, amps.transpose(*range(2, amps.ndim), 0, 1)
+    products = np.array([*phi, *psi])  # (4, ...)
+    shape = products.shape[1:]
+    s, t = products[0::2], products[1::2]  # (2, ...): each family's first and second product
+    probabilities = 0.5 * (s + t)
+    norm2 = _norm2(s, t)[_PAIRS]  # (4, ...): each branch's family's
+    roots = np.zeros((7,) + shape)
+    np.sqrt(products, out=roots[:4])
+    np.negative(roots[1:3], out=roots[5:])
+    amps = roots[_ROOT]  # (4, 4, ...)
+    amps /= np.sqrt(norm2).reshape((4, 1) + shape)
+    return probabilities[_PAIRS], products / norm2, amps.transpose(*range(2, amps.ndim), 0, 1)
 
 
 def bbm_outcomes(p: float, q: float) -> list[BBMOutcome]:

@@ -311,6 +311,36 @@ def bits(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.int64)
 
 
+def branches_by_entry(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`swap._branches` with each family's norm and each amplitude written out one at a time.
+
+    The products in `swap._products`' operand order; the probabilities from
+    each family's sum; the spectra divided by the family's norm, NaN where
+    its probability 0.5 * n2 is 0.0; and the amplitude table zeroed, then
+    filled one nonzero entry at a time (a minus branch negates its root) and
+    divided by the norm's root, with the weights' index innermost and
+    returned as a transposed view. The reference for `_branches`' bits,
+    shapes and strides.
+    """
+    u, v = 1.0 - p, 1.0 - q
+    phi, psi = (p * q, u * v), (u * q, p * v)
+    n2_phi, n2_psi = phi[0] + phi[1], psi[0] + psi[1]
+    norm_phi, norm_psi = (np.where(0.5 * n2 > 0.0, n2, np.nan) for n2 in (n2_phi, n2_psi))
+    probabilities = 0.5 * np.array([n2_phi, n2_phi, n2_psi, n2_psi])
+    spectra = np.concatenate([np.array(phi) / norm_phi, np.array(psi) / norm_psi])
+    a, b, d, c = np.sqrt([*phi, *psi])
+    amps = np.zeros((4, 4) + a.shape)
+    amps[0, 0] = amps[1, 0] = a
+    amps[0, 3] = b
+    amps[1, 3] = -b
+    amps[2, 1] = amps[3, 1] = c
+    amps[2, 2] = d
+    amps[3, 2] = -d
+    amps[:2] /= np.sqrt(norm_phi)
+    amps[2:] /= np.sqrt(norm_psi)
+    return probabilities, spectra, amps.transpose(*range(2, amps.ndim), 0, 1)
+
+
 def peak_bytes(f) -> int:
     """The tracemalloc peak of a second call of f, in bytes: first-call allocations are not f's."""
     f()

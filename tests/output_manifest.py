@@ -4,7 +4,8 @@
 the UTF-8 text that `entswap.cli.main` writes to stdout for it, and records
 the build it was made on. Most byte pins hold on that build alone, so the
 Tier-1 test that reads the manifest recomputes it there and skips elsewhere.
-The PORTABLE argvs are checked on every build.
+The PORTABLE argvs are checked on every build, and so is the portable part
+of each `swap` document, whose sha256 `portable_swap_sha256` records.
 
 Regenerate it, and list the argvs whose stdout moved, with
 
@@ -17,27 +18,85 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from entswap import swap
 from entswap.cli import main
+from entswap.experiment import RunConfig, run_ensemble
+from entswap.states import BELL_LABELS
 from oracles import BYTE_CHECK_DIMS, DOCUMENT_SHAPES
 
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 
+# a `swap` run of every document shape, without and with shots: (p, q, shots); the seed is 3
+SWAP_RUNS = [(p, q, shots) for p, q in DOCUMENT_SHAPES for shots in (None, 200003)]
+SWAP_SEED = 3
+
+
+def swap_argv(p: float, q: float, shots: int | None) -> list[str]:
+    shot_args = [] if shots is None else ["--shots", str(shots), "--seed", str(SWAP_SEED)]
+    return ["swap", "--p", repr(p), "--q", repr(q), *shot_args]
+
+
 ARGVS = (
     [["verify", "--trials", "3000", "--dims", dims] for dims in BYTE_CHECK_DIMS]
-    + [["swap", "--p", repr(p), "--q", repr(q), *shots]
-       for p, q in DOCUMENT_SHAPES for shots in ([], ["--shots", "200003", "--seed", "3"])]
+    + [swap_argv(*run) for run in SWAP_RUNS]
     + [["figures", "--which", which, "--grid", str(grid)]
        for which in ("1a", "1b", "2a", "2b") for grid in (2, 342, 1001, 4097)]
 )
 # figure 2a is +, -, *, / and sqrt alone, each correctly rounded under IEEE 754, printed
 # by Python's correctly rounded '%.17g': the same bytes on every build
 PORTABLE = [argv for argv in ARGVS if argv[:3] == ["figures", "--which", "2a"]]
+
+# the `swap` leaves that read a logarithm: left out of a document's portable part
+SWAP_ENTROPY_KEYS = ("svn", "svn_full", "pvn", "pvn_full", "cre", "cre_full")
+
+
+def portable_swap(p: float, q: float, shots: int | None) -> str:
+    """The portable part of the `swap` document of a run, built from `swap._branches` and `run_ensemble`.
+
+    p, q, the probabilities and the post states are +, -, *, / and sqrt, and
+    the `--shots` block is the integer stream cut at `np.cumsum`'s
+    boundaries, so its bytes are the same on every build. The entropy leaves
+    (`initial` and each outcome's SWAP_ENTROPY_KEYS) read log2 and are left
+    out. json.dumps(indent=2) of the rest, as `portable_part` gives it.
+    """
+    probabilities, _, amplitudes = swap._branches(p, q)
+    outcomes = []
+    for label, probability, row in zip(BELL_LABELS, probabilities.tolist(), amplitudes.tolist()):
+        outcomes.append({
+            "label": label,
+            "probability": round(probability, 4),
+            "probability_full": probability,
+            # a dead branch's row is NaN: it has no post state
+            "post_state": None if math.isnan(row[0]) else [[x, 0.0] for x in row],
+        })
+    doc = {"p": p, "q": q, "outcomes": outcomes}
+    if shots is not None:
+        result = run_ensemble(RunConfig(p, q, shots, SWAP_SEED))
+        doc["empirical"] = {
+            "shots": shots,
+            "seed": SWAP_SEED,
+            "counts": result.counts,
+            "frequencies": result.empirical_freq,
+            "max_abs_error": float(max(result.freq_error().values())),
+        }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def portable_part(document: str) -> str:
+    """A printed `swap` document less its entropy leaves, as json.dumps(indent=2) writes the rest."""
+    doc = json.loads(document)
+    del doc["initial"]
+    for entry in doc["outcomes"]:
+        for key in SWAP_ENTROPY_KEYS:
+            del entry[key]
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def build() -> dict[str, str]:
@@ -46,17 +105,29 @@ def build() -> dict[str, str]:
             "machine": f"{platform.system()} {platform.machine()}"}
 
 
-def stdout_sha256(argv: list[str]) -> str:
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {code}")
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
+
+
+def stdout_sha256(argv: list[str]) -> str:
+    return sha256(stdout(argv))
 
 
 def hashes() -> dict[str, str]:
     return {" ".join(argv): stdout_sha256(argv) for argv in ARGVS}
+
+
+def portable_swap_hashes() -> dict[str, str]:
+    return {" ".join(swap_argv(*run)): sha256(portable_swap(*run)) for run in SWAP_RUNS}
 
 
 def moved(recorded: dict[str, str], now: dict[str, str]) -> list[str]:
@@ -67,7 +138,8 @@ def moved(recorded: dict[str, str], now: dict[str, str]) -> list[str]:
 def regenerate() -> int:
     recorded = json.loads(MANIFEST.read_text())["stdout_sha256"] if MANIFEST.exists() else {}
     now = hashes()
-    MANIFEST.write_text(json.dumps({"build": build(), "stdout_sha256": now}, indent=2) + "\n")
+    MANIFEST.write_text(json.dumps({"build": build(), "stdout_sha256": now,
+                                    "portable_swap_sha256": portable_swap_hashes()}, indent=2) + "\n")
     for key in moved(recorded, now):
         print(f"{'new' if key not in recorded else 'gone' if key not in now else 'moved'}: {key}")
     print(f"{len(now)} argvs written to {MANIFEST.name}", file=sys.stderr)

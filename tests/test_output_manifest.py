@@ -22,14 +22,32 @@ BUILD_DEPENDENT = [(np, name) for name in ("log2", "log1p", "log", "cos", "sin",
 BUILD_DEPENDENT += [(np.linalg, "eigvalsh")]
 
 
-def test_portable_argvs_print_their_recorded_bytes_on_every_build(monkeypatch):
+def _refuse_build_dependent(monkeypatch):
     def build_dependent(*args, **kwargs):
-        raise AssertionError("a portable argv called a build-dependent function")
+        raise AssertionError("a portable output called a build-dependent function")
 
     for module, name in BUILD_DEPENDENT:
         monkeypatch.setattr(module, name, build_dependent)
+
+
+def test_portable_argvs_print_their_recorded_bytes_on_every_build(monkeypatch):
+    _refuse_build_dependent(monkeypatch)
     grids = ("2", "342", "1001", "4097")
     assert [argv[3:] for argv in output_manifest.PORTABLE] == [["--grid", grid] for grid in grids]
     recorded = json.loads(output_manifest.MANIFEST.read_text())["stdout_sha256"]
     for argv in output_manifest.PORTABLE:
         assert output_manifest.stdout_sha256(argv) == recorded[" ".join(argv)], argv
+
+
+def test_portable_swap_parts_hold_their_recorded_hashes_on_every_build(monkeypatch):
+    _refuse_build_dependent(monkeypatch)
+    with pytest.raises(AssertionError):
+        output_manifest.stdout_sha256(output_manifest.swap_argv(0.3, 0.6, None))  # the entropies read log2
+    recorded = json.loads(output_manifest.MANIFEST.read_text())["portable_swap_sha256"]
+    assert recorded == output_manifest.portable_swap_hashes()
+
+
+@pytest.mark.parametrize("run", output_manifest.SWAP_RUNS, ids=lambda run: " ".join(output_manifest.swap_argv(*run)))
+def test_portable_swap_parts_are_the_printed_documents_less_their_entropies(run):
+    printed = output_manifest.stdout(output_manifest.swap_argv(*run))
+    assert output_manifest.portable_part(printed) == output_manifest.portable_swap(*run)

@@ -294,6 +294,23 @@ def test_array_calls_equal_the_scalar_calls_bit_for_bit(drawn):
             assert batch[:, k].tolist() == one.tolist(), (fn.__name__, [arg[k] for arg in args])
 
 
+# the corners where a family dies, -0.0 (whose products and roots are -0.0), underflows, any weight
+signed_weights = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300, 1e-160]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(signed_weights, signed_weights), min_size=1, max_size=6))
+def test_branch_table_is_the_table_written_entry_by_entry(drawn):
+    # the gathered table has the bits, shapes and strides of the one written entry by entry,
+    # NaN dead rows and -0.0 included, for numbers, arrays and broadcast arrays alike
+    p, q = np.array(drawn).T
+    calls = [(float(x), float(y)) for x, y in drawn] + [(p, q), (p[:, None], q[None, :]), (np.float64(p[0]), q)]
+    for args in calls:
+        for got, expected in zip(_branches(*args), oracles.branches_by_entry(*args)):
+            assert (got.shape, got.strides) == (expected.shape, expected.strides), args
+            assert oracles.bits(got).tolist() == oracles.bits(expected).tolist(), args
+
+
 def test_probabilities_follow_the_initial_predictability_by_an_independent_route():
     # P_l of each source pair from a loop partial trace of the composite state,
     # probabilities from projecting it onto the Bell states: no swap.py formula
