@@ -493,9 +493,22 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed of the random stream, in [0, 2^64) (default 7)")
     swp.add_argument("--out", type=_out_arg, default=None, help="output path (default: stdout)")
     swp.set_defaults(func=cmd_swap)
+    parser.commands = sub.choices  # each command's parser by name, for `main`'s one parse
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        # the parse the subparsers action runs on the command's words, without the
+        # top-level pass over the same words that hands them to it
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args.func(args)
+    # no command first (none, `-h`, `--` or a word that is not exactly a command's name)
+    # or words the command's parser leaves: the full parse prints the top-level usage or error
+    args = parser.parse_args(argv)
     return args.func(args)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -1255,25 +1256,130 @@ def test_module_entry_point_smoke():
     assert proc.stdout.splitlines()[0] == "q,pr_phi,pr_psi,pl_initial"
 
 
+def _outcome(capsys, run, argv):
+    """The exit code, stdout and stderr of run(argv), an argparse exit included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+def _full_parse(argv):
+    """`main` as a fresh parser runs argv: the top-level parse over every word, then the command."""
+    args = cli.build_parser.__wrapped__().parse_args(argv)
+    return args.func(args)
+
+
 def test_main_reuses_one_parser_and_matches_a_fresh_one(capsys):
-    def call(argv, parse):
-        try:
-            code = parse(argv)
-        except SystemExit as exc:
-            code = exc.code
-        return code, capsys.readouterr()
-
-    def fresh(argv):
-        args = cli.build_parser.__wrapped__().parse_args(argv)
-        return args.func(args)
-
     argvs = (
         ["swap", "--p", "0.5", "--q", "nope"],
         ["figures", "--which", "2a", "--grid", "5"],
         ["swap", "--p", "0.1", "--q", "0.75", "--shots", "100"],
     )
-    reused = [call(argv, main) for argv in argvs]
+    reused = [_outcome(capsys, main, argv) for argv in argvs]
     assert cli.build_parser() is cli.build_parser()
-    assert [code for code, _ in reused] == [2, 0, 0]
-    assert "'nope' is not a number in [0, 1]" in reused[0][1].err
-    assert reused == [call(argv, fresh) for argv in argvs]
+    assert [code for code, _, _ in reused] == [2, 0, 0]
+    assert "'nope' is not a number in [0, 1]" in reused[0][2]
+    assert reused == [_outcome(capsys, _full_parse, argv) for argv in argvs]
+
+
+_SWAP_WORDS = ["swap", "--p", "0.3", "--q", "0.4"]
+# argvs at the edge of `main`'s dispatch: no command, help, `--`, names that are not
+# exactly a command's, abbreviated and repeated options, words its parser leaves, bad values
+DISPATCH_ARGVS = [
+    [], [""], ["-h"], ["--help"], ["-h", "swap"], ["swap", "-h"], ["figures", "--help"], ["verify", "-h"],
+    [*_SWAP_WORDS, "-h"], ["swap", "-h", "junk"], [*_SWAP_WORDS, "--help=x"],
+    ["--"], ["--", *_SWAP_WORDS], ["swap", "--", "--p", "0.3", "--q", "0.4"],
+    ["swap", "--p", "0.3", "--", "--q", "0.4"], [*_SWAP_WORDS, "--"], ["--", "--"],
+    ["sw", "--p", "0.3", "--q", "0.4"], ["swa"], ["Swap", "--p", "0.3", "--q", "0.4"],
+    ["--swap", "--p", "0.3", "--q", "0.4"], ["-swap", "--p", "0.3", "--q", "0.4"],
+    ["--verify", "--trials", "3"], ["--figures", "--which", "2a", "--grid", "3"],
+    ["figures", "--which=2b", "--grid", "3"], ["figures", "--wh", "2a", "--gr", "3"],
+    ["verify", "--tr", "3", "--di", "3,2", "--se", "5"],
+    ["swap", "--p", "0.1", "--q", "0.75", "--sh", "20", "--se", "5"],
+    ["swap", "--p", "0.1", "--p", "0.2", "--q", "0.5"], ["swap", "--p=-0", "--q=1"],
+    ["junk", *_SWAP_WORDS], ["swap", "junk", "--p", "0.3", "--q", "0.4"], [*_SWAP_WORDS, "junk"],
+    [*_SWAP_WORDS, "--junk"], [*_SWAP_WORDS, "--junk=1"], [*_SWAP_WORDS, "-x"], [*_SWAP_WORDS, "verify"],
+    ["swap", "swap"], ["figures", "--which", "2a", "--grid", "3", "swap"], ["verify", "--trials", "3", "extra"],
+    ["swap"], ["swap", "--p", "0.3"], ["swap", "--p"], ["swap", "--p", "abc", "--q", "0.4"],
+    ["swap", "--p", "nan", "--q", "0.4"], ["swap", "--p", "", "--q", "0.4"], [*_SWAP_WORDS, "--shots", "0"],
+    [*_SWAP_WORDS, "--shots", "9", "--seed", str(2**64)], [*_SWAP_WORDS, "--shots", "9", "--seed", str(2**64 - 1)],
+    ["verify", "--trials", "3", "--dims", "5,5"], ["figures"], ["figures", "--which", "3c"],
+    ["figures", "--which", "2a", "--grid", "1"], [*_SWAP_WORDS, "--out="], [*_SWAP_WORDS, "--out", "d/"],
+    ["figures", "--which", "2a", "--grid", "3", "--o="],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=str)
+def test_main_prints_what_a_full_parse_prints(capsys, argv):
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parse, argv)
+
+
+_WEIGHT_WORDS = st.floats(0.0, 1.0).map(repr) | st.sampled_from(
+    ["0", "1", "-0", "nan", "inf", "5e-324", "1.0000000000000002", "", "abc"])
+# an option with a value, abbreviated or not, or one word alone; every size is small,
+# and no word names a file that a run could write
+_OPTION_WORDS = st.one_of(
+    st.tuples(st.sampled_from(["--which", "--wh"]), st.sampled_from(["2a", "1b", "3c"])),
+    st.tuples(st.sampled_from(["--grid", "--gr"]), st.sampled_from(["3", "1"])),
+    st.tuples(st.sampled_from(["--trials", "--tr"]), st.sampled_from(["2", "0"])),
+    st.tuples(st.sampled_from(["--dims", "--di"]), st.sampled_from(["3,2", "9,9"])),
+    st.tuples(st.sampled_from(["--p", "--q"]), _WEIGHT_WORDS),
+    st.tuples(st.sampled_from(["--shots", "--sh"]), st.sampled_from(["3", "0"])),
+    st.tuples(st.sampled_from(["--seed", "--se"]), st.sampled_from(["5", "-1", str(2**64)])),
+    st.tuples(st.sampled_from(["-h", "--", "junk", "--junk", "-x", "--which=2b", "--p=0.5", "--q=-0", "--out="])),
+)
+
+
+@st.composite
+def _dispatch_argvs(draw):
+    """A command's required options and up to four more, in any order, after its name or a word that is not."""
+    command = draw(st.sampled_from(["figures", "verify", "swap"]))
+    required = {"figures": [("--which", "2a")], "verify": [("--trials", "2")],
+                "swap": [("--p", draw(_WEIGHT_WORDS)), ("--q", draw(_WEIGHT_WORDS))]}[command]
+    options = draw(st.permutations(required + draw(st.lists(_OPTION_WORDS, max_size=4))))
+    first = draw(st.just(command) | st.sampled_from(["sw", "--swap", "-h", "--", "junk", ""]))
+    return [first, *itertools.chain.from_iterable(options)]
+
+
+# _outcome reads capsys empty on every call, so one fixture serves every example
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_dispatch_argvs())
+def test_main_prints_what_a_full_parse_prints_on_any_words(capsys, argv):
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parse, argv)
+
+
+# one argv of each shape the benchmark workloads run, at small sizes, and README's examples
+ONE_PARSE_ARGVS = [
+    ["verify", "--trials", "50", "--dims", "3,2", "--seed", "2718281828"],
+    ["figures", "--which", "2b"],
+    ["swap", "--p", "0.3", "--q", "0.6", "--shots", "1000", "--seed", "31"],
+    ["swap", "--p", "0", "--q", "1"],
+    ["figures", "--which", "2a", "--grid", "5"],
+    ["verify", "--trials", "10000", "--dims", "3,2", "--seed", "7"],
+    ["swap", "--p", "0.1", "--q", "0.75"],
+    ["swap", "--p", "0.1", "--q", "0.75", "--shots", "1000000"],
+]
+
+
+def test_a_well_formed_command_runs_one_parse(capsys, monkeypatch):
+    expected = [_outcome(capsys, _full_parse, argv) for argv in ONE_PARSE_ARGVS]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed command went through the top-level parse")
+
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    for argv, outcome in zip(ONE_PARSE_ARGVS, expected):
+        parses.clear()
+        assert _outcome(capsys, main, argv) == outcome, argv
+        assert parses == [f"entswap {argv[0]}"], argv
