@@ -40,7 +40,7 @@ def test_uniform_range_and_resolution():
     assert np.all(u * 2.0**53 == np.floor(u * 2.0**53))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seeds, st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=64))
 def test_vectorized_matches_scalar(seed, start, count):
     batch = rng.uniforms(seed, start, count)
@@ -139,7 +139,7 @@ _weight_vectors = st.lists(
 ).filter(lambda w: sum(w) > 0.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_weight_vectors, seeds)
 @example([0.0, 0.5, 0.0, 0.5], 1)
 @example([0.0, 0.0, 1.0], 2)
@@ -207,7 +207,7 @@ def test_tally_of_the_words_under_integer_cuts_labels_the_uniforms(probs):
     _assert_word_tally_labels_the_uniforms(np.array(probs), 3)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_weight_vectors, seeds)
 def test_tally_of_the_words_under_integer_cuts_labels_the_uniforms_at_any_weights(weights, seed):
     _assert_word_tally_labels_the_uniforms(np.array(weights) / sum(weights), seed)
@@ -303,7 +303,7 @@ def test_error_shrinks_with_more_shots():
     assert max(large.freq_error().values()) < max(small.freq_error().values())
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seeds)
 def test_ensemble_deterministic_across_seeds(seed):
     cfg = RunConfig(p=0.4, q=0.55, shots=64, seed=seed)

@@ -215,7 +215,7 @@ def _degenerate_and_diagonal_cases():
     ]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(hermitian_matrices())
 def test_eigenvalues_match_scalar_jacobi_oracle(h):
     mine = hermitian_eigenvalues(h)
@@ -264,7 +264,7 @@ def qubit_stacks(draw):
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(qubit_stacks())
 def test_qubit_eigenvalues_match_eigvalsh(stack):
     mine = hermitian_eigenvalues(stack)

@@ -182,7 +182,7 @@ def test_report_fields_never_meaningfully_negative():
             assert value >= -1e-10
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from([(2, 2), (3, 2), (4, 2)]))
 def test_triality_sums_on_haar_reductions(seed, dims):
     da, db = dims

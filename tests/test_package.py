@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import entswap
@@ -52,3 +55,21 @@ def test_only_the_oracles_probe_memory_or_nest_the_pure_report():
                     and any(_callee(getattr(arg, "value", None)) == "_plane_gram" for arg in node.args)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# what `conftest` registers, read where Hypothesis makes its `ci` profile the active one;
+# the first pair is the active profile before `conftest` loads `fixed`
+_READ_PROFILES = """
+from hypothesis import settings
+active = settings()
+import conftest
+print([(p.derandomize, p.deadline) for p in (active, *map(settings.get_profile, ("fixed", "fresh")))])
+"""
+
+
+def test_both_profiles_read_the_same_with_ci_set():
+    proc = subprocess.run([sys.executable, "-c", _READ_PROFILES], cwd=TESTS, env={**os.environ, "CI": "true"},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # `ci` is active (derandomized, no deadline), yet `fresh` draws random examples
+    assert proc.stdout == "[(True, None), (True, None), (False, None)]\n"

@@ -67,7 +67,7 @@ def test_schmidt_pair_rejects_bad_weight():
     assert np.array_equal(schmidt_pair(np.array(0.3)).amplitudes, schmidt_pair(0.3).amplitudes)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(weights)
 def test_schmidt_pair_reductions_are_diagonal(w):
     pair = schmidt_pair(w)
@@ -129,7 +129,7 @@ def _branch_coefficients(p, q):
     }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(weights, weights)
 def test_composite_bell_expansion_coefficients(p, q):
     # expanding the composite in the measured-wire Bell basis reproduces the
@@ -141,7 +141,7 @@ def test_composite_bell_expansion_coefficients(p, q):
         assert np.abs(math.sqrt(2.0) * amp_ab - expected[label]).max() < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(weights, weights)
 def test_composite_bell_projections_resolve_identity(p, q):
     probs = [prob for prob, _ in oracles.project_bbm(composite_state(p, q).amplitudes).values()]

@@ -42,13 +42,13 @@ def test_outcomes_labels_and_order():
     assert tuple(o.label for o in outs) == BELL_LABELS
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(weights, weights)
 def test_outcome_probabilities_sum_to_one(p, q):
     assert abs(sum(outcome_probabilities(p, q).values()) - 1.0) < 1e-12
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(weights, weights)
 def test_outcomes_match_projector_oracle(p, q):
     reference = oracles.project_bbm(composite_state(p, q).amplitudes)
@@ -101,7 +101,7 @@ def test_swap_spectrum_worked_example():
     assert abs(d - 0.0357) < 1e-4
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
@@ -194,14 +194,14 @@ def test_special_case_probs_golden_values():
     assert abs(pr_psi - 0.3125) < 1e-12
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(weights)
 def test_special_case_probs_total_one(q):
     pr_phi, pr_psi = special_case_probs(q)
     assert abs(2.0 * pr_phi + 2.0 * pr_psi - 1.0) < 1e-12
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(weights)
 def test_special_case_matches_general_formula(q):
     general = outcome_probabilities(1.0 - q, q)
@@ -231,7 +231,7 @@ def test_predictability_probability_endpoint():
     assert abs(pr_phi) < 1e-12
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(weights)
 def test_predictability_probability_identity(q):
     pr_psi, pr_phi, _ = predictability_probability(q)
@@ -276,7 +276,7 @@ def branch_table(p, q):
     return np.concatenate(_branches(p, q)[:2])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(weights, weights), max_size=12))
 def test_array_calls_equal_the_scalar_calls_bit_for_bit(drawn):
     # the corners leave a family dead: its NaN stays in its own elements
@@ -298,7 +298,7 @@ def test_array_calls_equal_the_scalar_calls_bit_for_bit(drawn):
 signed_weights = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300, 1e-160]) | st.floats(0.0, 1.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(signed_weights, signed_weights), min_size=1, max_size=6))
 def test_branch_table_is_the_table_written_entry_by_entry(drawn):
     # the gathered table has the bits, shapes and strides of the one written entry by entry,
@@ -347,7 +347,7 @@ schmidt_weights = st.sampled_from([0.0, 1.0, 0.5, 5e-324, 1e-300]) | st.floats(0
 BRANCH_SECTORS = np.array([[1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0]], dtype=bool)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.tuples(schmidt_weights, schmidt_weights), min_size=1, max_size=8))
 def test_swap_states_are_in_schmidt_form_and_report_from_their_populations(drawn):
     p, q = np.array(drawn).T
@@ -441,7 +441,7 @@ def test_branch_table_keeps_the_swap_laws_on_a_grid_and_the_corners():
         assert all(r <= BRANCH_LAW_TOL for r in residuals.values()), residuals  # NaN fails
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.tuples(schmidt_weights, schmidt_weights), min_size=1, max_size=8))
 def test_branch_table_keeps_the_swap_laws_at_any_weights(drawn):
     residuals = branch_law_residuals(*np.array(drawn).T)
