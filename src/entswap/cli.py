@@ -60,9 +60,9 @@ def _figure_rows(which: str, x: np.ndarray) -> np.ndarray:
     elif which == "2b":
         p = 1.0 - x
         # both rho_A are diagonal: their populations (p, 1 - p) and psi+'s (c, d) are their spectra
-        initial = measures._diagonal_report(np.stack([p, 1.0 - p]))
-        final = measures._diagonal_report(swap._family(*swap._products(p, x)[1]))
-        columns = [x, initial.s_vn, initial.p_vn, final.s_vn, final.p_vn]
+        svn_initial, pvn_initial, _ = measures._diagonal_vn(np.stack([p, 1.0 - p]))
+        svn_final, pvn_final, _ = measures._diagonal_vn(swap._family(*swap._products(p, x)[1]))
+        columns = [x, svn_initial, pvn_initial, svn_final, pvn_final]
     return np.column_stack(columns)
 
 
@@ -348,21 +348,21 @@ def _swap_template(live: tuple[bool, ...], shots: bool) -> str:
 def _swap_leaves(p: float, q: float) -> tuple[tuple[bool, ...], list] | None:
     """Which branches are live, and the `swap` leaves before the empirical block in the template's order.
 
-    Each shown value is followed by its `_full` value. The two branches of
-    a family share their probability and measures, so these are spelled
-    once, and the same text fills both branches' slots. None if a printed
-    value is not finite: `%s` would write nan or inf, which is not JSON.
-    The arrays and lists the leaves come from die when it returns, so none
-    is held beside the document's text.
+    Each shown value is followed by its `_full` value. The measures are the
+    printed S_vn, P_vn and C_re alone. The two branches of a family share
+    their probability and measures, so these are spelled once, and the same
+    text fills both branches' slots. None if a printed value is not finite:
+    `%s` would write nan or inf, which is not JSON. The arrays and lists the
+    leaves come from die when it returns, so none is held beside the text.
     """
     # the parser has checked both weights, so the closed forms are read unchecked
     probabilities, (a, b, c, d), amplitudes = swap._branches(p, q)
     rows = amplitudes.tolist()
     # every state is in Schmidt form, so rho_A is diagonal and its populations are its
     # spectrum: (w, 1 - w) for a source pair, the closed-form eigenvalues for a family;
-    # a dead family's are NaN, and so are its report entries, which no leaf reads
-    rep = measures._diagonal_report(np.array([(p, 1.0 - p), (q, 1.0 - q), (a, b), (c, d)]).T)
-    svn, pvn, cre = rep.s_vn.tolist(), rep.p_vn.tolist(), rep.c_re.tolist()
+    # a dead family's are NaN, and so are its measures, which no leaf reads
+    s_vn, p_vn, c_re = measures._diagonal_vn(np.array([(p, 1.0 - p), (q, 1.0 - q), (a, b), (c, d)]).T)
+    svn, pvn, cre = s_vn.tolist(), p_vn.tolist(), c_re.tolist()
     leaves = [p, q]
     for value in svn[:2]:
         leaves += (round(value, 4), value)

@@ -4,6 +4,7 @@ All entropic quantities are in bits. The two sums C_re + P_vn + S_vn and
 C_hs + P_l + S_l are reported exactly as computed, never coerced to their
 bounds. `report` computes every quantifier for a whole stack of density
 matrices at once, and a single DensityMatrix is a stack of one.
+`_diagonal_vn` gives only the von Neumann fields, which `swap` and figure 2b print.
 """
 
 from __future__ import annotations
@@ -80,33 +81,32 @@ def _purity(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, sq.reshape(len(sq) ** 2, sq.shape[-1]))
 
 
+def _vn_tail(s: np.ndarray, s_diag: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_vn and C_re from the entropies of rho and of its diagonal part."""
+    return math.log2(d) - s_diag, s_diag - s
+
+
 def _tail(s: np.ndarray, s_diag: np.ndarray, purity: np.ndarray, diag_purity: np.ndarray,
           d: int) -> MeasureReport:
     """Every quantifier and both sums from the entropies and purities of rho and of its diagonal part."""
     c_hs = purity - diag_purity
     s_l = 1.0 - purity
     p_l = _linear_predictability(diag_purity, d)
-    c_re = s_diag - s
-    p_vn = math.log2(d) - s_diag
+    p_vn, c_re = _vn_tail(s, s_diag, d)
     return MeasureReport(c_re=c_re, p_vn=p_vn, s_vn=s, vn_sum=c_re + p_vn + s,
                          c_hs=c_hs, p_l=p_l, s_l=s_l, l_sum=c_hs + p_l + s_l, dim=d)
 
 
-def _diagonal_report(populations: np.ndarray) -> MeasureReport:
-    """The report of each diagonal qubit density matrix in a stack, from its populations (2, N).
+def _diagonal_vn(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_vn, P_vn and C_re of each diagonal qubit density matrix in a stack, from its populations (2, N).
 
-    A diagonal matrix is its own diagonal part: its spectrum is its
-    populations and its purity the sum of their squares, so one entropy and
-    one sum of squares serve both, and no eigensolver runs. The bits are
-    `_gram_report`'s on the same matrices at d = 2, its only use: the closed
-    2x2 spectrum of a diagonal matrix is its diagonal sorted, and
-    `_gram_report` sorts the populations too, but min and max only select
-    values and the entropy's and the purity's two-term sums do not depend on
-    the order.
+    A diagonal matrix is its own diagonal part and its spectrum is its
+    populations, so one entropy serves both and no eigensolver runs. The
+    bits are `_gram_report`'s at d = 2: it sorts the populations, but min
+    and max only select values and a two-term sum does not depend on order.
     """
     s = _entropy(populations)
-    purity = _row_sums(populations * populations)
-    return _tail(s, s, purity, purity, len(populations))
+    return (s, *_vn_tail(s, s, len(populations)))
 
 
 def report(rho: DensityMatrix | np.ndarray) -> MeasureReport:

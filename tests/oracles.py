@@ -558,10 +558,12 @@ def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -
     reported state is in Schmidt form, so its rho_A is diagonal: the source
     pairs' populations are (w, 1 - w), and each live branch's are its closed-form
     eigenvalues, written here in Python floats with the operations and operand
-    order of `swap._products`, so they have its bits without calling it. They
-    go to the population report `measures._diagonal_report`, as in the CLI.
-    Which branches are live it decides itself, by the probability 0.5 * n2,
-    so a package that keeps a dead branch's state or drops a live one differs.
+    order of `swap._products`, so they have its bits without calling it.
+    Their entropies are `entropy_columns`', the reference `measures._entropy`
+    is held to, and P_vn = log2 2 - S and C_re = S - S are formed here, so a
+    fault in the package's diagonal measures differs. Which branches are live
+    it decides itself, by the probability 0.5 * n2, so a package that keeps a
+    dead branch's state or drops a live one differs.
     It dumps with allow_nan=False: NaN and the infinities are not JSON, and
     the CLI writes no document that holds one.
     """
@@ -572,9 +574,8 @@ def swap_document(p: float, q: float, shots: int | None = None, seed: int = 7) -
     families = [(pq, uv, pq + uv)] * 2 + [(uq, pv, pv + uq)] * 2
     lives = [0.5 * n2 > 0.0 for _, _, n2 in families]
     populations = [(p, u), (q, v)] + [(s / n2, t / n2) for (s, t, n2), live in zip(families, lives) if live]
-    rep = measures._diagonal_report(np.array(populations).T)
-    pair_p, pair_q = rep.s_vn[:2].tolist()
-    branch_measures = zip(rep.s_vn[2:].tolist(), rep.p_vn[2:].tolist(), rep.c_re[2:].tolist())
+    pair_p, pair_q, *s_branches = entropy_columns(np.array(populations)).tolist()
+    branch_measures = ((s, math.log2(2) - s, s - s) for s in s_branches)
     entries = []
     for o, live in zip(outcomes, lives):
         s_vn, p_vn, c_re = next(branch_measures) if live else (None, None, None)

@@ -7,7 +7,7 @@ Tier-1 test that reads the manifest recomputes it there and skips elsewhere.
 The PORTABLE argvs are checked on every build, and so is the portable part
 of each `swap` document, whose sha256 `portable_swap_sha256` records.
 
-Regenerate it, and list the argvs whose stdout moved, with
+Regenerate it, and list the argvs whose stdout or portable `swap` part moved, with
 
     PYTHONPATH=src python tests/output_manifest.py
 """
@@ -53,8 +53,9 @@ ARGVS = (
 # by Python's correctly rounded '%.17g': the same bytes on every build
 PORTABLE = [argv for argv in ARGVS if argv[:3] == ["figures", "--which", "2a"]]
 
-# the `swap` leaves that read a logarithm: left out of a document's portable part
-SWAP_ENTROPY_KEYS = ("svn", "svn_full", "pvn", "pvn_full", "cre", "cre_full")
+# the `swap` leaves that read a logarithm: left out of a document's portable part. C_re
+# is S - S of one entropy, 0.0 on every build, so it stays
+SWAP_ENTROPY_KEYS = ("svn", "svn_full", "pvn", "pvn_full")
 
 
 def portable_swap(p: float, q: float, shots: int | None) -> str:
@@ -64,17 +65,20 @@ def portable_swap(p: float, q: float, shots: int | None) -> str:
     the `--shots` block is the integer stream cut at `np.cumsum`'s
     boundaries, so its bytes are the same on every build. The entropy leaves
     (`initial` and each outcome's SWAP_ENTROPY_KEYS) read log2 and are left
-    out. json.dumps(indent=2) of the rest, as `portable_part` gives it.
+    out; a live branch's C_re, the difference of one entropy with itself, is
+    0.0. json.dumps(indent=2) of the rest, as `portable_part` gives it.
     """
     probabilities, _, amplitudes = swap._branches(p, q)
     outcomes = []
     for label, probability, row in zip(BELL_LABELS, probabilities.tolist(), amplitudes.tolist()):
+        live = not math.isnan(row[0])  # a dead branch's row is NaN: it has no post state or measures
         outcomes.append({
             "label": label,
             "probability": round(probability, 4),
             "probability_full": probability,
-            # a dead branch's row is NaN: it has no post state
-            "post_state": None if math.isnan(row[0]) else [[x, 0.0] for x in row],
+            "post_state": [[x, 0.0] for x in row] if live else None,
+            "cre": 0.0 if live else None,
+            "cre_full": 0.0 if live else None,
         })
     doc = {"p": p, "q": q, "outcomes": outcomes}
     if shots is not None:
@@ -136,13 +140,14 @@ def moved(recorded: dict[str, str], now: dict[str, str]) -> list[str]:
 
 
 def regenerate() -> int:
-    recorded = json.loads(MANIFEST.read_text())["stdout_sha256"] if MANIFEST.exists() else {}
-    now = hashes()
-    MANIFEST.write_text(json.dumps({"build": build(), "stdout_sha256": now,
-                                    "portable_swap_sha256": portable_swap_hashes()}, indent=2) + "\n")
-    for key in moved(recorded, now):
-        print(f"{'new' if key not in recorded else 'gone' if key not in now else 'moved'}: {key}")
-    print(f"{len(now)} argvs written to {MANIFEST.name}", file=sys.stderr)
+    recorded = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    now = {"stdout_sha256": hashes(), "portable_swap_sha256": portable_swap_hashes()}
+    MANIFEST.write_text(json.dumps({"build": build(), **now}, indent=2) + "\n")
+    for section, current in now.items():
+        before = recorded.get(section, {})
+        for key in moved(before, current):
+            print(f"{section}: {'new' if key not in before else 'gone' if key not in current else 'moved'}: {key}")
+    print(f"{len(now['stdout_sha256'])} argvs written to {MANIFEST.name}", file=sys.stderr)
     return 0
 
 

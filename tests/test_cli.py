@@ -1038,20 +1038,26 @@ def test_swap_reads_the_closed_forms_and_builds_no_pure_state(capsys, monkeypatc
     expected = [oracles.swap_document(p, q, shots, 3) for p, q, shots in cases]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("swap built a PureState or called bbm_outcomes")
+        raise AssertionError("swap reached code it has no use for")
 
     monkeypatch.setattr(swap, "bbm_outcomes", refuse)
     monkeypatch.setattr(states.PureState, "__post_init__", refuse)
     with pytest.raises(AssertionError):
         states.schmidt_pair(0.5)  # the patch has taken effect
-    # and it forms the closed forms once per document, and once more for an ensemble
-    passes = []
-    products = swap._products
+    # and it forms the closed forms once per document, and once more for an ensemble;
+    # it takes one entropy per document and no linear field: no purity, no full report
+    passes, entropies = [], []
+    products, entropy = swap._products, measures._entropy
     monkeypatch.setattr(swap, "_products", lambda p, q: passes.append((p, q)) or products(p, q))
+    monkeypatch.setattr(measures, "_entropy", lambda lam: entropies.append(lam) or entropy(lam))
+    monkeypatch.setattr(measures, "_tail", refuse)
+    monkeypatch.setattr(measures, "_purity", refuse)
     for (p, q, shots), document in zip(cases, expected):
         passes.clear()
+        entropies.clear()
         assert run_main(capsys, _swap_argv(p, q, shots, 3)) == (0, document, ""), (p, q, shots)
         assert len(passes) == (1 if shots is None else 2), (p, q, shots, passes)
+        assert len(entropies) == 1, (p, q, shots, entropies)
 
 
 @pytest.mark.parametrize("shots", [[], ["--shots", "1000"]])
@@ -1101,19 +1107,17 @@ def test_swap_measures_match_the_pure_state_kernel_of_the_printed_states(capsys)
 
 
 def test_swap_with_a_non_finite_value_writes_no_document(capsys, monkeypatch, tmp_path):
-    # no accepted (p, q) reaches a NaN or an infinity, and neither is JSON, so a poisoned
-    # population report (the CLI's and the reference builder's) fails the run: exit 1,
-    # one error line, nothing on stdout and no `--out` file, not even a temp file
-    real_report = measures._diagonal_report
+    # no accepted (p, q) reaches a NaN or an infinity, and neither is JSON, so poisoned
+    # population measures fail the run: exit 1, one error line, nothing on stdout and
+    # no `--out` file, not even a temp file
+    real_measures = measures._diagonal_vn
 
     def poisoned(populations):
-        rep = real_report(populations)
-        return dataclasses.replace(rep, s_vn=np.full_like(rep.s_vn, np.nan), p_vn=np.full_like(rep.p_vn, -np.inf))
+        s_vn, p_vn, c_re = real_measures(populations)
+        return np.full_like(s_vn, np.nan), np.full_like(p_vn, -np.inf), c_re
 
-    monkeypatch.setattr(measures, "_diagonal_report", poisoned)
+    monkeypatch.setattr(measures, "_diagonal_vn", poisoned)
     for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, 5)):
-        with pytest.raises(ValueError):
-            oracles.swap_document(p, q, shots, seed)
         for out in ([], ["--out", str(tmp_path / "swap.json")]):
             code, stdout, err = run_main(capsys, _swap_argv(p, q, shots, seed) + out)
             assert (code, stdout) == (1, ""), (p, q, out)

@@ -51,3 +51,19 @@ def test_portable_swap_parts_hold_their_recorded_hashes_on_every_build(monkeypat
 def test_portable_swap_parts_are_the_printed_documents_less_their_entropies(run):
     printed = output_manifest.stdout(output_manifest.swap_argv(*run))
     assert output_manifest.portable_part(printed) == output_manifest.portable_swap(*run)
+
+
+def test_regenerate_lists_the_moved_keys_of_both_sections(monkeypatch, tmp_path, capsys):
+    manifest = tmp_path / "output_manifest.json"
+    manifest.write_text(json.dumps({"build": output_manifest.build(),
+                                    "stdout_sha256": {"a": "1", "b": "2"},
+                                    "portable_swap_sha256": {"c": "3", "d": "4"}}))
+    monkeypatch.setattr(output_manifest, "MANIFEST", manifest)
+    monkeypatch.setattr(output_manifest, "hashes", lambda: {"a": "1", "b": "5"})
+    monkeypatch.setattr(output_manifest, "portable_swap_hashes", lambda: {"c": "6", "d": "4", "e": "7"})
+    assert output_manifest.regenerate() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "stdout_sha256: moved: b", "portable_swap_sha256: moved: c", "portable_swap_sha256: new: e"]
+    written = json.loads(manifest.read_text())
+    assert written["stdout_sha256"] == {"a": "1", "b": "5"}
+    assert written["portable_swap_sha256"] == {"c": "6", "d": "4", "e": "7"}
