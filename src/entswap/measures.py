@@ -3,8 +3,8 @@
 All entropic quantities are in bits. The two sums C_re + P_vn + S_vn and
 C_hs + P_l + S_l are reported exactly as computed, never coerced to their
 bounds. `report` computes every quantifier for a whole stack of density
-matrices at once, and a single DensityMatrix is a stack of one.
-`_diagonal_vn` gives only the von Neumann fields, which `swap` and figure 2b print.
+matrices at once, a DensityMatrix as a stack of one, and only its solved spectra take
+the solver's rules. `_diagonal_vn` gives the von Neumann fields `swap` and figure 2b print.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .linalg import DensityMatrix, _check_density, _eigenvalues, _row_sums
 
-EIG_CLAMP = 1e-12  # eigenvalues with |lam| below this count as exact zeros
-EIG_NEG_TOL = 1e-10  # most negative eigenvalue tolerated on a density matrix
+EIG_CLAMP = 1e-12  # a solved eigenvalue below this is noise around an exact zero
+EIG_NEG_TOL = 1e-10  # most negative solved eigenvalue tolerated on a density matrix
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,18 @@ class MeasureReport:
 
 
 def _entropy(lam: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each spectrum along the first axis of `lam` (k, ...)."""
-    lowest = np.fmin.reduce(lam, axis=None, initial=0.0)  # fmin skips NaN: a dead column blinds no other
-    if lowest < -EIG_NEG_TOL:
-        raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
-    kept = np.where(lam < EIG_CLAMP, 1.0, lam)  # tiny magnitudes count as exact zeros: 1*log2(1) = 0
-    terms = np.log2(kept)
-    terms *= kept
-    del kept  # not held beside the terms through the row sums
+    """Entropy in bits of each spectrum along the first axis of `lam` (k, ...): 0 log 0 = 0, NaN stays."""
+    terms = np.where(lam <= 0.0, 1.0, lam)  # 1*log2(1) = 0
+    terms *= np.log2(terms)
     return 0.0 - _row_sums(terms)  # 0.0 - x, not -x, so a zero entropy is +0.0
+
+
+def _solved(lam: np.ndarray) -> np.ndarray:
+    """`lam` (k, ...) in place under the solver's rules: NaN or < -EIG_NEG_TOL raises, < EIG_CLAMP is 0."""
+    if not (lowest := lam.min(initial=0.0)) >= -EIG_NEG_TOL:
+        raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
+    lam[lam < EIG_CLAMP] = 0.0
+    return lam
 
 
 def _sorted_rows(x: np.ndarray) -> np.ndarray:
@@ -102,8 +105,8 @@ def _diagonal_vn(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     A diagonal matrix is its own diagonal part and its spectrum is its
     populations, so one entropy serves both and no eigensolver runs. The
-    bits are `_gram_report`'s at d = 2: it sorts the populations, but min
-    and max only select values and a two-term sum does not depend on order.
+    bits are `_gram_report`'s at d = 2 where no population is in (0, EIG_CLAMP):
+    min and max only select values and a two-term sum does not depend on order.
     """
     s = _entropy(populations)
     return (s, *_vn_tail(s, s, len(populations)))
@@ -176,12 +179,10 @@ def _plane_gram(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     psi^T psi* otherwise. Then the populations are the row sums of |psi|^2,
     (x0^2 + x1^2) added over b = 0, 1, ...; starting them from 0.0 moves no
     bit of a sum of squares. The states must be normalized: there is no
-    trace check here. Non-finite amplitudes raise ValueError.
+    trace check here, and a non-finite amplitude fails `_gram_report`'s check.
     """
     n, da, db = psi.shape
     planes = np.ascontiguousarray(psi, dtype=complex).view(np.float64).reshape(n, da, db, 2).transpose(1, 2, 3, 0)
-    if not np.isfinite(planes).all():
-        raise ValueError("amplitudes must be finite")
     re, im = _gram(planes if db >= da else planes.swapaxes(0, 1))
     if db >= da:
         return re, im, np.diagonal(re).T
@@ -197,16 +198,16 @@ def _plane_gram(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _gram_report(re: np.ndarray, im: np.ndarray, populations: np.ndarray) -> MeasureReport:
     """Every quantifier of each density matrix held as planes re, im (k, k, N) and its diagonal (d, N).
 
-    The second stage after `_plane_gram`, and all of `report`. re, im may be
-    the smaller Gram matrix of a pure state (k <= d): it shares rho's purity
-    and nonzero eigenvalues, and the entropy ignores the zero ones. Every
-    step works on whole rows of N, in any layout; the sums over a column add
-    in the order numpy's `sum` adds a row of d, so the bits are those of the
-    same tail over (N, d) columns.
+    The second stage after `_plane_gram`, and all of `report`. re, im may be the
+    smaller Gram matrix of a pure state (k <= d): it shares rho's purity and
+    nonzero eigenvalues, and the entropy ignores the zero ones. Its solved
+    spectrum and sorted populations are `_solved`. Every step works on whole rows
+    of N, in any layout; the sums over a column add in the order numpy's `sum`
+    adds a row of d, so the bits are those of the same tail over (N, d) columns.
     """
-    lam = _eigenvalues(re, im)
+    lam = _solved(_eigenvalues(re, im))
     purity = _purity(re, im)
-    s_diag = _entropy(_sorted_rows(populations))  # the diagonal part's spectrum is its diagonal
+    s_diag = _entropy(_solved(_sorted_rows(populations)))  # the diagonal part's spectrum is its diagonal
     return _tail(_entropy(lam), s_diag, purity, _row_sums(populations * populations), len(populations))
 
 

@@ -9,6 +9,7 @@ one random draw at a time, math-module arithmetic on one number at a time.
 from __future__ import annotations
 
 import contextlib
+import decimal
 import functools
 import io
 import json
@@ -252,25 +253,54 @@ def entropy_columns(lam: np.ndarray) -> np.ndarray:
     """Entropy in bits of each spectrum along the last axis of `lam`, by numpy's `sum` over it.
 
     The library's entropy before it summed whole rows: the reference
-    `measures._entropy` is held to bit for bit.
+    `measures._entropy` is held to bit for bit. 0 log 0 = 0, and nothing
+    else is read as zero: a solved spectrum takes `clamped` first.
     """
-    lowest = lam.min(initial=0.0)
-    if lowest < -measures.EIG_NEG_TOL:
-        raise ValueError(f"eigenvalue {lowest} is below -1e-10; not a density matrix")
-    kept = np.where(lam < measures.EIG_CLAMP, 1.0, lam)
+    kept = np.where(lam <= 0.0, 1.0, lam)
     return 0.0 - (kept * np.log2(kept)).sum(axis=-1)
+
+
+def entropy_digits(spectrum) -> float:
+    """-sum t log2 t in bits over a spectrum of floats or Decimals, each read exactly, at 60 digits.
+
+    0 log 0 = 0. The reference the closed-form entropies are held to within
+    an ulp or two: its own error is far below the double it rounds to.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        terms = [t * t.ln() for t in map(decimal.Decimal, spectrum) if t > 0]
+        return float(-sum(terms, decimal.Decimal(0)) / decimal.Decimal(2).ln())
+
+
+def family_digits(p: float, q: float, family: int) -> list[decimal.Decimal]:
+    """The rho_A spectrum of the phi (0) or psi (1) branch family at exact weights p, q, at 60 digits.
+
+    phi's (pq, (1-p)(1-q)) and psi's ((1-p)q, p(1-q)), each over their sum,
+    as `swap._products` and `_family` write them in doubles.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p, q = decimal.Decimal(p), decimal.Decimal(q)
+        s, t = (p * q, (1 - p) * (1 - q)) if family == 0 else ((1 - p) * q, p * (1 - q))
+        return [s / (s + t), t / (s + t)]
+
+
+def clamped(lam: np.ndarray) -> np.ndarray:
+    """A solved spectrum, or the populations it is compared with, with every value below
+    `measures.EIG_CLAMP` read as an exact zero: the package's rule for eigensolver noise."""
+    return np.where(lam < measures.EIG_CLAMP, 0.0, lam)
 
 
 def report_columns(populations: np.ndarray, lam: np.ndarray, purity: np.ndarray) -> measures.MeasureReport:
     """The report tail over columns: populations (N, d), spectra (N, k), purities (N,).
 
     `measures._report` as it was before it took rows (d, N): np.sort along
-    each state's populations and numpy's `sum` along each state's row. The
-    reference the row tail is held to bit for bit.
+    each state's populations, both spectra `clamped`, and numpy's `sum` along
+    each state's row. The reference the row tail is held to bit for bit.
     """
     d = populations.shape[-1]
-    s = entropy_columns(lam)
-    s_diag = entropy_columns(np.sort(populations, axis=1))
+    s = entropy_columns(clamped(lam))
+    s_diag = entropy_columns(clamped(np.sort(populations, axis=1)))
     diag_purity = (populations * populations).sum(axis=-1)
     c_hs = purity - diag_purity
     s_l = 1.0 - purity
@@ -286,16 +316,17 @@ def pure_report_einsum(psi: np.ndarray) -> measures.MeasureReport:
 
     The kernel `measures._plane_gram` and `_gram_report` replaced, kept as its reference:
     rho_A by `reduced_stack`, the spectrum from the smaller of rho_A and rho_B
-    through `hermitian_eigenvalues`, every other quantifier from rho_A's
+    through `hermitian_eigenvalues`, it and the sorted populations `clamped`
+    before their entropies, every other quantifier from rho_A's
     entries: C_hs from the squared moduli off the diagonal, S_l from Tr(rho_A^2).
     """
     psi = np.asarray(psi, dtype=complex)
     n, da, db = psi.shape
     rho_a = reduced_stack(psi)
     smaller = np.einsum("nab,nac->nbc", psi, psi.conj()) if db < da else rho_a
-    s = entropy_columns(hermitian_eigenvalues(smaller))
+    s = entropy_columns(clamped(hermitian_eigenvalues(smaller)))
     populations = np.diagonal(rho_a, axis1=1, axis2=2).real
-    s_diag = entropy_columns(np.sort(populations, axis=1))
+    s_diag = entropy_columns(clamped(np.sort(populations, axis=1)))
     sq = np.abs(rho_a) ** 2
     c_hs = sq.reshape(n, da * da).sum(axis=1) - np.diagonal(sq, axis1=1, axis2=2).sum(axis=1)
     s_l = 1.0 - np.einsum("nij,nji->n", rho_a, rho_a).real

@@ -117,8 +117,10 @@ def test_figures_chunks_give_the_unchunked_bytes(capsys, monkeypatch, grid):
     assert all(len(out.splitlines()) == grid + 1 for _, out, _ in whole)
 
 
-# any double, or one near the figure range, where about half the cells take the array path
-_CELLS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(1e-5, 2.0)
+# any double; one near the figure range, where about half the cells take the array path;
+# or a negative one whose |v| would take it, but which must keep its sign on the fallback
+_CELLS = (st.floats(allow_nan=True, allow_infinity=True) | st.floats(1e-5, 2.0)
+          | st.floats(-1.0, -1e-4, exclude_max=True))
 _ROW_BLOCKS = st.integers(4, 6).flatmap(
     lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=20).map(
         lambda rows: np.array(rows, dtype=float).reshape(-1, k)
@@ -429,14 +431,16 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["vn_sum", "l_sum"])
-def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field):
+def test_verify_fails_closed_on_a_nan_residual(capsys, monkeypatch, field, bad):
+    # `ok` is two comparisons with VERIFY_TOL, which NaN and inf both fail
     real_report = measures._gram_report
 
     def poisoned(re, im, populations):
         rep = real_report(re, im, populations)
         values = getattr(rep, field).copy()
-        values[len(values) // 2] = np.nan
+        values[len(values) // 2] = bad
         return dataclasses.replace(rep, **{field: values})
 
     monkeypatch.setattr(measures, "_gram_report", poisoned)

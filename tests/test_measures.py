@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import linalg, measures, swap
+from entswap import cli, linalg, measures, swap
 from entswap.linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues
 from entswap.measures import report, svn
 from entswap.states import PureState, haar_states
@@ -192,22 +192,60 @@ def test_triality_sums_on_haar_reductions(seed, dims):
     assert abs(rep.l_sum - (da - 1) / da) < 1e-10
 
 
-def test_entropy_rejects_clearly_negative_spectrum():
-    # bypass the DensityMatrix guard to hit the measure-level check
-    from entswap.measures import _entropy
+@pytest.mark.parametrize("m", [np.diag([-0.1, 1.1]), np.array([[0.5, 0.6], [0.6, 0.5]])])
+def test_report_rejects_a_clearly_negative_spectrum(m):
+    # Hermitian with unit trace, so the DensityMatrix guard passes; the first has a negative
+    # population, the second a nonnegative diagonal and an eigenvalue of -0.1
+    m = m.astype(complex)
+    for rho in (DensityMatrix(m, (2,)), m[None], np.stack([np.eye(2, dtype=complex) / 2, m])):
+        with pytest.raises(ValueError, match="below -1e-10"):
+            report(rho)
 
-    with pytest.raises(ValueError):
-        _entropy(np.array([[0.5, 0.5], [-0.1, 1.1]]))
 
-
-def test_entropy_check_sees_past_a_nan_column():
-    # a dead branch family's NaN column must not blind the check for a live one
-    from entswap.measures import _entropy
-
-    with pytest.raises(ValueError):
-        _entropy(np.array([[-0.5, np.nan], [1.5, np.nan]]))
-    s = _entropy(np.array([[0.5, np.nan], [0.5, np.nan]]))
+def test_entropy_keeps_a_dead_column_to_itself():
+    # a dead branch family's NaN column stays NaN and does not touch a live one
+    s = measures._entropy(np.array([[0.5, np.nan], [0.5, np.nan]]))
     assert s[0] == 1.0 and np.isnan(s[1])
+
+
+# weights log-uniform in [5e-324, 1e-3], where a closed form's small eigenvalue lies
+log_weights = st.floats(-323.3, -3.0).map(lambda e: 10.0**e)
+# the same range log-spaced, the weight the clamp cost most (3.96e-11) and the clamp itself
+EDGE_WEIGHTS = [*np.geomspace(5e-324, 1e-3, 64).tolist(), 9.93e-13, 1e-12]
+
+
+@settings(max_examples=30)
+@given(st.lists(log_weights, min_size=1, max_size=6))
+@example(EDGE_WEIGHTS)
+def test_closed_form_entropies_are_within_2_ulp_of_a_60_digit_reference(weights):
+    # the spectra of `swap`, the figures and `post_entropies` are exact, so their entropies
+    # keep every w log w term: worst 1.02 ulp(1) measured, against 1.8e5 with the clamp
+    w = np.array(weights)
+    tol = 2.0 * np.spacing(1.0)
+    populations = np.stack([w, 1.0 - w])
+    reference = [oracles.entropy_digits(column) for column in populations.T]
+    assert np.abs(measures._diagonal_vn(populations)[0] - reference).max() <= tol
+    for q in cli.FIGURE_Q_SET:
+        for family, s in enumerate(swap.post_entropies(w, q)):
+            reference = [oracles.entropy_digits(oracles.family_digits(x, q, family)) for x in w]
+            assert np.abs(s - reference).max() <= tol, (q, family)
+    # figure 2b at q = w, on its line p = 1 - q as the figure forms it in doubles
+    rows, p = cli._figure_rows("2b", w), 1.0 - w
+    s_initial = np.array([oracles.entropy_digits([x, 1.0 - x]) for x in p])
+    s_psi = np.array([oracles.entropy_digits(oracles.family_digits(x, y, 1)) for x, y in zip(p, w)])
+    expected = np.stack([w, s_initial, 1.0 - s_initial, s_psi, 1.0 - s_psi], axis=1)
+    assert np.abs(rows - expected).max() <= tol
+
+
+def test_report_counts_a_population_below_the_clamp_as_zero():
+    # the solved spectrum and the sorted populations take the same rule, so a diagonal
+    # matrix keeps C_re = 0.0, and S_vn is the entropy of the clamped populations
+    w = np.array([5e-324, 1e-300, 1e-20, 1e-13, 9.93e-13, 1e-12, 1e-3])
+    populations = np.stack([w, 1.0 - w], axis=1)
+    rep = report(populations[:, :, None] * np.eye(2))
+    assert (oracles.bits(rep.c_re) == 0).all()
+    expected = oracles.entropy_columns(oracles.clamped(populations))
+    assert oracles.bits(rep.s_vn).tolist() == oracles.bits(expected).tolist()
 
 
 def test_report_on_a_stack_matches_each_matrix_alone_bit_for_bit():
@@ -291,7 +329,8 @@ def test_pure_report_takes_rho_b_spectrum_with_the_moments_of_rho_a(monkeypatch,
     purity = np.einsum("nij,nji->n", rho_a, rho_a).real
     assert np.abs(lam.sum(axis=1) - trace).max() <= 1e-12
     assert np.abs((lam * lam).sum(axis=1) - purity).max() <= 1e-12
-    assert np.abs(rep.s_vn - oracles.entropy_columns(oracles.eigvalsh_eigenvalues(rho_a))).max() <= 1e-14
+    reference = oracles.entropy_columns(oracles.clamped(oracles.eigvalsh_eigenvalues(rho_a)))
+    assert np.abs(rep.s_vn - reference).max() <= 1e-14
 
 
 @pytest.mark.parametrize("da, db", [(da, db) for da, db in VERIFY_DIMS if db >= da])
@@ -356,8 +395,9 @@ def test_plane_report_keeps_its_bits_in_any_planes_layout(da, db):
             assert np.array_equal(oracles.bits(getattr(kernel, field)), oracles.bits(getattr(copied, field))), field
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0.5)])
-def test_pure_report_rejects_non_finite_amplitudes(bad):
+@pytest.mark.parametrize("bad", [np.nan, complex(0.5, np.nan)])
+def test_pure_report_fails_closed_on_a_nan_amplitude(bad):
+    # nothing checks the amplitudes: the NaN reaches `_gram_report`'s check, or LAPACK's
     for da, db in ((2, 2), (3, 2), (2, 3), (3, 3)):
         psi, _ = haar_psi(da, db, seed=66, count=4)
         psi[2, da - 1, 0] = bad
