@@ -38,15 +38,6 @@ def test_figures_headers_are_stable(capsys):
         assert out.splitlines()[0] == header
 
 
-def test_figures_grid_covers_unit_interval(capsys):
-    code, out, _ = run_main(capsys, ["figures", "--which", "2a", "--grid", "5"])
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 6
-    first_col = [float(row.split(",")[0]) for row in lines[1:]]
-    assert first_col == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
 def test_figures_cells_round_trip_exactly(capsys):
     # 1a and 1b: every entropy cell is post_entropies' value, bit for bit, at grid 2 (zero
     # cells, which take the `%` fallback), the default grid and 4097 (two FIGURE_CHUNK chunks)
@@ -85,16 +76,6 @@ def test_figures_phi_entropy_peaks_on_matching_rows(capsys):
         rows[cells[0]] = cells[1:]
     for column, p_star in enumerate((0.9, 0.75, 0.5, 0.25, 0.1)):
         assert abs(rows[p_star][column] - 1.0) < 1e-12
-
-
-def test_figures_2a_psi_dominates(capsys):
-    _, out, _ = run_main(capsys, ["figures", "--which", "2a", "--grid", "101"])
-    for line in out.splitlines()[1:]:
-        q, pr_phi, pr_psi, _ = (float(cell) for cell in line.split(","))
-        if q == 0.5:
-            assert abs(pr_psi - pr_phi) < 1e-15
-        else:
-            assert pr_psi > pr_phi
 
 
 def test_figures_reruns_identical_and_atomic(tmp_path):
@@ -344,28 +325,6 @@ def test_figures_failure_midway_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_figures_bad_flags_exit_2(capsys):
-    for argv in (
-        ["figures", "--which", "9z"],
-        ["figures", "--which", "1a", "--grid", "1"],
-        ["figures", "--which", "1a", "--grid", "abc"],
-        ["figures"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        capsys.readouterr()
-
-
-def test_figures_unwritable_out_exits_3(tmp_path, capsys):
-    target = tmp_path / "missing" / "fig.csv"
-    code = main(["figures", "--which", "2a", "--grid", "3", "--out", str(target)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
-    assert ".tmp" not in err
-
-
 @pytest.mark.parametrize("argv, header", [
     # the header is read, then the pipe closes with most of the 100001 rows unwritten
     (["figures", "--which", "2b", "--grid", "100001"], "q,svn_initial,pvn_initial,svn_psi,pvn_final_psi\n"),
@@ -590,19 +549,6 @@ def test_verify_gives_the_same_bytes_at_any_chunk_size(capsys, monkeypatch, dims
     assert starts == list(range(0, 4097, 7))  # 586 chunks
 
 
-def test_verify_bad_dims_exit_2(capsys):
-    for dims in ("3", "2,1", "a,b", "5,4", "17,2"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--dims", dims])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        if dims in ("5,4", "17,2"):
-            assert "DA*DB must be <= 16" in err
-    code, out, _ = run_main(capsys, ["verify", "--dims", "4,4", "--trials", "3"])
-    assert code == 0
-    assert json.loads(out)["dims"] == [4, 4]
-
-
 def test_swap_worked_example_document(capsys):
     code, out, _ = run_main(capsys, ["swap", "--p", "0.1", "--q", "0.75"])
     assert code == 0
@@ -625,17 +571,6 @@ def test_swap_worked_example_document(capsys):
     amp = entry["post_state"]
     assert len(amp) == 4 and all(len(pair) == 2 for pair in amp)
     assert abs(amp[0][0] - 0.5) < 1e-12 and amp[0][1] == 0.0
-
-
-def test_swap_degenerate_branch_is_null(capsys):
-    _, out, _ = run_main(capsys, ["swap", "--p", "1", "--q", "0"])
-    doc = json.loads(out)
-    by_label = {entry["label"]: entry for entry in doc["outcomes"]}
-    assert by_label["phi+"]["post_state"] is None
-    assert by_label["phi+"]["svn"] is None
-    assert by_label["phi+"]["probability"] == 0.0
-    assert by_label["psi+"]["probability"] == 0.5
-    assert by_label["psi+"]["svn"] == 0.0
 
 
 @pytest.mark.parametrize("p, q", [
@@ -1139,21 +1074,6 @@ def test_swap_templates_are_one_per_document_shape(capsys):
     assert cli._swap_template.cache_info().currsize <= 6
 
 
-def test_swap_bad_weight_exits_2(capsys):
-    errors = {}
-    for argv in (
-        ["swap", "--p", "1.5", "--q", "0.5"],
-        ["swap", "--p", "0.5", "--q", "-0.1"],
-        ["swap", "--p", "0.5", "--q", "nope"],
-        ["swap", "--p", "0.5", "--q", "0.5", "--shots", "0"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        errors[argv[-1]] = capsys.readouterr().err
-    assert "'nope' is not a number in [0, 1]" in errors["nope"]
-
-
 def _check_weight_text(text):
     """`cli._weight_arg` accepts text exactly when `states.require_weight(float(text))` does, as +0.0 + that weight."""
     try:
@@ -1179,33 +1099,6 @@ def test_weight_arg_accepts_the_weights_require_weight_accepts_on_any_float(text
     _check_weight_text(text)
 
 
-@pytest.mark.parametrize("command", [["verify", "--trials", "3"], ["swap", "--p", "0.5", "--q", "0.5", "--shots", "3"]],
-                         ids=["verify", "swap"])
-def test_a_seed_outside_64_bits_exits_2(capsys, command):
-    # the stream reads a seed modulo 2^64, so -1 and 2^64 - 1 would draw the same
-    # states yet print different "seed" fields; the parser takes [0, 2^64) only
-    for seed in (-1, 2**64, -(2**64 - 1), 2**70):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--seed", str(seed)])
-        assert exc.value.code == 2
-        assert "argument --seed: value must be" in capsys.readouterr().err
-    for seed in (0, 2**64 - 1):
-        code, out, _ = run_main(capsys, [*command, "--seed", str(seed)])
-        assert code == 0
-        assert f'"seed": {seed}' in out
-
-
-@pytest.mark.parametrize("command", [["figures", "--which", "2a", "--grid", "3"], ["verify", "--trials", "3"],
-                                     ["swap", "--p", "0.5", "--q", "0.5"]], ids=["figures", "verify", "swap"])
-def test_an_empty_out_exits_2(capsys, tmp_path, monkeypatch, command):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--out", ""])
-    assert exc.value.code == 2
-    assert "argument --out: the output path must not be empty" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
 def test_out_files_take_the_mode_of_a_plain_write(tmp_path, umask, mode):
     # 0o666 less the umask, as open(path, "w") makes a new file, for a new path and a replaced one
@@ -1220,30 +1113,6 @@ def test_out_files_take_the_mode_of_a_plain_write(tmp_path, umask, mode):
     assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
 
 
-@pytest.mark.parametrize("out", ["sub/", "sub" + os.sep + os.sep, os.sep])
-def test_an_out_ending_in_a_separator_exits_2(capsys, tmp_path, monkeypatch, out):
-    # Path("sub/") is Path("sub"): without the check, a file named sub would be written
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["swap", "--p", "0.5", "--q", "0.5", "--out", out])
-    assert exc.value.code == 2
-    assert f"argument --out: {out!r} names a directory, not a file" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command", [["figures", "--which", "2a", "--grid", "3"], ["verify", "--trials", "3"],
-                                     ["swap", "--p", "0.5", "--q", "0.5"]], ids=["figures", "verify", "swap"])
-def test_an_out_that_is_a_directory_exits_3(capsys, tmp_path, monkeypatch, command):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "sub").mkdir()
-    for out in (".", "sub", str(tmp_path / "sub")):
-        assert main([*command, "--out", out]) == 3
-        assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.EISDIR)}\n"
-        # no temp file is left beside the directory or in it
-        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
-        assert list((tmp_path / "sub").iterdir()) == []
-
-
 def test_an_out_at_the_longest_file_name_is_written(capsys, tmp_path):
     # the temp file's name is not built from out's, so any name open(out, "w") takes is taken
     if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
@@ -1254,6 +1123,7 @@ def test_an_out_at_the_longest_file_name_is_written(capsys, tmp_path):
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_bytes() == expected.encode()
     assert [path.name for path in tmp_path.iterdir()] == [target.name]
+
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(
@@ -1282,29 +1152,19 @@ def _full_parse(argv):
 
 
 _SWAP_WORDS = ["swap", "--p", "0.3", "--q", "0.4"]
-# argvs at the edge of `main`'s dispatch: no command, help, `--`, names that are not
-# exactly a command's, abbreviated and repeated options, words its parser leaves, bad values
+# a small accepted argv of each command, and of the two that take a seed
+_OUT_COMMANDS = (["figures", "--which", "2a", "--grid", "3"], ["verify", "--trials", "3"],
+                 ["swap", "--p", "0.5", "--q", "0.5"])
+_SEEDED = (["verify", "--trials", "3"], ["swap", "--p", "0.5", "--q", "0.5", "--shots", "3"])
+# argvs at the edge of `main`'s dispatch that it does not refuse: help, abbreviated and repeated options
 DISPATCH_ARGVS = [
-    [], [""], ["-h"], ["--help"], ["-h", "swap"], ["swap", "-h"], ["figures", "--help"], ["verify", "-h"],
-    [*_SWAP_WORDS, "-h"], ["swap", "-h", "junk"], [*_SWAP_WORDS, "--help=x"],
-    ["--"], ["--", *_SWAP_WORDS], ["swap", "--", "--p", "0.3", "--q", "0.4"],
-    ["swap", "--p", "0.3", "--", "--q", "0.4"], [*_SWAP_WORDS, "--"], ["--", "--"],
-    ["sw", "--p", "0.3", "--q", "0.4"], ["swa"], ["Swap", "--p", "0.3", "--q", "0.4"],
-    ["--swap", "--p", "0.3", "--q", "0.4"], ["-swap", "--p", "0.3", "--q", "0.4"],
-    ["--verify", "--trials", "3"], ["--figures", "--which", "2a", "--grid", "3"],
+    ["-h"], ["--help"], ["-h", "swap"], ["swap", "-h"], ["figures", "--help"], ["verify", "-h"],
+    [*_SWAP_WORDS, "-h"], ["swap", "-h", "junk"],
     ["figures", "--which=2b", "--grid", "3"], ["figures", "--wh", "2a", "--gr", "3"],
     ["verify", "--tr", "3", "--di", "3,2", "--se", "5"],
     ["swap", "--p", "0.1", "--q", "0.75", "--sh", "20", "--se", "5"],
     ["swap", "--p", "0.1", "--p", "0.2", "--q", "0.5"], ["swap", "--p=-0", "--q=1"],
-    ["junk", *_SWAP_WORDS], ["swap", "junk", "--p", "0.3", "--q", "0.4"], [*_SWAP_WORDS, "junk"],
-    [*_SWAP_WORDS, "--junk"], [*_SWAP_WORDS, "--junk=1"], [*_SWAP_WORDS, "-x"], [*_SWAP_WORDS, "verify"],
-    ["swap", "swap"], ["figures", "--which", "2a", "--grid", "3", "swap"], ["verify", "--trials", "3", "extra"],
-    ["swap"], ["swap", "--p", "0.3"], ["swap", "--p"], ["swap", "--p", "abc", "--q", "0.4"],
-    ["swap", "--p", "nan", "--q", "0.4"], ["swap", "--p", "", "--q", "0.4"], [*_SWAP_WORDS, "--shots", "0"],
-    [*_SWAP_WORDS, "--shots", "9", "--seed", str(2**64)], [*_SWAP_WORDS, "--shots", "9", "--seed", str(2**64 - 1)],
-    ["verify", "--trials", "3", "--dims", "5,5"], ["figures"], ["figures", "--which", "3c"],
-    ["figures", "--which", "2a", "--grid", "1"], [*_SWAP_WORDS, "--out="], [*_SWAP_WORDS, "--out", "d/"],
-    ["figures", "--which", "2a", "--grid", "3", "--o="], ["swap", "--p", "0.5", "--q", "nope"],
+    [*_SWAP_WORDS, "--shots", "9", "--seed", str(2**64 - 1)],
     ["figures", "--which", "2a", "--grid", "5"], ["swap", "--p", "0.1", "--q", "0.75", "--shots", "100"],
 ]
 
@@ -1312,6 +1172,104 @@ DISPATCH_ARGVS = [
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=str)
 def test_main_prints_what_a_full_parse_prints(capsys, argv):
     assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parse, argv)
+
+
+_NO_COMMAND = "the following arguments are required: command"
+_NOT_A_COMMAND = "argument command: invalid choice"
+_NO_OUT = "argument --out: the output path must not be empty"
+# argvs the parser refuses (exit 2), each with argparse's message from the argument's name on
+USAGE_ERRORS = [
+    # no command, `--`, or a first word that is not exactly a command's name
+    ([], _NO_COMMAND), (["--"], _NO_COMMAND), ([""], _NOT_A_COMMAND), (["--", *_SWAP_WORDS], _NOT_A_COMMAND),
+    (["--", "--"], _NOT_A_COMMAND), (["sw", "--p", "0.3", "--q", "0.4"], _NOT_A_COMMAND), (["swa"], _NOT_A_COMMAND),
+    (["Swap", "--p", "0.3", "--q", "0.4"], _NOT_A_COMMAND), (["--swap", "--p", "0.3", "--q", "0.4"], _NOT_A_COMMAND),
+    (["-swap", "--p", "0.3", "--q", "0.4"], _NOT_A_COMMAND), (["--verify", "--trials", "3"], _NOT_A_COMMAND),
+    (["--figures", "--which", "2a", "--grid", "3"], _NOT_A_COMMAND), (["junk", *_SWAP_WORDS], _NOT_A_COMMAND),
+    # words the command's parser leaves, or a value given to help
+    ([*_SWAP_WORDS, "--help=x"], "argument -h/--help: ignored explicit argument"),
+    *[([*_SWAP_WORDS, word], f"unrecognized arguments: {word}")
+      for word in ("--", "junk", "--junk", "--junk=1", "-x", "verify")],
+    (["swap", "junk", "--p", "0.3", "--q", "0.4"], "unrecognized arguments: junk"),
+    (["figures", "--which", "2a", "--grid", "3", "swap"], "unrecognized arguments: swap"),
+    (["verify", "--trials", "3", "extra"], "unrecognized arguments: extra"),
+    # a required option or a value missing
+    (["swap"], "the following arguments are required: --p, --q"),
+    (["swap", "swap"], "the following arguments are required: --p, --q"),
+    (["swap", "--", "--p", "0.3", "--q", "0.4"], "the following arguments are required: --p, --q"),
+    (["swap", "--p", "0.3"], "the following arguments are required: --q"),
+    (["swap", "--p", "0.3", "--", "--q", "0.4"], "the following arguments are required: --q"),
+    (["swap", "--p"], "argument --p: expected one argument"),
+    (["figures"], "the following arguments are required: --which"),
+    # figures
+    (["figures", "--which", "9z"], "argument --which: invalid choice"),
+    (["figures", "--which", "3c"], "argument --which: invalid choice"),
+    (["figures", "--which", "1a", "--grid", "1"], "argument --grid: value must be >= 2"),
+    (["figures", "--which", "2a", "--grid", "1"], "argument --grid: value must be >= 2"),
+    (["figures", "--which", "1a", "--grid", "abc"], "argument --grid: 'abc' is not an integer"),
+    # verify's dims
+    (["verify", "--dims", "3"], "argument --dims: dims must look like DA,DB"),
+    (["verify", "--dims", "2,1"], "argument --dims: each dimension must be >= 2"),
+    (["verify", "--dims", "a,b"], "argument --dims: dims must be integers"),
+    *[(["verify", "--dims", dims], "argument --dims: DA*DB must be <= 16") for dims in ("5,4", "17,2")],
+    (["verify", "--trials", "3", "--dims", "5,5"], "argument --dims: DA*DB must be <= 16"),
+    # swap's weights and shots
+    (["swap", "--p", "1.5", "--q", "0.5"], "argument --p: '1.5' is not a number in [0, 1]"),
+    (["swap", "--p", "0.5", "--q", "-0.1"], "argument --q: '-0.1' is not a number in [0, 1]"),
+    (["swap", "--p", "0.5", "--q", "nope"], "argument --q: 'nope' is not a number in [0, 1]"),
+    *[(["swap", "--p", weight, "--q", "0.4"], f"argument --p: {weight!r} is not a number in [0, 1]")
+      for weight in ("abc", "nan", "")],
+    (["swap", "--p", "0.5", "--q", "0.5", "--shots", "0"], "argument --shots: value must be >= 1"),
+    ([*_SWAP_WORDS, "--shots", "0"], "argument --shots: value must be >= 1"),
+    # the stream reads a seed modulo 2^64, so -1 and 2^64 - 1 would draw the same
+    # states yet print different "seed" fields; the parser takes [0, 2^64) only
+    *[([*command, "--seed", str(seed)], "argument --seed: value must be " + (">= 0" if seed < 0 else f"<= {2**64 - 1}"))
+      for command in _SEEDED for seed in (-1, 2**64, -(2**64 - 1), 2**70)],
+    ([*_SWAP_WORDS, "--shots", "9", "--seed", str(2**64)], f"argument --seed: value must be <= {2**64 - 1}"),
+    # an empty --out, or one that ends in a separator: Path("sub/") is Path("sub"), so
+    # without the check a file named sub would be written
+    *[([*command, "--out", ""], _NO_OUT) for command in _OUT_COMMANDS],
+    ([*_SWAP_WORDS, "--out="], _NO_OUT), (["figures", "--which", "2a", "--grid", "3", "--o="], _NO_OUT),
+    *[(["swap", "--p", "0.5", "--q", "0.5", "--out", out], f"argument --out: {out!r} names a directory, not a file")
+      for out in ("sub/", "sub" + os.sep + os.sep, os.sep)],
+    ([*_SWAP_WORDS, "--out", "d/"], "argument --out: 'd/' names a directory, not a file"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", USAGE_ERRORS, ids=[str(argv) for argv, _ in USAGE_ERRORS])
+def test_a_usage_error_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch, argv, fragment):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = outcome = _outcome(capsys, main, argv)
+    assert (code, out) == (2, "") and f"error: {fragment}" in err, err
+    assert outcome == _outcome(capsys, _full_parse, argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_ends_of_the_accepted_ranges_run(capsys):
+    # the largest dims and the first and last seeds, next to the usage errors just past them
+    code, out, _ = run_main(capsys, ["verify", "--dims", "4,4", "--trials", "3"])
+    assert code == 0 and json.loads(out)["dims"] == [4, 4]
+    for command in _SEEDED:
+        for seed in (0, 2**64 - 1):
+            code, out, _ = run_main(capsys, [*command, "--seed", str(seed)])
+            assert code == 0 and f'"seed": {seed}' in out, (command, seed)
+
+
+# an --out the parser takes but that cannot be written (exit 3): one in a missing
+# directory, and a directory named relatively or absolutely ({cwd} is the run's cwd)
+OUT_ERRORS = [(_OUT_COMMANDS[0], os.path.join("missing", "fig.csv"), errno.ENOENT)] + [
+    (command, out, errno.EISDIR) for command in _OUT_COMMANDS for out in (".", "sub", os.path.join("{cwd}", "sub"))]
+
+
+@pytest.mark.parametrize("command, out, code", OUT_ERRORS,
+                         ids=[f"{command[0]} {out}" for command, out, _ in OUT_ERRORS])
+def test_an_out_that_cannot_be_written_exits_3(capsys, tmp_path, monkeypatch, command, out, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    out = out.format(cwd=tmp_path)
+    assert run_main(capsys, [*command, "--out", out]) == (3, "", f"error: cannot write {out}: {os.strerror(code)}\n")
+    # no temp file is left beside the target or in it
+    assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 _WEIGHT_WORDS = st.floats(0.0, 1.0).map(repr) | st.sampled_from(

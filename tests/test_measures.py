@@ -164,11 +164,6 @@ def test_report_on_bell_reduction():
     assert rep.dim == 2
 
 
-def test_report_maximally_mixed_presented_alone():
-    rep = report(diag_state(0.5, 0.5))
-    assert abs(rep.vn_sum - 1.0) < 1e-12  # the sum saturates regardless of provenance
-
-
 def test_report_sums_are_the_component_sums():
     rep = report(random_qubit_density(8))
     assert rep.vn_sum == rep.c_re + rep.p_vn + rep.s_vn

@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import os
 import subprocess
@@ -37,6 +38,16 @@ def test_every_benchmarked_layer_name_resolves():
         module = importlib.import_module(f"entswap.{module_name}")
         for name in names:
             assert name in vars(module), f"{module_name}.{name}"
+
+
+def test_no_test_module_defines_a_name_twice():
+    # a second `def test_x` replaces the first without a word, and pytest collects only the second
+    repeated = []
+    for path in sorted(TESTS.glob("*.py")):
+        names = collections.Counter(node.name for node in ast.parse(path.read_text()).body
+                                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        repeated += [f"{path.name}:{name}" for name, count in names.items() if count > 1]
+    assert not repeated, repeated
 
 
 def _callee(node) -> str | None:

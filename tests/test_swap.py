@@ -29,14 +29,6 @@ def outcome_probabilities(p, q):
     return {o.label: o.probability for o in bbm_outcomes(p, q)}
 
 
-def test_worked_example_probabilities():
-    probs = outcome_probabilities(0.1, 0.75)
-    assert abs(probs["phi+"] - 0.15) < 1e-12
-    assert abs(probs["phi-"] - 0.15) < 1e-12
-    assert abs(probs["psi+"] - 0.35) < 1e-12
-    assert abs(probs["psi-"] - 0.35) < 1e-12
-
-
 def test_outcomes_labels_and_order():
     outs = bbm_outcomes(0.3, 0.6)
     assert tuple(o.label for o in outs) == BELL_LABELS
@@ -131,12 +123,6 @@ def test_swap_spectrum_undefined_at_incompatible_corners():
                 assert oracles.bits(entropy) == oracles.bits(0.0), (p, q)
 
 
-def test_post_entropies_worked_example():
-    s_phi, s_psi = post_entropies(0.1, 0.75)
-    assert abs(s_phi - 0.8112) < 2e-4
-    assert abs(s_psi - 0.2222) < 2e-4
-
-
 def test_post_entropies_match_reduced_state_route():
     for p in (0.05, 0.3, 0.5, 0.77):
         for q in (0.2, 0.5, 0.9):
@@ -183,15 +169,6 @@ def test_stationarity_rejects_bad_input():
         stationarity_check(0.5, "theta")
     with pytest.raises(ValueError):
         stationarity_check(0.0, "phi")
-
-
-def test_special_case_probs_golden_values():
-    pr_phi, pr_psi = special_case_probs(0.99)
-    assert abs(pr_phi - 0.0099) < 1e-12
-    assert abs(pr_psi - 0.4901) < 1e-12
-    pr_phi, pr_psi = special_case_probs(0.75)
-    assert abs(pr_phi - 0.1875) < 1e-12
-    assert abs(pr_psi - 0.3125) < 1e-12
 
 
 @settings(max_examples=80)
