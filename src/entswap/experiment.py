@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, swap
+from .linalg import require_integer
 from .states import BELL_LABELS, _one_weight
 
 SHOT_CHUNK = 1 << 16  # draws per batch in `run_ensemble`: bounds memory for any shot count
@@ -24,14 +25,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("p", "q"):  # stored checked, so `run_ensemble` reads them unchecked
             object.__setattr__(self, name, float(_one_weight(getattr(self, name), name)))
-        for name in ("shots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        object.__setattr__(self, "shots", int(self.shots))
-        object.__setattr__(self, "seed", int(self.seed) & rng.MASK64)
+        shots, seed = (require_integer(getattr(self, name), name) for name in ("shots", "seed"))
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "seed", seed & rng.MASK64)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,16 @@ def _check_density(m: np.ndarray, ndims: tuple[int, ...]) -> None:
         raise ValueError("every trace must be 1 within 1e-12")
 
 
+def require_integer(value, name: str) -> int:
+    """`value` as an int: a bool, float, string or other non-integer raises ValueError, never truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_dims(dims, size: int) -> tuple[int, ...]:
-    """`dims` as a tuple of ints; raise unless they are positive and their product is `size`."""
-    dims = tuple(int(d) for d in dims)
+    """`dims` as a tuple of ints; raise unless they are positive integers whose product is `size`."""
+    dims = tuple(require_integer(d, "a subsystem dim") for d in dims)
     if not dims or any(d < 1 for d in dims) or math.prod(dims) != size:
         raise ValueError(f"subsystem dims {dims} do not factor dimension {size}")
     return dims
@@ -72,7 +79,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     subsystems stay in their original order.
     """
     n = len(rho.dims)
-    kept = sorted({int(k) for k in keep})
+    kept = sorted({require_integer(k, "a keep index") for k in keep})
     if not kept:
         raise ValueError("keep must name at least one subsystem")
     if kept[0] < 0 or kept[-1] >= n:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .linalg import _check_dims, _row_sums
+from .linalg import _check_dims, _row_sums, require_integer
 
 NORM_TOL = 1e-12
 
@@ -80,7 +80,14 @@ def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -
     then scaled in place by their reciprocal norms, as numpy divides complex
     by real: the bits of z / np.linalg.norm(z, axis=1, keepdims=True). Every
     step works in place, so the call holds at most twice the rows' bytes.
+    Each argument must be an integer; the seed is read mod 2**64, as the
+    stream reads it.
     """
+    args = {"dim_a": dim_a, "dim_b": dim_b, "seed": seed, "count": count, "start": start}
+    dim_a, dim_b, seed, count, start = (require_integer(value, name) for name, value in args.items())
+    for name, value, low in (("dim_a", dim_a, 1), ("dim_b", dim_b, 1), ("count", count, 0), ("start", start, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     d = dim_a * dim_b
     z = _rng.complex_normals(seed, 2 * d * start, count * d).reshape(count, d)
     mod2 = z.conj()

