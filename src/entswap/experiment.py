@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import rng, swap
 from .linalg import require_integer
 from .states import BELL_LABELS, _one_weight
-
-SHOT_CHUNK = 1 << 16  # draws per batch in `run_ensemble`: bounds memory for any shot count
 
 
 @dataclass(frozen=True)
@@ -49,17 +45,11 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """cfg.shots draws from counter 0 of the seed's stream, tallied per Bell label.
 
     Draw i takes the label that `rng.categorical` gives uniform i under the
-    `swap._branches` probabilities. The draws are made and counted SHOT_CHUNK
-    at a time in one buffer, so memory is bounded for any shot count, and
-    identical configs give identical counts bit for bit.
+    `swap._branches` probabilities; `rng._label_counts` counts them in
+    chunks of bounded memory, so identical configs give identical counts
+    bit for bit.
     """
     probs = swap._branches(cfg.p, cfg.q)[0]  # `RunConfig` has checked both weights
-    boundaries = rng._word_boundaries(probs)
-    tally = np.zeros(len(BELL_LABELS), dtype=np.int64)
-    buffer = np.empty(min(SHOT_CHUNK, cfg.shots), dtype=np.uint64)  # every chunk's words, in turn
-    for start in range(0, cfg.shots, SHOT_CHUNK):
-        count = min(SHOT_CHUNK, cfg.shots - start)
-        tally += rng._tally(rng._draws(cfg.seed, start, buffer[:count]), boundaries)
-    counts = {label: int(c) for label, c in zip(BELL_LABELS, tally)}
+    counts = dict(zip(BELL_LABELS, rng._label_counts(cfg.seed, cfg.shots, probs).tolist()))
     empirical = {label: counts[label] / cfg.shots for label in BELL_LABELS}
     return EnsembleResult(counts, empirical, analytic_prob=dict(zip(BELL_LABELS, probs)))

@@ -49,7 +49,9 @@ def require_integer(value, name: str) -> int:
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
-    """`dims` as a tuple of ints; raise unless they are positive integers whose product is `size`."""
+    """`dims` as a tuple of ints; raise unless it is a sequence of positive integers whose product is `size`."""
+    if not np.iterable(dims):
+        raise ValueError(f"dims must be a sequence of integers, got {dims!r}")
     dims = tuple(require_integer(d, "a subsystem dim") for d in dims)
     if not dims or any(d < 1 for d in dims) or math.prod(dims) != size:
         raise ValueError(f"subsystem dims {dims} do not factor dimension {size}")
@@ -78,6 +80,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     `keep` is any nonempty collection of subsystem indices; the kept
     subsystems stay in their original order.
     """
+    if not np.iterable(keep):
+        raise ValueError(f"keep must be a collection of subsystem indices, got {keep!r}")
     n = len(rho.dims)
     kept = sorted({require_integer(k, "a keep index") for k in keep})
     if not kept:

@@ -31,6 +31,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = 2.0**-53
 _S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
 _MIX_BLOCK = 16384  # words per block of `_draws`: its one scratch, 128 KB
+SHOT_CHUNK = 1 << 16  # words per chunk of `_label_counts`: its one buffer, 512 KB, for any count
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -140,16 +141,6 @@ def _boundaries(probs) -> tuple[np.ndarray, int, int]:
     return cum[first:last], first, p.size
 
 
-def _word_boundaries(probs) -> tuple[np.ndarray, int, int]:
-    """`_boundaries(probs)` for draws held as `_draws` words: each cut c as uint64 floor(c * 2**53).
-
-    A uniform m * 2**-53 is at or below c exactly when m <= floor(c * 2**53):
-    the scaling is exact and m an integer, so no draw is cast to a double.
-    """
-    inner, first, size = _boundaries(probs)
-    return np.floor(inner * 2.0**53).astype(np.uint64), first, size
-
-
 def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Map uniforms to label indices by cumulative-probability inversion.
 
@@ -162,19 +153,27 @@ def categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return first + np.searchsorted(inner, np.asarray(u, dtype=float), side="left")
 
 
-def _tally(u: np.ndarray, boundaries: tuple[np.ndarray, int, int]) -> np.ndarray:
-    """Per-label counts of `categorical(u, probs)` without labelling each draw.
+def _label_counts(seed: int, count: int, probs) -> np.ndarray:
+    """Per-label counts of `categorical` on draws [0, count) of the seed's stream, no draw labelled.
 
-    Takes uniforms under `_boundaries(probs)` or their words under `_word_boundaries(probs)`,
-    and compares either pair as float64 bits: words (< 2**53) and cuts (<= 2**53)
-    are then finite nonnegative doubles, which IEEE 754 orders as their bits. The
-    draws at or below inner boundary j are those labelled first + j or lower, so
-    one count per inner boundary, differenced between 0 and len(u), gives the
-    draws of labels first to last; every other label counts nothing.
+    The draws are made SHOT_CHUNK at a time into one buffer of `_draws`
+    words. A uniform m * 2**-53 is at or below a boundary c exactly when
+    m <= floor(c * 2**53): the scaling is exact and m an integer, so each
+    `_boundaries` cut becomes that integer, and words (< 2**53) and cuts
+    (<= 2**53) are compared as float64 bits, finite nonnegative doubles
+    that IEEE 754 orders as their bits. The running count of the draws at
+    or below cut j is those labelled first + j or lower; differenced between
+    0 and `count` once, at the end, the counts give the draws of labels
+    first to last, and every other label counts nothing.
     """
-    inner, first, size = boundaries
-    u = u.view(np.float64)
-    at_most = [np.count_nonzero(u <= c) for c in inner.view(np.float64).tolist()]
+    cuts, first, size = _boundaries(probs)
+    # rebound, so that the boundaries' array is freed before the draws are made
+    cuts = np.floor(cuts * 2.0**53).astype(np.uint64).view(np.float64).tolist()
+    at_most = [0] * len(cuts)
+    buffer = np.empty(min(SHOT_CHUNK, count), dtype=np.uint64)
+    for start in range(0, count, SHOT_CHUNK):
+        u = _draws(seed, start, buffer[:count - start]).view(np.float64)
+        at_most = [n + np.count_nonzero(u <= c) for n, c in zip(at_most, cuts)]
     counts = np.zeros(size, dtype=np.int64)
-    counts[first:first + len(inner) + 1] = np.diff([0, *at_most, len(u)])
+    counts[first:first + len(cuts) + 1] = np.diff([0, *at_most, count])
     return counts

@@ -915,11 +915,11 @@ def test_swap_shots_peak_at_one_chunk_and_one_block(monkeypatch, p, q):
     # chunk is drawn into the run's one buffer through one scratch block, 8 B per draw and
     # per block word (7.997 and 7.976 to 7.996 measured), and more shots hold nothing
     def peak(chunk, block, shots):
-        monkeypatch.setattr(experiment, "SHOT_CHUNK", chunk)
+        monkeypatch.setattr(rng, "SHOT_CHUNK", chunk)
         monkeypatch.setattr(rng, "_MIX_BLOCK", block)
         return oracles.main_peak_bytes(["swap", "--p", p, "--q", q, "--shots", str(shots), "--seed", "3"])
 
-    chunk, block = experiment.SHOT_CHUNK // 2, rng._MIX_BLOCK // 2
+    chunk, block = rng.SHOT_CHUNK // 2, rng._MIX_BLOCK // 2
     base = peak(chunk, block, 200003)
     assert (peak(2 * chunk, block, 200003) - base) / chunk <= 8 + 1
     assert (peak(chunk, 2 * block, 200003) - base) / block <= 8 + 1

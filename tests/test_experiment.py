@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import experiment, rng
+from entswap import rng
 from entswap.experiment import EnsembleResult, RunConfig, run_ensemble
 from entswap.states import BELL_LABELS
 from entswap.swap import bbm_outcomes
@@ -122,35 +123,10 @@ _weight_vectors = st.lists(
 ).filter(lambda w: sum(w) > 0.0)
 
 
-@settings(max_examples=200)
-@given(_weight_vectors, seeds)
-@example([0.0, 0.5, 0.0, 0.5], 1)
-@example([0.0, 0.0, 1.0], 2)
-@example([0.5, 0.5, 0.0], 3)
-@example([0.0, 0.0, 0.5, 0.5], 4)
-@example([1.0], 5)
-@example([0.1] * 7 + [0.3 - 5e-14], 6)
-def test_tally_equals_the_bincount_of_the_labels(weights, seed):
-    p = np.array(weights) / sum(weights)
-    boundaries = rng._boundaries(p)
-    cum = np.cumsum(p)  # every boundary, the outer ones too
-    u = np.concatenate([
-        rng.uniforms(seed, 0, 300),
-        cum,  # exactly on each boundary
-        np.nextafter(cum, -np.inf),
-        np.nextafter(cum, np.inf),  # the last of these is above cum[-1]
-        [0.0, np.nextafter(1.0, 0.0), 1.0, 1.5, np.nan, -0.0, -1.0],
-    ])
-    expected = np.bincount(rng.categorical(u, p), minlength=len(p))
-    tally = rng._tally(u, boundaries)
-    assert tally.dtype == expected.dtype and np.array_equal(tally, expected)
-    assert tally.sum() == len(u)
-    assert np.array_equal(rng._tally(u[:0], boundaries), np.zeros(len(p), dtype=np.int64))
-
-
 @pytest.mark.parametrize("probs, passes", [([0.0, 0.0, 0.5, 0.5], 1), ([0.25] * 4, 3), ([1.0], 0)])
-def test_tally_counts_only_at_the_boundaries_that_split_draws(monkeypatch, probs, passes):
-    # a dead family, as at (p, q) = (0, 1), leaves one boundary to count; all four live, three
+def test_label_counts_count_only_at_the_boundaries_that_split_draws(monkeypatch, probs, passes):
+    # a dead family, as at (p, q) = (0, 1), leaves one boundary to count; all four live, three;
+    # that many passes in each of the three chunks of 1000 draws
     calls = []
     real_count = np.count_nonzero
 
@@ -158,25 +134,32 @@ def test_tally_counts_only_at_the_boundaries_that_split_draws(monkeypatch, probs
         calls.append(args)
         return real_count(*args, **kwargs)
 
-    boundaries = rng._boundaries(probs)
-    u = rng.uniforms(8, 0, 1000)
-    expected = np.bincount(rng.categorical(u, probs), minlength=len(probs))
+    expected = np.bincount(rng.categorical(rng.uniforms(8, 0, 1000), probs), minlength=len(probs))
+    monkeypatch.setattr(rng, "SHOT_CHUNK", 400)
     monkeypatch.setattr(np, "count_nonzero", counted)
-    assert np.array_equal(rng._tally(u, boundaries), expected)
-    assert len(calls) == passes
+    assert np.array_equal(rng._label_counts(8, 1000, probs), expected)
+    assert len(calls) == 3 * passes
 
 
-def _assert_word_tally_labels_the_uniforms(p, seed):
-    # the words that `run_ensemble` counts: 500 from the stream, and each cut's K =
-    # floor(c * 2**53) with its neighbours, the largest word and 0, all below 2**53
+def _assert_label_counts_label_the_words(p, seed):
+    # the words that `_label_counts` counts, fed to it through a `_draws` spy: 500 from the
+    # stream, and each cut's K = floor(c * 2**53) with its neighbours, the largest word and 0,
+    # all below 2**53; in one chunk, and in chunks of 64 so that the counts run across chunks
     inner = rng._boundaries(p)[0]
     near = {k + d for k in (math.floor(Fraction(c) * (1 << 53)) for c in inner.tolist()) for d in (-1, 0, 1)}
     extremes = [m for m in sorted(near | {0, 1, (1 << 53) - 1}) if 0 <= m < 1 << 53]
     m = np.concatenate([rng._draws(seed, 0, np.empty(500, dtype=np.uint64)), np.array(extremes, dtype=np.uint64)])
     expected = np.bincount(rng.categorical(m * 2.0**-53, p), minlength=len(p))
-    tally = rng._tally(m, rng._word_boundaries(p))
-    assert tally.dtype == expected.dtype and np.array_equal(tally, expected), (tally, expected)
-    assert tally.sum() == len(m)
+
+    def chosen(_seed, start, words):
+        words[:] = m[start:start + len(words)]
+        return words
+
+    for chunk in (rng.SHOT_CHUNK, 64):
+        with mock.patch.object(rng, "_draws", chosen), mock.patch.object(rng, "SHOT_CHUNK", chunk):
+            counts = rng._label_counts(seed, len(m), p)
+        assert counts.dtype == expected.dtype and np.array_equal(counts, expected), (chunk, counts, expected)
+        assert counts.sum() == len(m)
 
 
 @pytest.mark.parametrize("probs", [
@@ -186,14 +169,20 @@ def _assert_word_tally_labels_the_uniforms(p, seed):
     [1.0],  # no inner cut
     [0.5, 0.5, 0.0, 0.0],  # a dead family
 ])
-def test_tally_of_the_words_under_integer_cuts_labels_the_uniforms(probs):
-    _assert_word_tally_labels_the_uniforms(np.array(probs), 3)
+def test_label_counts_of_the_words_under_integer_cuts_label_the_uniforms(probs):
+    _assert_label_counts_label_the_words(np.array(probs), 3)
 
 
 @settings(max_examples=200)
 @given(_weight_vectors, seeds)
-def test_tally_of_the_words_under_integer_cuts_labels_the_uniforms_at_any_weights(weights, seed):
-    _assert_word_tally_labels_the_uniforms(np.array(weights) / sum(weights), seed)
+@example([0.0, 0.5, 0.0, 0.5], 1)
+@example([0.0, 0.0, 1.0], 2)
+@example([0.5, 0.5, 0.0], 3)
+@example([0.0, 0.0, 0.5, 0.5], 4)
+@example([1.0], 5)
+@example([0.1] * 7 + [0.3 - 5e-14], 6)
+def test_label_counts_of_the_words_under_integer_cuts_label_the_uniforms_at_any_weights(weights, seed):
+    _assert_label_counts_label_the_words(np.array(weights) / sum(weights), seed)
 
 
 def test_sample_bbm_matches_ensemble_counts():
@@ -211,7 +200,7 @@ def _counts_one_draw_at_a_time(cfg):
 
 
 def test_run_ensemble_chunks_match_the_draws_one_at_a_time(monkeypatch):
-    monkeypatch.setattr(experiment, "SHOT_CHUNK", 7)
+    monkeypatch.setattr(rng, "SHOT_CHUNK", 7)
     real_draws = rng._draws
     outs = []
 

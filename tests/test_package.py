@@ -68,6 +68,8 @@ REFUSALS = [
     (DensityMatrix, (_HALF, (2.9,)), ValueError, "a subsystem dim must be an integer, got 2.9"),
     (PureState, ([1, 0, 0, 0], (2.5, "2")), ValueError, "a subsystem dim must be an integer, got 2.5"),
     (PureState, ([1, 0, 0, 0], (2, "2")), ValueError, "a subsystem dim must be an integer, got '2'"),
+    (DensityMatrix, (_HALF, 2), ValueError, "dims must be a sequence of integers, got 2"),
+    (PureState, ([1, 0], 2), ValueError, "dims must be a sequence of integers, got 2"),
     (PureState, (np.array([1.0, 1.0]), (2,)), ValueError, "differs from 1 beyond 1e-12"),
     *[(PureState, (amps, (2, 2)), ValueError, "amplitudes have non-finite entries")
       for amps in ([np.nan, 0, 0, 1], [np.inf, 0, 0, 1], [0, 1j * np.inf, 0, 0])],
@@ -78,6 +80,7 @@ REFUSALS = [
     (partial_trace, (_RHO, {2}), ValueError, "keep indices [2] out of range for 2 subsystems"),
     (partial_trace, (_RHO, {-1}), ValueError, "keep indices [-1] out of range for 2 subsystems"),
     (partial_trace, (_RHO, set()), ValueError, "keep must name at least one subsystem"),
+    (partial_trace, (_RHO, 0), ValueError, "keep must be a collection of subsystem indices, got 0"),
     (partial_trace, (_RHO, [0.9]), ValueError, "a keep index must be an integer, got 0.9"),
     (partial_trace, (_RHO, ["1"]), ValueError, "a keep index must be an integer, got '1'"),
     (hermitian_eigenvalues, (np.array([[0.0, 1.0], [0.0, 0.0]]),), NonHermitianError, "not Hermitian within 1e-12"),

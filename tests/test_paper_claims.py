@@ -48,11 +48,12 @@ def _reduced(amplitudes: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def _shared_family_state(branches, plus: str, minus: str):
-    """The post state of `plus`, after checking that `minus` leaves A in the same state.
+    """The post state of `plus`, after checking that `minus` leaves A and B in the same states.
 
-    The two differ only in the sign of one amplitude, and the amplitude with
-    the other A index and the same B index is zero, so no term of Tr_B of the
-    projector changes sign: one reduction serves both branches.
+    The two differ only in the sign of one amplitude, and the amplitudes with
+    the other A index and the same B index, or the same A index and the other
+    B index, are zero, so no term of Tr_B or Tr_A of the projector changes
+    sign: one reduction of each quanton serves both branches.
     """
     post, turned = branches[plus][1], branches[minus][1]
     if post is None:
@@ -62,21 +63,36 @@ def _shared_family_state(branches, plus: str, minus: str):
     expected[TURNED[minus]] *= -1.0
     assert np.array_equal(turned, expected), (plus, minus)
     assert post[TURNED[minus] ^ 2] == 0.0, plus  # index 2a + b: ^ 2 turns a
+    assert post[TURNED[minus] ^ 1] == 0.0, plus  # and ^ 1 turns b
     return post
+
+
+def _assert_triality(own: dict[str, float], other: dict[str, float], where) -> None:
+    """Claim (iii) for a quanton of a pure two-party state: C_re + P_vn + E = 1, C_hs + P_l + E_l = 1/2.
+
+    E and E_l are the entropies of the other party's marginal, so neither sum
+    is an identity of the quanton's own matrix, as C_re + P_vn + S_vn and
+    C_hs + P_l + S_l are: each holds only where both marginals share a spectrum.
+    """
+    assert abs(own["c_re"] + own["p_vn"] + other["s_vn"] - 1.0) <= TOL, where
+    assert abs(own["c_hs"] + own["p_l"] + other["s_l"] - 0.5) <= TOL, where
 
 
 def test_predictability_is_consumed_where_entanglement_increases():
     # claim (ii): where a Bell-measurement branch leaves A and B more entangled than
     # a source pair was, the one-qubit predictability has dropped by what the
     # entanglement gained, von Neumann and linear alike, and the coherence is unchanged;
-    # claim (i) is held in the same pass over the grid
+    # claims (i) and (iii) are held in the same pass over the grid
     weights = np.arange(GRID) / (GRID - 1)
     pairs = [schmidt_pair(w).amplitudes for w in weights]  # each source pair built once per weight
-    # the source pairs' one-qubit states, A of the first pair and B of the second, by weight
+    # the source pairs' one-qubit states by weight, wires (A, C, C', B): A of the first pair
+    # and B of the second, each beside its partner in its own pair, C and C'
     initial = []
     for w, pair in zip(weights, pairs):
         both = oracles.kron(pair, pair)  # `composite_state(w, w)` with the pair built once
-        initial.append([_quantifiers(_reduced(both, (2, 2, 2, 2), [k])) for k in (0, 3)])
+        initial.append([_quantifiers(_reduced(both, (2, 2, 2, 2), [k])) for k in range(4)])
+        _assert_triality(initial[-1][0], initial[-1][1], (w, "A"))
+        _assert_triality(initial[-1][3], initial[-1][2], (w, "B"))
     gained = lost = 0
     worst_signed = worst_squared = 0.0
     for i, p in enumerate(weights):
@@ -85,7 +101,7 @@ def test_predictability_is_consumed_where_entanglement_increases():
             # claim (i): the source qubits' predictabilities set the families' probabilities,
             # Pr(phi±) - Pr(psi±) = z_A z_B / 2 with z the Bloch z of quanton A of the first
             # pair and of B of the second, and its square is P_l(rho_A) P_l(rho_B)
-            a, b = initial[i][0], initial[j][1]
+            a, b = initial[i][0], initial[j][3]
             for phi in ("phi+", "phi-"):
                 for psi in ("psi+", "psi-"):
                     lean = branches[phi][0] - branches[psi][0]
@@ -95,9 +111,12 @@ def test_predictability_is_consumed_where_entanglement_increases():
                 post = _shared_family_state(branches, plus, minus)
                 if post is None:
                     continue
-                final = _quantifiers(_reduced(post, (2, 2), [0]))
+                # quantons A and B of both branches of the family
+                final, final_b = (_quantifiers(_reduced(post, (2, 2), [k])) for k in (0, 1))
+                _assert_triality(final, final_b, (p, q, plus, minus, "A"))
+                _assert_triality(final_b, final, (p, q, plus, minus, "B"))
                 for label in (plus, minus):
-                    for init in (initial[i][0], initial[j][1]):
+                    for init in (initial[i][0], initial[j][3]):
                         ds = final["s_vn"] - init["s_vn"]
                         gained += ds > TOL
                         lost += ds < -TOL
