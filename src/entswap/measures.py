@@ -89,17 +89,6 @@ def _vn_tail(s: np.ndarray, s_diag: np.ndarray, d: int) -> tuple[np.ndarray, np.
     return math.log2(d) - s_diag, s_diag - s
 
 
-def _tail(s: np.ndarray, s_diag: np.ndarray, purity: np.ndarray, diag_purity: np.ndarray,
-          d: int) -> MeasureReport:
-    """Every quantifier and both sums from the entropies and purities of rho and of its diagonal part."""
-    c_hs = purity - diag_purity
-    s_l = 1.0 - purity
-    p_l = _linear_predictability(diag_purity, d)
-    p_vn, c_re = _vn_tail(s, s_diag, d)
-    return MeasureReport(c_re=c_re, p_vn=p_vn, s_vn=s, vn_sum=c_re + p_vn + s,
-                         c_hs=c_hs, p_l=p_l, s_l=s_l, l_sum=c_hs + p_l + s_l, dim=d)
-
-
 def _diagonal_vn(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_vn, P_vn and C_re of each diagonal qubit density matrix in a stack, from its populations (2, N).
 
@@ -208,7 +197,13 @@ def _gram_report(re: np.ndarray, im: np.ndarray, populations: np.ndarray) -> Mea
     lam = _solved(_eigenvalues(re, im))
     purity = _purity(re, im)
     s_diag = _entropy(_solved(_sorted_rows(populations)))  # the diagonal part's spectrum is its diagonal
-    return _tail(_entropy(lam), s_diag, purity, _row_sums(populations * populations), len(populations))
+    s, diag_purity, d = _entropy(lam), _row_sums(populations * populations), len(populations)
+    c_hs = purity - diag_purity
+    s_l = 1.0 - purity
+    p_l = _linear_predictability(diag_purity, d)
+    p_vn, c_re = _vn_tail(s, s_diag, d)
+    return MeasureReport(c_re=c_re, p_vn=p_vn, s_vn=s, vn_sum=c_re + p_vn + s,
+                         c_hs=c_hs, p_l=p_l, s_l=s_l, l_sum=c_hs + p_l + s_l, dim=d)
 
 
 def svn(rho: DensityMatrix) -> float:

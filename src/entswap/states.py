@@ -57,16 +57,10 @@ def _one_weight(value, name: str):
     return require_weight(value, name)
 
 
-def _pair_amplitudes(w) -> np.ndarray:
-    """Amplitudes of sqrt(w)|00> + sqrt(1-w)|11> for each weight in `w`, shape (..., 4)."""
-    w = np.asarray(w, dtype=float)
-    zero = np.zeros_like(w)
-    return np.stack([np.sqrt(w), zero, zero, np.sqrt(1.0 - w)], axis=-1)
-
-
 def schmidt_pair(w: float) -> PureState:
     """Two-qubit pair sqrt(w)|00> + sqrt(1-w)|11>."""
-    return PureState(_pair_amplitudes(_one_weight(w, "w")), (2, 2))
+    w = _one_weight(w, "w")
+    return PureState(np.array([math.sqrt(w), 0.0, 0.0, math.sqrt(1.0 - w)]), (2, 2))
 
 
 def haar_states(dim_a: int, dim_b: int, seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -131,12 +131,13 @@ def pure_report(psi: np.ndarray) -> measures.MeasureReport:
 def partial_trace_loops(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace by explicit index summation, no reshapes."""
     index = _trace_index(tuple(dims), tuple(sorted(keep)))
+    entries = mat.tolist()  # Python numbers, cheaper to read one at a time
     out = np.zeros((len(index), len(index)), dtype=complex)
     for ik, rows in enumerate(index):
         for jk, cols in enumerate(index):
             acc = 0.0 + 0.0j
             for row, col in zip(rows, cols):
-                acc += mat[row, col]
+                acc += entries[row][col]
             out[ik, jk] = acc
     return out
 
@@ -209,8 +210,8 @@ def jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
         return np.array([a[0, 0].real])
     tol = 1e-14 * max(1.0, float(np.abs(a).max()))
     for _ in range(100):
-        off = a - np.diag(np.diag(a))
-        if np.abs(off).max() <= tol:
+        # the largest off-diagonal modulus, one scalar at a time: a diagonal matrix stops here
+        if max(abs(a[i, j]) for i in range(n) for j in range(n) if i != j) <= tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -237,7 +238,7 @@ def jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
                 a[q, q] = a[q, q].real
     else:
         raise ArithmeticError("Jacobi eigensolver did not converge within 100 sweeps")
-    return np.sort(np.diag(a).real)
+    return np.sort(a.diagonal().real)
 
 
 def eigvalsh_eigenvalues(m: np.ndarray) -> np.ndarray:

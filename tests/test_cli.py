@@ -989,7 +989,7 @@ def test_swap_reads_the_closed_forms_and_builds_no_pure_state(capsys, monkeypatc
     products, entropy = swap._products, measures._entropy
     monkeypatch.setattr(swap, "_products", lambda p, q: passes.append((p, q)) or products(p, q))
     monkeypatch.setattr(measures, "_entropy", lambda lam: entropies.append(lam) or entropy(lam))
-    monkeypatch.setattr(measures, "_tail", refuse)
+    monkeypatch.setattr(measures, "_gram_report", refuse)
     monkeypatch.setattr(measures, "_purity", refuse)
     for (p, q, shots), document in zip(cases, expected):
         passes.clear()
@@ -1047,21 +1047,29 @@ def test_swap_measures_match_the_pure_state_kernel_of_the_printed_states(capsys)
 
 def test_swap_with_a_non_finite_value_writes_no_document(capsys, monkeypatch, tmp_path):
     # no accepted (p, q) reaches a NaN or an infinity, and neither is JSON, so poisoned
-    # population measures fail the run: exit 1, one error line, nothing on stdout and
-    # no `--out` file, not even a temp file
-    real_measures = measures._diagonal_vn
+    # population measures or a poisoned empirical frequency fail the run: exit 1, one
+    # error line, nothing on stdout and no `--out` file, not even a temp file
+    real_measures, real_ensemble = measures._diagonal_vn, cli.run_ensemble
 
     def poisoned(populations):
         s_vn, p_vn, c_re = real_measures(populations)
         return np.full_like(s_vn, np.nan), np.full_like(p_vn, -np.inf), c_re
 
-    monkeypatch.setattr(measures, "_diagonal_vn", poisoned)
-    for p, q, shots, seed in ((0.3, 0.6, None, 7), (1.0, 0.0, 10, 5)):
-        for out in ([], ["--out", str(tmp_path / "swap.json")]):
-            code, stdout, err = run_main(capsys, _swap_argv(p, q, shots, seed) + out)
-            assert (code, stdout) == (1, ""), (p, q, out)
-            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-            assert list(tmp_path.iterdir()) == []
+    def nan_frequency(cfg):
+        result = real_ensemble(cfg)
+        return dataclasses.replace(result, empirical_freq={**result.empirical_freq, "psi+": math.nan})
+
+    cases = [(measures, "_diagonal_vn", poisoned, 0.3, 0.6, None, 7),
+             (measures, "_diagonal_vn", poisoned, 1.0, 0.0, 10, 5),
+             (cli, "run_ensemble", nan_frequency, 0.3, 0.6, 10, 7)]
+    for module, name, poison, p, q, shots, seed in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, poison)
+            for out in ([], ["--out", str(tmp_path / "swap.json")]):
+                code, stdout, err = run_main(capsys, _swap_argv(p, q, shots, seed) + out)
+                assert (code, stdout) == (1, ""), (name, p, q, out)
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+                assert list(tmp_path.iterdir()) == []
 
 
 def test_swap_templates_are_one_per_document_shape(capsys):

@@ -33,13 +33,6 @@ def test_raw_draw_matches_published_vector():
     assert np.array_equal(rng.uniforms(0, 0, 5), expected_uniforms)
 
 
-def test_uniform_range_and_resolution():
-    u = rng.uniforms(123, 0, 4096)
-    assert np.all(u >= 0.0) and np.all(u < 1.0)
-    # 53-bit significands: every value is a multiple of 2**-53
-    assert np.all(u * 2.0**53 == np.floor(u * 2.0**53))
-
-
 @settings(max_examples=60)
 @given(seeds, st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=64))
 def test_vectorized_matches_scalar(seed, start, count):
@@ -48,9 +41,21 @@ def test_vectorized_matches_scalar(seed, start, count):
         assert batch[offset] == oracles.uniform(seed, start + offset)
 
 
-def test_mid_stream_resume():
-    whole = rng.uniforms(99, 0, 100)
-    assert np.array_equal(whole[40:], rng.uniforms(99, 40, 60))
+# (seed, start, count): 4096 draws, which the oracle holds in [0, 1) on the 2**-53 grid; a
+# resume mid-stream beside its whole; the extreme counters; and counts on each side of a
+# block's end and a short third block
+UNIFORM_SLICES = [
+    (123, 0, 4096), (99, 0, 100), (99, 40, 60), ((1 << 64) - 1, 1 << 40, 1), ((1 << 64) - 1, 1 << 40, (1 << 16) + 3),
+    *((0xDEADBEEF, 12_345, count) for count in (rng._MIX_BLOCK - 1, rng._MIX_BLOCK, rng._MIX_BLOCK + 1,
+                                                2 * rng._MIX_BLOCK + 3)),
+]
+
+
+@pytest.mark.parametrize("seed, start, count", UNIFORM_SLICES)
+def test_uniforms_are_the_scalar_stream_bit_for_bit(seed, start, count):
+    expected = np.array([oracles.uniform(seed, start + i) for i in range(count)])
+    u = rng.uniforms(seed, start, count)
+    assert u.dtype == np.float64 and np.array_equal(oracles.bits(u), oracles.bits(expected))
 
 
 def test_rng_state_walks_the_stream():
@@ -63,20 +68,17 @@ def test_rng_state_walks_the_stream():
     assert np.array_equal(np.array(seen), rng.uniforms(31, 0, 8))
 
 
-def test_complex_normals_deterministic_and_indexed():
-    z = rng.complex_normals(5, 0, 16)
-    assert z.shape == (16,)
-    assert np.all(np.isfinite(z))
-    assert np.array_equal(z, rng.complex_normals(5, 0, 16))
-    for k in (0, 7, 15):
-        assert rng.complex_normals(5, 2 * k, 1)[0] == z[k]
+# (seed, start, count): 10^5 normals at three streams, and 16 normals beside entries 0, 7
+# and 15 of them drawn alone, entry k from draw 2k on
+NORMAL_SLICES = [(5, 0, 100_000), (2024, 123_457, 100_000), (2**64 - 1, 2**40, 100_000), (5, 0, 16),
+                 *((5, 2 * k, 1) for k in (0, 7, 15))]
 
 
-def test_complex_normals_keep_the_bits_of_the_complex_exp():
+@pytest.mark.parametrize("seed, start, count", NORMAL_SLICES)
+def test_complex_normals_keep_the_bits_of_the_complex_exp(seed, start, count):
     # cos and sin written into the halves must round as numpy's complex exp does
-    for seed, start in ((5, 0), (2024, 123_457), (2**64 - 1, 2**40)):
-        z = rng.complex_normals(seed, start, 100_000)
-        assert np.array_equal(oracles.bits(z), oracles.bits(oracles.complex_normals_exp(seed, start, 100_000)))
+    z = rng.complex_normals(seed, start, count)
+    assert np.array_equal(oracles.bits(z), oracles.bits(oracles.complex_normals_exp(seed, start, count)))
 
 
 def test_complex_normals_moments():
@@ -107,14 +109,6 @@ def test_categorical_overflow_lands_on_last_positive_label():
     # NaN compares below no boundary, so it lands there too, also before trailing zeros
     assert rng.categorical(np.array([np.nan]), probs)[0] == 7
     assert rng.categorical(np.array([np.nan]), np.array([0.0, 0.5, 0.5, 0.0]))[0] == 2
-
-
-def test_uniforms_in_place_match_the_scalar_stream_at_extreme_counters():
-    seed, start = (1 << 64) - 1, 1 << 40
-    for count in (1, (1 << 16) + 3):
-        expected = np.array([oracles.uniform(seed, start + i) for i in range(count)])
-        u = rng.uniforms(seed, start, count)
-        assert u.dtype == np.float64 and np.array_equal(u, expected)
 
 
 # weights with zeros first, in the middle and last; normalized below
@@ -185,11 +179,6 @@ def test_label_counts_of_the_words_under_integer_cuts_label_the_uniforms_at_any_
     _assert_label_counts_label_the_words(np.array(weights) / sum(weights), seed)
 
 
-def test_sample_bbm_matches_ensemble_counts():
-    cfg = RunConfig(p=0.3, q=0.6, shots=200, seed=9)
-    assert _counts_one_draw_at_a_time(cfg) == run_ensemble(cfg).counts
-
-
 def _counts_one_draw_at_a_time(cfg):
     state = oracles.RngState(cfg.seed, 0)
     tallies = dict.fromkeys(BELL_LABELS, 0)
@@ -199,8 +188,15 @@ def _counts_one_draw_at_a_time(cfg):
     return tallies
 
 
-def test_run_ensemble_chunks_match_the_draws_one_at_a_time(monkeypatch):
-    monkeypatch.setattr(rng, "SHOT_CHUNK", 7)
+# (chunk, p, q, shots): chunks of 7 on each side of a chunk's end, with a dead family at
+# (0, 1), and 200 shots in one default chunk
+ENSEMBLE_CHUNKS = [(7, p, q, shots) for p, q in ((0.3, 0.6), (0.0, 1.0)) for shots in (1, 7, 8, 50)] + [
+    (rng.SHOT_CHUNK, 0.3, 0.6, 200)]
+
+
+@pytest.mark.parametrize("chunk, p, q, shots", ENSEMBLE_CHUNKS)
+def test_run_ensemble_chunks_match_the_draws_one_at_a_time(monkeypatch, chunk, p, q, shots):
+    monkeypatch.setattr(rng, "SHOT_CHUNK", chunk)
     real_draws = rng._draws
     outs = []
 
@@ -209,24 +205,13 @@ def test_run_ensemble_chunks_match_the_draws_one_at_a_time(monkeypatch):
         return real_draws(seed, start, words)
 
     monkeypatch.setattr(rng, "_draws", spy)
-    for p, q in ((0.3, 0.6), (0.0, 1.0)):
-        for shots in (1, 7, 8, 50):
-            outs.clear()
-            cfg = RunConfig(p=p, q=q, shots=shots, seed=9)
-            assert run_ensemble(cfg).counts == _counts_one_draw_at_a_time(cfg)
-            # every chunk's words are written into the start of one uint64 buffer
-            assert [len(out) for out in outs] == [min(7, shots - start) for start in range(0, shots, 7)]
-            buffer = outs[0].base
-            assert buffer is not None and buffer.dtype == np.uint64 and len(buffer) == min(7, shots)
-            assert all(out.base is buffer and out.ctypes.data == buffer.ctypes.data for out in outs)
-
-
-@pytest.mark.parametrize("count", [rng._MIX_BLOCK - 1, rng._MIX_BLOCK, rng._MIX_BLOCK + 1, 2 * rng._MIX_BLOCK + 3])
-def test_uniforms_blocks_match_the_scalar_stream(count):
-    # counts on each side of a block's end and a short third block
-    seed, start = 0xDEADBEEF, 12_345
-    expected = np.array([oracles.uniform(seed, start + i) for i in range(count)])
-    assert np.array_equal(oracles.bits(rng.uniforms(seed, start, count)), oracles.bits(expected))
+    cfg = RunConfig(p=p, q=q, shots=shots, seed=9)
+    assert run_ensemble(cfg).counts == _counts_one_draw_at_a_time(cfg)
+    # every chunk's words are written into the start of one uint64 buffer
+    assert [len(out) for out in outs] == [min(chunk, shots - start) for start in range(0, shots, chunk)]
+    buffer = outs[0].base
+    assert buffer is not None and buffer.dtype == np.uint64 and len(buffer) == min(chunk, shots)
+    assert all(out.base is buffer and out.ctypes.data == buffer.ctypes.data for out in outs)
 
 
 @pytest.mark.parametrize("count", [24_576, 65_536])

@@ -69,13 +69,14 @@ def test_svn_basis_invariant():
     assert abs(svn(rotated) - svn(diag_state(0.2, 0.8))) < 1e-12
 
 
-def test_sl_on_a_grid_matches_the_purity_oracle():
+def test_linear_fields_on_a_grid_match_the_purity_oracle_and_their_closed_forms():
     for q in np.linspace(0.0, 1.0, 101):
         rho = diag_state(q, 1.0 - q)
         direct = 1.0 - float(np.trace(rho.matrix @ rho.matrix).real)
-        s_l = report(rho).s_l
-        assert abs(s_l - direct) < 1e-15
-        assert abs(s_l - 2.0 * q * (1.0 - q)) < 1e-12
+        rep = report(rho)
+        assert abs(rep.s_l - direct) < 1e-15, q
+        assert abs(rep.s_l - 2.0 * q * (1.0 - q)) < 1e-12, q
+        assert abs(rep.p_l - (0.5 - 2.0 * q * (1.0 - q))) < 1e-12, q
 
 
 def test_diagonal_part():
@@ -97,12 +98,6 @@ def test_coherences_invariant_under_phase_rotations():
     assert abs(report(rotated).c_hs - report(rho).c_hs) < 1e-12
 
 
-def test_pl_on_a_grid_matches_its_closed_form():
-    for q in np.linspace(0.0, 1.0, 101):
-        expected = 0.5 - 2.0 * q * (1.0 - q)
-        assert abs(report(diag_state(q, 1.0 - q)).p_l - expected) < 1e-12
-
-
 def test_predictabilities_strictly_positive_off_uniform():
     for populations in ((0.6, 0.4), (0.9, 0.1), (0.5, 0.3, 0.2)):
         rep = report(diag_state(*populations))
@@ -116,12 +111,6 @@ def test_entropies_schur_concave_on_diagonal_qubits():
     sl_vals = [report(diag_state(q, 1.0 - q)).s_l for q in qs]
     assert all(b >= a - 1e-12 for a, b in zip(svn_vals, svn_vals[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(sl_vals, sl_vals[1:]))
-
-
-def test_report_sums_are_the_component_sums():
-    rep = report(random_qubit_density(8))
-    assert rep.vn_sum == rep.c_re + rep.p_vn + rep.s_vn
-    assert rep.l_sum == rep.c_hs + rep.p_l + rep.s_l
 
 
 def test_report_fields_never_meaningfully_negative():
@@ -263,34 +252,32 @@ def test_pure_report_at_db_not_below_da_is_the_report_of_rho_a(da, db):
     assert kernel.dim == direct.dim == da
 
 
-def swap_stacks():
-    """The 2x2 amplitude stacks `swap` reduces: Schmidt pairs and live branches on a weight grid."""
+def kernel_stack(name):
+    """Amplitudes psi[N, dA, dB] held to the einsum kernel.
+
+    The 2x2 stacks `swap` reduces, Schmidt pairs and live branches on a weight
+    grid, or 3000 Haar states at the dims `name`.
+    """
+    if name not in ("pairs", "branches"):
+        return haar_psi(*name, seed=64, count=3000)[0]
     w = np.linspace(0.0, 1.0, 41)
-    yield np.sqrt(np.stack([w, 0 * w, 0 * w, 1.0 - w], axis=1)).reshape(-1, 2, 2)
+    if name == "pairs":
+        return np.sqrt(np.stack([w, 0 * w, 0 * w, 1.0 - w], axis=1)).reshape(-1, 2, 2)
     amps = swap._branches(*(a.ravel() for a in np.meshgrid(w, w)))[2].reshape(-1, 4)
-    yield amps[np.isfinite(amps).all(axis=1)].reshape(-1, 2, 2)
+    return amps[np.isfinite(amps).all(axis=1)].reshape(-1, 2, 2)
 
 
-def test_pure_report_keeps_the_einsum_kernel_bits_on_swap_states():
-    for psi in swap_stacks():
-        kernel, reference = oracles.pure_report(psi), oracles.pure_report_einsum(psi)
-        for field in VN_FIELDS:
-            assert np.array_equal(getattr(kernel, field), getattr(reference, field)), field
-        for field in FIELDS:
-            assert np.abs(getattr(kernel, field) - getattr(reference, field)).max() <= 2e-15, field
-
-
-@pytest.mark.parametrize("da, db", VERIFY_DIMS)
-def test_pure_report_agrees_with_the_einsum_kernel(da, db):
+@pytest.mark.parametrize("name", ["pairs", "branches", *VERIFY_DIMS])
+def test_pure_report_agrees_with_the_einsum_kernel(name):
     # the von Neumann fields keep their bits, so verify's max_vn_residual does;
     # the linear ones now come from the purity and move in their last bits
-    psi, _ = haar_psi(da, db, seed=64, count=3000)
+    psi = kernel_stack(name)
     kernel, reference = oracles.pure_report(psi), oracles.pure_report_einsum(psi)
     for field in VN_FIELDS:
         assert np.array_equal(getattr(kernel, field), getattr(reference, field)), field
     for field in FIELDS:
         assert np.abs(getattr(kernel, field) - getattr(reference, field)).max() <= 2e-15, field
-    assert kernel.dim == reference.dim == da
+    assert kernel.dim == reference.dim == psi.shape[1]
 
 
 @pytest.mark.parametrize("da, db", VERIFY_DIMS)

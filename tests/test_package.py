@@ -218,6 +218,61 @@ def test_no_test_module_defines_a_name_twice():
     assert not repeated, repeated
 
 
+# The fixed points by module: each test of an acceptance criterion, a paper claim, the swap
+# goldens, the output manifest and the README, with the failure table its parametrize reads
+# or the strict xfail it carries. A test leaves this list only on purpose.
+FIXED_POINTS = {
+    "test_acceptance.py": dict.fromkeys([
+        "test_criterion_1_worked_example_goldens", "test_criterion_2_special_case_goldens",
+        "test_criterion_3_probability_predictability_identity", "test_criterion_4_complementarity_sums_on_random_states",
+        "test_criterion_5_projector_oracle_equivalence", "test_criterion_6_entropy_stationarity",
+        "test_criterion_7_triality_through_the_protocol", "test_criterion_8_monte_carlo_consistency",
+        "test_criterion_9_figure_2a_ordering"]),
+    "test_paper_claims.py": dict.fromkeys([
+        "test_predictability_is_consumed_where_entanglement_increases",
+        "test_triality_holds_before_and_after_the_measurement_along_figure_2b"]),
+    "test_cli.py": {
+        "test_swap_document_bytes_are_pinned": None,
+        "test_a_usage_error_exits_2_and_writes_nothing": "USAGE_ERRORS",
+        "test_an_out_that_cannot_be_written_exits_3": "OUT_ERRORS",
+        "test_verify_fails_on_an_eigensolver_that_ignores_coherences": "strict xfail",
+    },
+    "test_output_manifest.py": dict.fromkeys([
+        "test_every_manifest_argv_prints_its_recorded_bytes",
+        "test_portable_argvs_print_their_recorded_bytes_on_every_build",
+        "test_portable_swap_parts_hold_their_recorded_hashes_on_every_build",
+        "test_portable_swap_parts_are_the_printed_documents_less_their_entropies",
+        "test_regenerate_lists_the_moved_keys_of_both_sections"]),
+    "test_readme.py": dict.fromkeys([
+        "test_readme_figure_2a_example_is_the_cli_output", "test_readme_documents_are_the_cli_output",
+        "test_readme_names_only_code_that_exists"]),
+    "test_package.py": {"test_each_refusal_raises_its_type_with_its_message": "REFUSALS"},
+}
+
+
+def _marks(node) -> set[str]:
+    """The tables a test's parametrize decorators read by name, and "strict xfail" if it carries one."""
+    marks = set()
+    for mark in node.decorator_list:
+        name = getattr(getattr(mark, "func", None), "attr", None)
+        if name == "parametrize":
+            marks |= {arg.id for arg in mark.args if isinstance(arg, ast.Name)}
+        elif name == "xfail" and any(k.arg == "strict" and getattr(k.value, "value", None) is True
+                                     for k in mark.keywords):
+            marks.add("strict xfail")
+    return marks
+
+
+def test_every_fixed_point_test_is_defined_with_its_table():
+    missing = []
+    for module, tests in FIXED_POINTS.items():
+        defined = {node.name: node for node in ast.parse((TESTS / module).read_text()).body
+                   if isinstance(node, ast.FunctionDef)}
+        missing += [f"{module}::{name}" for name, mark in tests.items()
+                    if name not in defined or (mark is not None and mark not in _marks(defined[name]))]
+    assert not missing, missing
+
+
 def _callee(node) -> str | None:
     func = getattr(node, "func", None)
     return getattr(func, "id", getattr(func, "attr", None))

@@ -27,17 +27,18 @@ TURNED = {"phi-": 3, "psi-": 2}
 
 def _quantifiers(rho: np.ndarray) -> dict[str, float]:
     """Von Neumann and linear predictability, entanglement and coherence of a qubit state rho."""
-    populations = rho.diagonal().real
-    purity = sum(abs(x) ** 2 for x in rho.ravel())
-    coherence = sum(abs(rho[i, j]) ** 2 for i in range(2) for j in range(2) if i != j)
+    r00, r01, r10, r11 = entries = rho.ravel().tolist()  # Python numbers, cheaper one at a time
+    x, y = r00.real, r11.real
+    purity = sum(abs(v) ** 2 for v in entries)
+    coherence = abs(r01) ** 2 + abs(r10) ** 2
     s_vn = oracles.binary_entropy(*oracles.jacobi_eigenvalues(rho))
-    s_diag = oracles.binary_entropy(*populations)
+    s_diag = oracles.binary_entropy(x, y)
     return {
-        "z": populations[0] - populations[1],
+        "z": x - y,
         "p_vn": 1.0 - s_diag,
         "s_vn": s_vn,
         "c_re": s_diag - s_vn,
-        "p_l": 0.5 - (1.0 - sum(populations**2)),
+        "p_l": 0.5 - (1.0 - (x * x + y * y)),
         "s_l": 1.0 - purity,
         "c_hs": coherence,
     }

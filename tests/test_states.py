@@ -6,30 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entswap import cli, measures, states
+from entswap import cli, measures
 from entswap.states import BELL_LABELS, haar_states, schmidt_pair
-from oracles import bell_state, composite_state, fidelity
+from oracles import bell_state, composite_state
 
 weights = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def test_schmidt_pair_balanced_is_bell():
-    assert fidelity(schmidt_pair(0.5), bell_state("phi+")) > 1.0 - 1e-12
-
-
-def test_schmidt_pair_endpoints():
-    assert np.array_equal(schmidt_pair(1.0).amplitudes, np.array([1, 0, 0, 0], dtype=complex))
-    assert np.array_equal(schmidt_pair(0.0).amplitudes, np.array([0, 0, 0, 1], dtype=complex))
-
-
-def test_pair_amplitudes_broadcast_to_the_scalar_square_roots():
-    weights = [0.0, 1.0, 0.5, 0.3, 0.1, 0.75, 5e-324, 1e-300, 1.0 - 2**-53]
-    for shape in ((len(weights),), (3, 3)):
-        amps = states._pair_amplitudes(np.reshape(weights, shape))
-        assert amps.shape == shape + (4,)
-        for w, row in zip(weights, amps.reshape(-1, 4)):
-            assert row.tolist() == [math.sqrt(w), 0.0, 0.0, math.sqrt(1.0 - w)]
-            assert np.array_equal(schmidt_pair(w).amplitudes, row)
+def test_schmidt_pair_amplitudes_are_the_scalar_square_roots():
+    # the endpoints are the product states |00> and |11>, and 0.5 the Bell state phi+
+    for w in (0.0, 1.0, 0.5, 0.3, 0.1, 0.75, 5e-324, 1e-300, 1.0 - 2**-53):
+        assert schmidt_pair(w).amplitudes.tolist() == [math.sqrt(w), 0.0, 0.0, math.sqrt(1.0 - w)], w
 
 
 @settings(max_examples=60)
@@ -110,18 +97,16 @@ def test_composite_bell_expansion_and_projections(p, q):
     assert abs(sum(probs) - 1.0) < 1e-12
 
 
-def test_haar_states_normalized_and_deterministic():
-    batch = haar_states(3, 2, seed=99, count=8)
-    assert batch.shape == (8, 6)
-    assert np.abs(np.linalg.norm(batch, axis=1) - 1.0).max() < 1e-12
-    again = haar_states(3, 2, seed=99, count=8)
-    assert np.array_equal(batch, again)
+# (dims, seed, count, start): each verify dims; a small batch; a row of a batch, drawn alone
+# beside its batch; and one state at each of two neighbouring seeds
+HAAR_DRAWS = [*(((da, db), 71, 4096, 37) for da, db in oracles.VERIFY_DIMS), ((3, 2), 99, 8, 0),
+              ((2, 2), 5, 4, 0), ((2, 2), 5, 1, 3), ((2, 2), 1, 1, 0), ((2, 2), 2, 1, 0)]
 
 
-@pytest.mark.parametrize("da, db", oracles.VERIFY_DIMS)
-def test_haar_states_keep_the_bits_of_the_norm_division(da, db):
-    batch = haar_states(da, db, seed=71, count=4096, start=37)
-    assert np.array_equal(oracles.bits(batch), oracles.bits(oracles.haar_states_norm(da, db, 71, 4096, start=37)))
+@pytest.mark.parametrize("dims, seed, count, start", HAAR_DRAWS)
+def test_haar_states_keep_the_bits_of_the_norm_division(dims, seed, count, start):
+    batch = haar_states(*dims, seed, count, start)
+    assert np.array_equal(oracles.bits(batch), oracles.bits(oracles.haar_states_norm(*dims, seed, count, start)))
 
 
 @pytest.mark.parametrize("count", [cli.VERIFY_CHUNK - 1, cli.VERIFY_CHUNK + 1])
@@ -181,15 +166,3 @@ def test_haar_states_follow_the_haar_law(dims, seed, count):
     for name, (sample, mean) in statistics.items():
         z = (sample.mean() - mean) / (sample.std(ddof=1) / math.sqrt(count))
         assert abs(z) < HAAR_LAW_Z, (name, z)
-
-
-def test_haar_state_matches_batch_row():
-    batch = haar_states(2, 2, seed=5, count=4)
-    single = haar_states(2, 2, seed=5, count=1, start=3)[0]
-    assert np.array_equal(single, batch[3])
-
-
-def test_haar_states_differ_across_seeds():
-    a = haar_states(2, 2, seed=1, count=1)
-    b = haar_states(2, 2, seed=2, count=1)
-    assert np.abs(a - b).max() > 1e-3

@@ -46,19 +46,14 @@ def test_outcomes_sum_to_one_and_match_the_projector_oracle(p, q):
             assert overlap > 1.0 - 1e-10
 
 
-def test_balanced_swap_yields_bell_states():
-    for outcome in bbm_outcomes(0.5, 0.5):
-        assert abs(outcome.probability - 0.25) < 1e-12
-        assert fidelity(outcome.post_state, bell_state(outcome.label)) > 1.0 - 1e-12
-
-
-def test_special_case_line_projects_onto_matching_bell():
-    # on p = 1-q the phi branches collapse to the corresponding Bell state
-    q = 0.3
-    for outcome in bbm_outcomes(1.0 - q, q):
-        if outcome.label.startswith("phi"):
-            assert abs(outcome.probability - q * (1.0 - q)) < 1e-12
-            assert fidelity(outcome.post_state, bell_state(outcome.label)) > 1.0 - 1e-12
+def test_branches_are_their_bell_states_where_the_pairs_match():
+    # at p = q = 1/2 each branch is its Bell state with probability 1/4; on p = 1 - q, at
+    # q = 0.3, the phi branches are, with probability q(1 - q)
+    for p, q, family, probability in ((0.5, 0.5, "", 0.25), (1.0 - 0.3, 0.3, "phi", 0.3 * (1.0 - 0.3))):
+        for outcome in bbm_outcomes(p, q):
+            if outcome.label.startswith(family):
+                assert abs(outcome.probability - probability) < 1e-12, (p, q, outcome.label)
+                assert fidelity(outcome.post_state, bell_state(outcome.label)) > 1.0 - 1e-12, (p, q, outcome.label)
 
 
 def test_degenerate_corner_has_undefined_phi_branch():
@@ -69,11 +64,6 @@ def test_degenerate_corner_has_undefined_phi_branch():
     assert abs(outs["psi+"].probability - 0.5) < 1e-12
     assert np.abs(outs["psi+"].post_state.amplitudes - np.array([0, 1, 0, 0])).max() < 1e-12
     assert svn(oracles.reduced(outs["psi+"].post_state, {0})) == 0.0
-
-
-def test_post_states_normalized():
-    for outcome in bbm_outcomes(0.123, 0.987):
-        assert abs(np.linalg.norm(outcome.post_state.amplitudes) - 1.0) < 1e-12
 
 
 def test_swap_spectrum_worked_example():
@@ -278,7 +268,7 @@ BRANCH_SECTORS = np.array([[1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0
 def test_swap_states_are_in_schmidt_form_and_report_from_their_populations(drawn):
     p, q = np.array(drawn).T
     posts = swap._branches(p, q)[2]
-    pairs = states._pair_amplitudes(np.concatenate([p, q]))
+    pairs = np.array([states.schmidt_pair(w).amplitudes.real for w in np.concatenate([p, q])])
     live = ~np.isnan(posts).any(axis=-1)
     assert np.isnan(posts[~live]).all()  # a branch with zero normalization has no state
     rows = np.concatenate([posts[live], pairs])
