@@ -219,8 +219,9 @@ def test_no_test_module_defines_a_name_twice():
 
 
 # The fixed points by module: each test of an acceptance criterion, a paper claim, the swap
-# goldens, the output manifest and the README, with the failure table its parametrize reads
-# or the strict xfail it carries. A test leaves this list only on purpose.
+# goldens, the output manifest and the README, and each byte-parity and chunk-invariance check
+# that README promises, with the table its parametrize reads or the strict xfail it carries. A
+# test leaves this list only on purpose.
 FIXED_POINTS = {
     "test_acceptance.py": dict.fromkeys([
         "test_criterion_1_worked_example_goldens", "test_criterion_2_special_case_goldens",
@@ -233,6 +234,15 @@ FIXED_POINTS = {
         "test_triality_holds_before_and_after_the_measurement_along_figure_2b"]),
     "test_cli.py": {
         "test_swap_document_bytes_are_pinned": None,
+        **dict.fromkeys([
+            "test_csv_lines_match_the_per_cell_formatter", "test_csv_lines_match_the_per_cell_formatter_on_edge_cells",
+            "test_csv_lines_match_the_per_cell_formatter_on_digit_patterns",
+            "test_csv_lines_round_exact_ties_half_to_even", "test_csv_lines_match_around_powers_of_ten",
+            "test_csv_lines_match_on_seeded_values_across_the_fast_decades",
+            "test_figures_bytes_match_the_per_cell_formatter_across_chunks",
+            "test_figures_chunks_give_the_unchunked_bytes", "test_swap_bytes_match_the_reference_builder"]),
+        "test_verify_gives_the_same_bytes_at_any_chunk_size": "BYTE_CHECK_DIMS",
+        "test_swap_shots_give_the_same_bytes_at_any_mix_block": "SHOT_PAIRS",
         "test_a_usage_error_exits_2_and_writes_nothing": "USAGE_ERRORS",
         "test_an_out_that_cannot_be_written_exits_3": "OUT_ERRORS",
         "test_verify_fails_on_an_eigensolver_that_ignores_coherences": "strict xfail",
@@ -245,18 +255,19 @@ FIXED_POINTS = {
         "test_regenerate_lists_the_moved_keys_of_both_sections"]),
     "test_readme.py": dict.fromkeys([
         "test_readme_figure_2a_example_is_the_cli_output", "test_readme_documents_are_the_cli_output",
-        "test_readme_names_only_code_that_exists"]),
+        "test_readme_gives_the_suite_size", "test_readme_names_only_code_that_exists"]),
     "test_package.py": {"test_each_refusal_raises_its_type_with_its_message": "REFUSALS"},
 }
 
 
 def _marks(node) -> set[str]:
-    """The tables a test's parametrize decorators read by name, and "strict xfail" if it carries one."""
+    """The tables a test's parametrize decorators name (`oracles.X` as X), and "strict xfail" if it carries one."""
     marks = set()
     for mark in node.decorator_list:
         name = getattr(getattr(mark, "func", None), "attr", None)
         if name == "parametrize":
-            marks |= {arg.id for arg in mark.args if isinstance(arg, ast.Name)}
+            marks |= {getattr(arg, "id", getattr(arg, "attr", None)) for arg in mark.args
+                      if isinstance(arg, (ast.Name, ast.Attribute))}
         elif name == "xfail" and any(k.arg == "strict" and getattr(k.value, "value", None) is True
                                      for k in mark.keywords):
             marks.add("strict xfail")

@@ -1,5 +1,6 @@
-"""README's CLI examples are the bytes the CLI prints for them."""
+"""README's CLI examples are the bytes the CLI prints for them, and its suite size is the suite's."""
 
+import ast
 import contextlib
 import functools
 import importlib
@@ -56,6 +57,18 @@ def test_readme_documents_are_the_cli_output(command):
     if expected[-1].strip() == "...":  # README elides the rest of the document
         expected, printed = expected[:-1], printed[:len(expected) - 1]
     assert printed == expected
+
+
+def test_readme_gives_the_suite_size():
+    # "The suite is N test functions in M lines of `tests/*.py`": the top-level `test_*` functions, as
+    # `FIXED_POINTS` reads them with `ast`, and the lines of every module, as `wc -l` counts them
+    sentence = r"The\s+suite\s+is\s+([\d,]+)\s+test\s+functions\s+in\s+([\d,]+)\s+lines\s+of\s+`tests/\*\.py`"
+    (stated,) = re.findall(sentence, README.read_text())
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    tests = sum(isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+                for path in paths for node in ast.parse(path.read_text()).body)
+    lines = sum(path.read_text().count("\n") for path in paths)
+    assert stated == (f"{tests:,}", f"{lines:,}")
 
 
 def test_readme_names_only_code_that_exists():
