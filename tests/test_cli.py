@@ -69,6 +69,16 @@ def test_figures_match_the_pointwise_math_oracle(capsys, which):
     assert np.abs(cells - np.array(oracles.figure_rows(which, 101))).max() <= 1e-15
 
 
+def test_figures_phi_entropy_peaks_on_matching_rows(capsys):
+    _, out, _ = run_main(capsys, ["figures", "--which", "1a", "--grid", "21"])
+    rows = {}
+    for line in out.splitlines()[1:]:
+        cells = [float(cell) for cell in line.split(",")]
+        rows[cells[0]] = cells[1:]
+    for column, p_star in enumerate((0.9, 0.75, 0.5, 0.25, 0.1)):
+        assert abs(rows[p_star][column] - 1.0) < 1e-12
+
+
 def test_figures_reruns_identical_and_atomic(tmp_path):
     target = tmp_path / "fig.csv"
     assert main(["figures", "--which", "2b", "--grid", "11", "--out", str(target)]) == 0
@@ -373,6 +383,12 @@ def test_verify_passes_and_reports(capsys):
     assert doc["linear_target"] == pytest.approx(2 / 3)
 
 
+def test_verify_is_reproducible(capsys):
+    first = run_main(capsys, ["verify", "--trials", "20", "--seed", "4"])
+    second = run_main(capsys, ["verify", "--trials", "20", "--seed", "4"])
+    assert first == second
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "VERIFY_TOL", 1e-30)
     code, out, _ = run_main(capsys, ["verify", "--trials", "5"])
@@ -587,6 +603,14 @@ def test_swap_post_state_is_null_exactly_when_the_probability_is_zero(capsys, p,
         null = entry["probability_full"] == 0.0
         assert (entry["post_state"] is None) == null, entry["label"]
         assert (entry["svn_full"] is None) == null, entry["label"]
+
+
+def test_swap_post_state_keeps_a_negated_zero(capsys):
+    code, out, _ = run_main(capsys, ["swap", "--p", "0.3", "--q", "1"])
+    assert code == 0
+    # phi- at q = 1 is sqrt(p)|00> - 0|11>: the negated zero keeps its sign
+    assert json.loads(out)["outcomes"][1]["post_state"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.0, 0.0]]
+    assert '[\n          -0.0,\n          0.0\n        ]' in out
 
 
 # the whole stdout of `swap` at the two weight pairs below, taken as the
@@ -853,6 +877,23 @@ def test_figures_and_swap_run_no_eigensolver(capsys, monkeypatch):
     assert outputs() == expected
 
 
+def test_swap_empirical_block(capsys):
+    code, out, _ = run_main(
+        capsys, ["swap", "--p", "0.1", "--q", "0.75", "--shots", "20000", "--seed", "7"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    emp = doc["empirical"]
+    assert emp["shots"] == 20000 and emp["seed"] == 7
+    assert sum(emp["counts"].values()) == 20000
+    probs = {o.label: o.probability for o in swap.bbm_outcomes(0.1, 0.75)}
+    assert emp["max_abs_error"] == max(
+        abs(emp["frequencies"][k] - probs[k]) for k in emp["counts"]
+    )
+    rerun = run_main(capsys, ["swap", "--p", "0.1", "--q", "0.75", "--shots", "20000", "--seed", "7"])
+    assert rerun[1] == out
+
+
 # 200003 shots span four chunks: all branches live, the phi pair dead, the psi pair dead
 SHOT_PAIRS = [("0.3", "0.6"), ("0", "1"), ("1", "0")]
 
@@ -969,6 +1010,14 @@ def test_swap_reads_the_closed_forms_and_builds_no_pure_state(capsys, monkeypatc
         assert len(entropies) == 1, (p, q, shots, entropies)
 
 
+@pytest.mark.parametrize("shots", [[], ["--shots", "1000"]])
+@pytest.mark.parametrize("p, q", [("-0", "0.5"), ("0.5", "-0"), ("-0", "-0.0"), ("1", "-0")])
+def test_swap_reads_a_negative_zero_weight_as_zero(capsys, p, q, shots):
+    signed = run_main(capsys, ["swap", "--p", p, "--q", q, *shots])
+    unsigned = run_main(capsys, ["swap", "--p", p.lstrip("-"), "--q", q.lstrip("-"), *shots])
+    assert signed == unsigned and signed[0] == 0
+
+
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(p=swap_weights, q=swap_weights)
 def test_swap_branch_entropies_are_post_entropies_bit_for_bit(capsys, p, q):
@@ -1044,18 +1093,8 @@ def test_swap_templates_are_one_per_document_shape(capsys):
     assert cli._swap_template.cache_info().currsize <= 6
 
 
-def _at_each_text(test):
-    """Examples of the closed ends, signed zeros, the neighbours of 0 and 1, NaN, infinities and non-numbers."""
-    for text in ["0", "1", "1.0", "-0", "-0.0", "5e-324", "-5e-324", "0.9999999999999999", "1.0000000000000002",
-                 "0.5", " 0.25 ", "nan", "-nan", "inf", "-inf", "1e309", "", "abc", "0x1p-1", "1_0"]:
-        test = example(text)(test)
-    return test
-
-
-@_at_each_text
-@given(st.floats(0.0, 1.0).map(repr) | st.floats().map(repr))
-def test_weight_arg_accepts_the_weights_require_weight_accepts(text):
-    # `cli._weight_arg` accepts text exactly when `states.require_weight(float(text))` does, as +0.0 + that weight
+def _check_weight_text(text):
+    """`cli._weight_arg` accepts text exactly when `states.require_weight(float(text))` does, as +0.0 + that weight."""
     try:
         expected = float(states.require_weight(float(text)))
     except ValueError:
@@ -1064,6 +1103,19 @@ def test_weight_arg_accepts_the_weights_require_weight_accepts(text):
         return
     weight = cli._weight_arg(text)
     assert type(weight) is float and oracles.bits(weight) == oracles.bits(expected + 0.0), text
+
+
+# the interval's closed ends, signed zeros, the neighbours of 0 and 1, NaN, infinities and non-numbers
+@pytest.mark.parametrize("text", ["0", "1", "1.0", "-0", "-0.0", "5e-324", "-5e-324", "0.9999999999999999",
+                                  "1.0000000000000002", "0.5", " 0.25 ", "nan", "-nan", "inf", "-inf", "1e309",
+                                  "", "abc", "0x1p-1", "1_0"])
+def test_weight_arg_accepts_the_weights_require_weight_accepts(text):
+    _check_weight_text(text)
+
+
+@given(st.floats(0.0, 1.0).map(repr) | st.floats().map(repr))
+def test_weight_arg_accepts_the_weights_require_weight_accepts_on_any_float(text):
+    _check_weight_text(text)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
@@ -1090,6 +1142,17 @@ def test_an_out_at_the_longest_file_name_is_written(capsys, tmp_path):
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_bytes() == expected.encode()
     assert [path.name for path in tmp_path.iterdir()] == [target.name]
+
+
+def test_module_entry_point_smoke():
+    proc = subprocess.run(
+        [sys.executable, "-m", "entswap", "figures", "--which", "2a", "--grid", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "q,pr_phi,pr_psi,pl_initial"
 
 
 def _outcome(capsys, run, argv):
